@@ -1,6 +1,7 @@
 """Self-contained verification suites: finite-difference gradient checks
 on a micro model, attention-row properties on random graphs, the dense
-attention oracle, initializer exactness, two-hop reachability via BFS,
+attention oracle (for both the dense masked and the edge-list attention
+paths), initializer exactness, two-hop reachability via BFS,
 and sweep-vs-grid agreement. Reused by the CLI (`gradcheck`, `selftest`)
 and by the acceptance tests.
 """
@@ -13,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from . import tensor as T
-from .docgraph import ClipConfig, HierGraph, NodeType, build_graph, validate_graph
+from .docgraph import build_graph, validate_graph
 from .encoder import (
     AttentionTrace,
     EncoderConfig,
@@ -25,7 +26,7 @@ from .encoder import (
 from .evaluate import GrainRecord, f1_at_threshold, threshold_sweep
 from .heads import joint_loss, score_nodes
 from .preprocess import AnswerType, TrainingInstance
-from .tensor import Tensor, finite_diff_check, precision, record_tape
+from .tensor import Tensor, finite_diff_check, precision
 
 
 # ------------------------------------------------------- fixture builders
@@ -179,6 +180,7 @@ def attention_rows_check(trials: int = 100, seed: int = 0, tol: float = 1e-6) ->
         graph = build_graph(inst, clips=cfg.clips)
         trace = AttentionTrace()
         encode(inst, graph, model, trace=trace)
+        off_edge = ~graph.integ_mask
         integ_rows = 0
         for rec in trace.records:
             alpha = rec["alpha"]
@@ -186,7 +188,7 @@ def attention_rows_check(trials: int = 100, seed: int = 0, tol: float = 1e-6) ->
                 return False
             if rec["sublayer"].endswith("integ"):
                 integ_rows += 1
-                if (alpha[~graph.integ_mask] != 0.0).any():
+                if (alpha[off_edge] != 0.0).any():
                     return False
         if integ_rows == 0:
             return False
@@ -194,45 +196,60 @@ def attention_rows_check(trials: int = 100, seed: int = 0, tol: float = 1e-6) ->
 
 
 def dense_attention_oracle(
-    states: np.ndarray, wq, wk, wv, wo, d_z: int
+    states: np.ndarray, wq, wk, wv, wo, d_z: int,
+    mask: np.ndarray | None = None,
+    buckets: np.ndarray | None = None,
+    ak: np.ndarray | None = None,
+    av: np.ndarray | None = None,
 ) -> np.ndarray:
-    """Independent dense multi-head attention (numpy, no tape)."""
+    """Independent dense multi-head attention (numpy, no tape).
+
+    Row i attends to the j with mask[i, j] (all j without a mask). With
+    `buckets` and the relational tables, pair (i, j) uses the key
+    k_j + ak[b_ij] and the value v_j + av[b_ij], built per pair.
+    """
+    n = states.shape[0]
+    if mask is None:
+        mask = np.ones((n, n), dtype=bool)
     heads = []
     for q_w, k_w, v_w in zip(wq, wk, wv):
         q = states @ q_w
-        k = states @ k_w
-        v = states @ v_w
-        e = q @ k.T / math.sqrt(d_z)
-        e = e - e.max(axis=1, keepdims=True)
-        a = np.exp(e)
+        k = np.broadcast_to(states @ k_w, (n, n, d_z))
+        v = np.broadcast_to(states @ v_w, (n, n, d_z))
+        if buckets is not None:
+            k = k + ak[buckets]
+            v = v + av[buckets]
+        e = np.einsum("id,ijd->ij", q, k) / math.sqrt(d_z)
+        e = np.where(mask, e, -np.inf)
+        a = np.exp(e - e.max(axis=1, keepdims=True))
         a = a / a.sum(axis=1, keepdims=True)
-        heads.append(a @ v)
+        heads.append(np.einsum("ij,ijd->id", a, v))
     return np.concatenate(heads, axis=1) @ wo
 
 
 def dense_oracle_check(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> float:
-    """gat_attention with zeroed relational tables vs the dense oracle on
-    a fully connected single-level graph. Returns the max abs deviation."""
+    """gat_attention vs the dense oracle on random graphs with random
+    relational tables: the dense masked path and the edge-list path over
+    the same edges. Every other graph is fully connected (the same-level
+    case); the rest are random masks with self-loops (the integration
+    case). Returns the max abs deviation."""
     rng = np.random.default_rng(seed)
     worst = 0.0
-    for _ in range(trials):
+    for trial in range(trials):
         cfg = micro_config(n_layers=1)
         model = ModelParams.init(cfg, seed=int(rng.integers(1 << 30)))
-        prefix = "layer0.tok"
-        for nm in (f"{prefix}.ak", f"{prefix}.av"):
-            model.tensors[nm].data[:] = 0.0
+        prefix = "layer0.integ"
+        n_buckets = cfg.clips.integration_buckets()
+        ak, av = model.tensors[f"{prefix}.ak"].data, model.tensors[f"{prefix}.av"].data
+        ak[:] = rng.normal(scale=0.5, size=ak.shape)
+        av[:] = rng.normal(scale=0.5, size=av.shape)
         n = int(rng.integers(2, 9))
         states = rng.normal(size=(n, cfg.d_h))
-        idx = np.arange(n)
-        buckets = np.clip(idx[None, :] - idx[:, None], -cfg.token_clip, cfg.token_clip) + cfg.token_clip
-        out = gat_attention(
-            Tensor(states),
-            np.ones((n, n), dtype=bool),
-            buckets,
-            model,
-            prefix,
-            cfg.clips.level_buckets(NodeType.TOKEN),
-        )
+        mask = rng.random((n, n)) < (1.0 if trial % 2 == 0 else 0.4)
+        np.fill_diagonal(mask, True)
+        buckets = rng.integers(0, n_buckets, size=(n, n))
+        dst, src = np.nonzero(mask)
+        edges = T.EdgeList(dst, src, buckets[dst, src], n, n_buckets)
         oracle = dense_attention_oracle(
             states,
             [model.tensors[f"{prefix}.h{k}.wq"].data for k in range(cfg.m)],
@@ -240,8 +257,11 @@ def dense_oracle_check(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> fl
             [model.tensors[f"{prefix}.h{k}.wv"].data for k in range(cfg.m)],
             model.tensors[f"{prefix}.wo"].data,
             cfg.d_z,
+            mask, buckets, ak, av,
         )
-        worst = max(worst, float(np.abs(out.data - oracle).max()))
+        for index in (buckets, edges):
+            out = gat_attention(Tensor(states), mask, index, model, prefix, n_buckets)
+            worst = max(worst, float(np.abs(out.data - oracle).max()))
     return worst
 
 

@@ -3,7 +3,9 @@
 Node layout is one contiguous block per level: tokens, then sentences,
 then paragraphs, then the single document node. The [CLS] token doubles
 as sentence 0 and paragraph 0 (the null pseudo-candidate). Cross-level
-edges make the document node a hub, so any two nodes are within two hops.
+edges make the document node a hub, so any two nodes are within two hops,
+and the integration graph has O(n) edges. It is held as an `EdgeList`
+sorted by destination; a dense adjacency is derived from it on demand.
 """
 
 from __future__ import annotations
@@ -12,8 +14,10 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
+import scipy.sparse as sp
 
 from .preprocess import TrainingInstance
+from .tensor import EdgeList
 
 
 class NodeType(IntEnum):
@@ -69,8 +73,9 @@ def same_level_bucket(i: int, j: int, clip: int) -> int:
     return int(np.clip(j - i, -clip, clip)) + clip
 
 
-def family_bucket(family: int, ordinal: int, cross_clip: int) -> int:
-    return 1 + family * (cross_clip + 1) + min(ordinal, cross_clip)
+def family_bucket(family: int, ordinal, cross_clip: int):
+    """Bucket of a cross-level edge; `ordinal` may be an int or an array."""
+    return 1 + family * (cross_clip + 1) + np.minimum(ordinal, cross_clip)
 
 
 @dataclass
@@ -85,8 +90,7 @@ class HierGraph:
 
     # populated by _finalize
     token_par: np.ndarray = field(init=False)
-    integ_mask: np.ndarray = field(init=False)
-    integ_buckets: np.ndarray = field(init=False)
+    integ_edges: EdgeList = field(init=False)  # cross-level edges + self-loops
     tok_ord: np.ndarray = field(init=False)   # ordinal of token in sentence
     sent_ord: np.ndarray = field(init=False)  # ordinal of sentence in paragraph
     par_ord: np.ndarray = field(init=False)   # ordinal of paragraph in document
@@ -109,6 +113,11 @@ class HierGraph:
             NodeType.PARAGRAPH: slice(t + s, t + s + p),
             NodeType.DOCUMENT: slice(t + s + p, t + s + p + 1),
         }[level]
+
+    @property
+    def integ_mask(self) -> np.ndarray:
+        """Dense boolean adjacency of the integration graph (derived)."""
+        return self.integ_edges.adjacency()
 
     def node_type(self, node: int) -> NodeType:
         for level in NodeType:
@@ -138,25 +147,10 @@ class HierGraph:
         self.tok_par_ord = self._ordinal_in(self.token_par)
 
         cc = self.clips.cross_clip
-        n = self.n_nodes
-        mask = np.zeros((n, n), dtype=bool)
-        buckets = np.zeros((n, n), dtype=np.int64)
-        np.fill_diagonal(mask, True)
-        # buckets already 0 == SELF_BUCKET on the diagonal
-
         t0 = self.level_slice(NodeType.TOKEN).start
         s0 = self.level_slice(NodeType.SENTENCE).start
         p0 = self.level_slice(NodeType.PARAGRAPH).start
         d0 = self.level_slice(NodeType.DOCUMENT).start
-
-        def connect(family: int, fine: np.ndarray, coarse: np.ndarray, ordinal: np.ndarray, up: bool):
-            b = np.array([family_bucket(family, int(o), cc) for o in ordinal])
-            if up:  # coarse node attends to fine node: edge fine -> coarse
-                mask[coarse, fine] = True
-                buckets[coarse, fine] = b
-            else:
-                mask[fine, coarse] = True
-                buckets[fine, coarse] = b
 
         toks = t0 + np.arange(self.n_tokens)
         sents = s0 + np.arange(self.n_sents)
@@ -171,12 +165,18 @@ class HierGraph:
             (NodeType.TOKEN, NodeType.DOCUMENT): (toks, doc_of(toks), np.arange(self.n_tokens)),
             (NodeType.SENTENCE, NodeType.DOCUMENT): (sents, doc_of(sents), np.arange(self.n_sents)),
         }
+        nodes = np.arange(self.n_nodes)
+        dst, src, bucket = [nodes], [nodes], [np.full(self.n_nodes, SELF_BUCKET)]
         for fam, (fine_lv, coarse_lv, up) in enumerate(EDGE_FAMILIES):
             fine, coarse, ordinal = pairs[(fine_lv, coarse_lv)]
-            connect(fam, fine, coarse, ordinal, up)
-
-        self.integ_mask = mask
-        self.integ_buckets = buckets
+            # upward: the coarse node attends to the fine node (edge fine -> coarse)
+            dst.append(coarse if up else fine)
+            src.append(fine if up else coarse)
+            bucket.append(family_bucket(fam, ordinal, cc))
+        self.integ_edges = EdgeList(
+            np.concatenate(dst), np.concatenate(src), np.concatenate(bucket),
+            self.n_nodes, self.clips.integration_buckets(),
+        )
 
         self.level_bucket_mats = {}
         for level, count in (
@@ -209,9 +209,10 @@ def relative_position(graph: HierGraph, i: int, j: int) -> int:
         sl = graph.level_slice(ti)
         k = (graph.clips.level_buckets(ti) - 1) // 2
         return same_level_bucket(i - sl.start, j - sl.start, k)
-    if not graph.integ_mask[i, j]:
+    edge = graph.integ_edges.find(i, j)
+    if edge < 0:
         raise ValueError(f"no edge between nodes {i} and {j}")
-    return int(graph.integ_buckets[i, j])
+    return int(graph.integ_edges.bucket[edge])
 
 
 def build_graph(
@@ -258,15 +259,17 @@ def build_graph(
 
 def validate_graph(graph: HierGraph) -> str | None:
     """Check all invariants; return None if OK, else the first violation."""
-    if graph.integ_mask.shape != (graph.n_nodes, graph.n_nodes):
+    edges, n = graph.integ_edges, graph.n_nodes
+    if edges.n_nodes != n:
         return "adjacency shape does not match node count"
-    if not np.diagonal(graph.integ_mask).all():
-        bad = int(np.argmin(np.diagonal(graph.integ_mask)))
-        return f"missing self-loop at node {bad}"
-    sym = graph.integ_mask == graph.integ_mask.T
-    if not sym.all():
-        i, j = np.argwhere(~sym)[0]
-        return f"edge ({i}, {j}) present without its reverse"
+    adj = sp.csr_matrix((np.ones(len(edges)), (edges.dst, edges.src)), shape=(n, n))
+    loops = adj.diagonal()
+    if not loops.all():
+        return f"missing self-loop at node {int(np.argmin(loops))}"
+    rows, cols = (adj != adj.T).nonzero()
+    if rows.size:
+        k = np.lexsort((cols, rows))[0]
+        return f"edge ({rows[k]}, {cols[k]}) present without its reverse"
     if (graph.token_sent < 0).any() or (graph.token_sent >= graph.n_sents).any():
         return "token containment points outside sentence range"
     if (graph.sent_par < 0).any() or (graph.sent_par >= graph.n_pars).any():
@@ -274,43 +277,17 @@ def validate_graph(graph: HierGraph) -> str | None:
     # containment edges must exist in the adjacency
     s0 = graph.level_slice(NodeType.SENTENCE).start
     p0 = graph.level_slice(NodeType.PARAGRAPH).start
-    for tok, sent in enumerate(graph.token_sent):
-        if not graph.integ_mask[tok, s0 + sent]:
-            return f"containment violation: token {tok} not linked to sentence {sent}"
-    for sent, par in enumerate(graph.sent_par):
-        if not graph.integ_mask[s0 + sent, p0 + par]:
-            return f"containment violation: sentence {sent} not linked to paragraph {par}"
-    # two-hop reachability via boolean matrix product
-    reach = graph.integ_mask | (graph.integ_mask @ graph.integ_mask)
-    if not reach.all():
-        i, j = np.argwhere(~reach)[0]
+    linked = np.asarray(adj[np.arange(graph.n_tokens), s0 + graph.token_sent]).ravel()
+    if not linked.all():
+        tok = int(np.argmin(linked))
+        return f"containment violation: token {tok} not linked to sentence {graph.token_sent[tok]}"
+    linked = np.asarray(adj[s0 + np.arange(graph.n_sents), p0 + graph.sent_par]).ravel()
+    if not linked.all():
+        sent = int(np.argmin(linked))
+        return f"containment violation: sentence {sent} not linked to paragraph {graph.sent_par[sent]}"
+    # two-hop reachability via a sparse product of the edge lists
+    reach = adj + adj @ adj
+    if reach.nnz < n * n:
+        i, j = np.argwhere(reach.toarray() == 0)[0]
         return f"reachability violation: nodes {i} and {j} are more than 2 hops apart"
     return None
-
-
-def graph_to_json(graph: HierGraph) -> dict:
-    """Debug dump: adjacency with types, containers and buckets."""
-    nodes = []
-    for node in range(graph.n_nodes):
-        level = graph.node_type(node)
-        if level == NodeType.TOKEN:
-            container = int(graph.token_sent[node])
-        elif level == NodeType.SENTENCE:
-            container = int(graph.sent_par[node - graph.level_slice(level).start])
-        elif level == NodeType.PARAGRAPH:
-            container = 0
-        else:
-            container = -1
-        neigh = np.where(graph.integ_mask[node])[0]
-        nodes.append(
-            {
-                "id": node,
-                "type": level.name.lower(),
-                "container": container,
-                "neighbors": [
-                    {"id": int(j), "bucket": int(graph.integ_buckets[node, j])}
-                    for j in neigh
-                ],
-            }
-        )
-    return {"n_nodes": graph.n_nodes, "nodes": nodes}

@@ -1,8 +1,9 @@
 """Graph encoder: initialization plus stacked attention layers.
 
 One encoder layer = token/sentence/paragraph self-attention (each over a
-fully connected same-level graph with relative-distance buckets), one
-graph-integration pass over the cross-level edges, then a feed-forward
+fully connected same-level graph with relative-distance buckets, dense),
+one graph-integration pass over the cross-level edge list (sparse: only
+edges are scored), then a feed-forward
 block applied to the concatenation of the integration input and output.
 Relational embeddings enter the attention on both the key and value side.
 """
@@ -244,7 +245,7 @@ def graph_initialize(graph: HierGraph, token_states: Tensor, params: ModelParams
 def gat_attention(
     states: Tensor,
     mask: np.ndarray,
-    buckets: np.ndarray,
+    buckets,
     params: ModelParams,
     prefix: str,
     n_buckets: int,
@@ -255,25 +256,45 @@ def gat_attention(
     e_ij = [(h_i Wq)(h_j Wk)^T + (h_i Wq)(ak[b_ij])^T] / sqrt(d_z)
     z_i  = sum_j alpha_ij (h_j Wv + av[b_ij]), heads concatenated and
     output-projected back to d_h.
+
+    `buckets` is either a dense (n, n) bucket matrix, attended under the
+    boolean `mask`, or an `EdgeList` holding the mask's edges with their
+    buckets, in which case only the edges are scored (`mask` then only
+    describes the graph; a trace still records dense e and alpha).
     """
     cfg = params.config
     n = states.shape[0]
-    rows = np.arange(n)[:, None]
     inv_sqrt = 1.0 / math.sqrt(cfg.d_z)
     ak = params[f"{prefix}.ak"]
     av = params[f"{prefix}.av"]
+    edges = buckets if isinstance(buckets, T.EdgeList) else None
+    if edges is None:
+        rows = np.arange(n)[:, None]
+        plan = T.pair_plan(rows, buckets, (n, n_buckets))
     heads = []
     for k in range(cfg.m):
         q = T.matmul(states, params[f"{prefix}.h{k}.wq"])
         key = T.matmul(states, params[f"{prefix}.h{k}.wk"])
         val = T.matmul(states, params[f"{prefix}.h{k}.wv"])
-        content = T.matmul(q, T.transpose(key))
-        rel = T.take_pairs(T.matmul(q, T.transpose(ak)), rows, buckets)
-        e = (content + rel) * inv_sqrt
-        alpha = T.masked_softmax(e, mask, axis=1)
-        z = T.matmul(alpha, val) + T.matmul(T.bucket_sum(alpha, buckets, n_buckets), av)
+        if edges is not None:
+            e = T.edge_scores(q, key, ak, edges) * inv_sqrt
+            alpha = T.segment_softmax(e, edges)
+            z = T.edge_aggregate(alpha, val, av, edges)
+        else:
+            content = T.matmul(q, T.transpose(key))
+            rel = T.take_pairs(T.matmul(q, T.transpose(ak)), rows, buckets, plan)
+            e = (content + rel) * inv_sqrt
+            alpha = T.masked_softmax(e, mask, axis=1)
+            z = T.matmul(alpha, val) + T.matmul(T.bucket_sum(alpha, buckets, n_buckets, plan), av)
         if trace is not None:
-            trace.add(prefix, k, e.data.copy(), alpha.data.copy(), z.data.copy())
+            if edges is None:
+                e_rec, alpha_rec = e.data.copy(), alpha.data.copy()
+            else:  # scatter to dense: off-edge cells get e = -inf, alpha = 0
+                e_rec = np.full((n, n), -np.inf, dtype=e.data.dtype)
+                alpha_rec = np.zeros((n, n), dtype=alpha.data.dtype)
+                e_rec[edges.dst, edges.src] = e.data
+                alpha_rec[edges.dst, edges.src] = alpha.data
+            trace.add(prefix, k, e_rec, alpha_rec, z.data.copy())
         heads.append(z)
     zc = T.concat(heads, axis=1)
     return T.matmul(zc, params[f"{prefix}.wo"])
@@ -323,7 +344,7 @@ def graph_integration(
     post = gat_attention(
         states,
         graph.integ_mask,
-        graph.integ_buckets,
+        graph.integ_edges,
         params,
         f"layer{layer}.integ",
         cfg.clips.integration_buckets(),

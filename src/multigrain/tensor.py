@@ -2,7 +2,9 @@
 
 The op set is intentionally small: exactly what the graph encoder and the
 output heads need (matmul, broadcast add/mul, concat, gathers, masked
-softmax, gelu, layer norm, masked log-softmax, reductions, dropout).
+softmax, edge-list attention, gelu, layer norm, masked log-softmax,
+reductions, dropout). Every scatter-add goes through `ScatterPlan`, which
+keeps the working dtype.
 Every forward op validates that its output is finite; NaN/Inf anywhere is
 a hard error rather than a silent corruption of the run.
 
@@ -264,6 +266,36 @@ def concat(parts: Sequence[Tensor], axis: int = 0) -> Tensor:
     return _make(data, parts, backward, "concat")
 
 
+class ScatterPlan:
+    """Scatter-add over integer keys that keeps the working dtype.
+
+    `plan(values)` returns `out` of length `size` along axis 0 with
+    out[k] = sum of values[i] over keys[i] == k.
+    The keys are stably argsorted once (not at all when already sorted),
+    so a plan built for static index arrays serves every later scatter.
+    """
+
+    __slots__ = ("order", "starts", "targets", "size")
+
+    def __init__(self, keys, size: int):
+        keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        self.order = None
+        if (keys[1:] < keys[:-1]).any():
+            self.order = np.argsort(keys, kind="stable")
+            keys = keys[self.order]
+        self.starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if keys.size else keys
+        self.targets = keys[self.starts]
+        self.size = size
+
+    def __call__(self, values: np.ndarray) -> np.ndarray:
+        out = np.zeros((self.size,) + values.shape[1:], dtype=values.dtype)
+        if self.starts.size:
+            if self.order is not None:
+                values = values[self.order]
+            out[self.targets] = np.add.reduceat(values, self.starts, axis=0)
+        return out
+
+
 def gather(a: Tensor, index) -> Tensor:
     """Take rows along axis 0; index may have any shape."""
     idx = np.asarray(index)
@@ -271,14 +303,20 @@ def gather(a: Tensor, index) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            da = np.zeros_like(a.data)
-            np.add.at(da, idx, g)
-            _accumulate(a, da)
+            plan = ScatterPlan(idx, a.shape[0])
+            _accumulate(a, plan(g.reshape((-1,) + a.shape[1:])))
 
     return _make(data, (a,), backward, "gather")
 
 
-def take_pairs(a: Tensor, rows, cols) -> Tensor:
+def pair_plan(rows, cols, shape: tuple) -> ScatterPlan:
+    """Scatter plan over the cells (rows, cols) of a 2-D array of `shape`,
+    shared by `take_pairs` backward and `bucket_sum` over the same indices."""
+    rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
+    return ScatterPlan(rows * shape[1] + cols, shape[0] * shape[1])
+
+
+def take_pairs(a: Tensor, rows, cols, plan: ScatterPlan | None = None) -> Tensor:
     """out[...] = a[rows[...], cols[...]] for a 2-D tensor."""
     rows = np.asarray(rows)
     cols = np.asarray(cols)
@@ -287,14 +325,13 @@ def take_pairs(a: Tensor, rows, cols) -> Tensor:
 
     def backward(g):
         if a.requires_grad:
-            da = np.zeros_like(a.data)
-            np.add.at(da, (rows, cols), g)
-            _accumulate(a, da)
+            p = plan if plan is not None else pair_plan(rows, cols, a.shape)
+            _accumulate(a, p(g.reshape(-1)).reshape(a.shape))
 
     return _make(data, (a,), backward, "take_pairs")
 
 
-def bucket_sum(alpha: Tensor, buckets, n_buckets: int) -> Tensor:
+def bucket_sum(alpha: Tensor, buckets, n_buckets: int, plan: ScatterPlan | None = None) -> Tensor:
     """out[i, b] = sum_j alpha[i, j] where buckets[i, j] == b.
 
     Used to fold attention weights over shared relational-embedding
@@ -303,13 +340,114 @@ def bucket_sum(alpha: Tensor, buckets, n_buckets: int) -> Tensor:
     b = np.asarray(buckets)
     n = alpha.shape[0]
     rows = np.broadcast_to(np.arange(n)[:, None], b.shape)
-    data = np.zeros((n, n_buckets), dtype=alpha.data.dtype)
-    np.add.at(data, (rows, b), alpha.data)
+    if plan is None:
+        plan = pair_plan(rows, b, (n, n_buckets))
+    data = plan(alpha.data.reshape(-1)).reshape(n, n_buckets)
 
     def backward(g):
         _accumulate(alpha, g[rows, b])
 
     return _make(data, (alpha,), backward, "bucket_sum")
+
+
+class EdgeList:
+    """Directed, bucketed edges (dst attends to src), sorted by (dst, src).
+
+    The sparse counterpart of a boolean mask plus a bucket matrix:
+    `starts[i]` is the first edge of destination i, and the scatter plans
+    over dst, src and bucket are built once, so every backward pass of
+    the edge ops reuses them.
+    """
+
+    def __init__(self, dst, src, bucket, n_nodes: int, n_buckets: int):
+        dst, src, bucket = (np.asarray(x, dtype=np.int64).reshape(-1) for x in (dst, src, bucket))
+        if not len(dst) == len(src) == len(bucket):
+            raise ShapeMismatchError("edge arrays differ in length")
+        for name, x, bound in (("dst", dst, n_nodes), ("src", src, n_nodes), ("bucket", bucket, n_buckets)):
+            if x.size and (x.min() < 0 or x.max() >= bound):
+                raise ContractViolation(f"edge {name} index outside [0, {bound})")
+        order = np.lexsort((src, dst))
+        self.dst, self.src, self.bucket = dst[order], src[order], bucket[order]
+        same = (self.dst[1:] == self.dst[:-1]) & (self.src[1:] == self.src[:-1])
+        if same.any():
+            k = int(np.argmax(same))
+            raise ContractViolation(f"duplicate edge {self.dst[k]} <- {self.src[k]}")
+        self.n_nodes, self.n_buckets = n_nodes, n_buckets
+        self.degree = np.bincount(self.dst, minlength=n_nodes)
+        self.starts = np.r_[0, np.cumsum(self.degree)[:-1]]
+        self.by_dst = ScatterPlan(self.dst, n_nodes)
+        self.by_src = ScatterPlan(self.src, n_nodes)
+        self.by_bucket = ScatterPlan(self.bucket, n_buckets)
+
+    def __len__(self) -> int:
+        return len(self.dst)
+
+    def adjacency(self) -> np.ndarray:
+        """Dense boolean mask, mask[dst, src] = True on every edge."""
+        mask = np.zeros((self.n_nodes, self.n_nodes), dtype=bool)
+        mask[self.dst, self.src] = True
+        return mask
+
+    def find(self, dst: int, src: int) -> int:
+        """Index of the edge dst <- src, or -1 if there is none."""
+        lo, hi = self.starts[dst], self.starts[dst] + self.degree[dst]
+        k = lo + int(np.searchsorted(self.src[lo:hi], src))
+        return k if k < hi and self.src[k] == src else -1
+
+
+def edge_scores(q: Tensor, k: Tensor, ak: Tensor, edges: EdgeList) -> Tensor:
+    """s[e] = q[dst_e] . (k[src_e] + ak[bucket_e]), one score per edge."""
+    qd = q.data[edges.dst]
+    kb = k.data[edges.src] + ak.data[edges.bucket]
+    data = (qd * kb).sum(axis=1)
+
+    def backward(g):
+        g = g[:, None]
+        if q.requires_grad:
+            _accumulate(q, edges.by_dst(g * kb))
+        gk = g * qd
+        if k.requires_grad:
+            _accumulate(k, edges.by_src(gk))
+        if ak.requires_grad:
+            _accumulate(ak, edges.by_bucket(gk))
+
+    return _make(data, (q, k, ak), backward, "edge_scores")
+
+
+def segment_softmax(scores: Tensor, edges: EdgeList) -> Tensor:
+    """Softmax of edge scores over each destination's incoming edges."""
+    if not edges.degree.all():
+        raise ContractViolation("segment_softmax: a destination has no incoming edge")
+    x = scores.data
+    xmax = np.maximum.reduceat(x, edges.starts)
+    ex = np.exp(x - xmax[edges.dst])
+    p = ex / np.add.reduceat(ex, edges.starts)[edges.dst]
+
+    def backward(g):
+        if scores.requires_grad:
+            inner = np.add.reduceat(g * p, edges.starts)
+            _accumulate(scores, p * (g - inner[edges.dst]))
+
+    return _make(p, (scores,), backward, "segment_softmax")
+
+
+def edge_aggregate(alpha: Tensor, v: Tensor, av: Tensor, edges: EdgeList) -> Tensor:
+    """out[i] = sum over edges e into i of alpha[e] * (v[src_e] + av[bucket_e])."""
+    a = alpha.data[:, None]
+    vb = v.data[edges.src] + av.data[edges.bucket]
+    data = edges.by_dst(a * vb)
+
+    def backward(g):
+        gd = g[edges.dst]
+        if alpha.requires_grad:
+            _accumulate(alpha, (gd * vb).sum(axis=1))
+        ga = a * gd
+        if v.requires_grad:
+            _accumulate(v, edges.by_src(ga))
+        if av.requires_grad:
+            _accumulate(av, edges.by_bucket(ga))
+
+    return _make(data, (alpha, v, av), backward, "edge_aggregate")
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:

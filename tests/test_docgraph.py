@@ -18,6 +18,7 @@ from multigrain.docgraph import (
     validate_graph,
 )
 from multigrain.preprocess import AnswerType, TrainingInstance
+from multigrain.tensor import EdgeList
 
 
 def make_instance(n_cands=2, sents_per_cand=2, toks_per_sent=3, q=4, L=64):
@@ -152,14 +153,23 @@ def test_validate_ok():
     assert validate_graph(g) is None
 
 
+def drop_edges(g, cut):
+    """Replace g's integration edges by those for which cut(dst, src) is False."""
+    e = g.integ_edges
+    keep = ~cut(e.dst, e.src)
+    g.integ_edges = EdgeList(e.dst[keep], e.src[keep], e.bucket[keep], e.n_nodes, e.n_buckets)
+
+
 def test_validate_detects_deleted_containment_edge():
     g = build_graph(make_instance())
     s0 = g.level_slice(NodeType.SENTENCE).start
     p0 = g.level_slice(NodeType.PARAGRAPH).start
     # cut sentence 1 <-> its paragraph, both directions
     par = p0 + int(g.sent_par[1])
-    g.integ_mask[s0 + 1, par] = False
-    g.integ_mask[par, s0 + 1] = False
+    sent = s0 + 1
+    n_before = len(g.integ_edges)
+    drop_edges(g, lambda dst, src: ((dst == sent) & (src == par)) | ((dst == par) & (src == sent)))
+    assert len(g.integ_edges) == n_before - 2
     assert validate_graph(g) is not None
 
 
@@ -167,9 +177,8 @@ def test_validate_detects_three_hop_pair():
     g = build_graph(make_instance())
     doc = g.level_slice(NodeType.DOCUMENT).start
     # cutting the document hub from a token strands pairs beyond 2 hops
-    g.integ_mask[0, :] = False
-    g.integ_mask[:, 0] = False
-    g.integ_mask[0, 0] = True
+    drop_edges(g, lambda dst, src: ((dst == 0) | (src == 0)) & (dst != src))
+    assert g.integ_edges.find(0, 0) >= 0
     assert validate_graph(g) is not None
     assert doc == g.n_nodes - 1
 
@@ -200,7 +209,15 @@ def test_uncovered_token_rejected():
 
 def test_buckets_only_on_edges():
     g = build_graph(make_instance())
-    assert (g.integ_buckets[~g.integ_mask] == 0).all()
+    e = g.integ_edges
+    # the edge list is the whole graph: its adjacency is the mask, edges are
+    # unique, and a bucket exists only on an edge
+    mask = g.integ_mask
+    assert mask.sum() == len(e)
+    assert mask[e.dst, e.src].all()
     n = g.n_nodes
     diag = np.arange(n)
-    assert (g.integ_buckets[diag, diag] == SELF_BUCKET).all()
+    loops = e.dst == e.src
+    assert np.array_equal(e.dst[loops], diag)
+    assert (e.bucket[loops] == SELF_BUCKET).all()
+    assert (e.bucket[~loops] != SELF_BUCKET).all()

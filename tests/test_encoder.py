@@ -267,7 +267,10 @@ def test_self_loops_only_reduces_to_self_transform(setup):
     rng = np.random.default_rng(5)
     s = Tensor(rng.normal(size=(graph.n_nodes, cfg.d_h)))
     loop_graph = build_graph(inst, clips=cfg.clips)
-    loop_graph.integ_mask = np.eye(graph.n_nodes, dtype=bool)
+    nodes = np.arange(graph.n_nodes)
+    loop_graph.integ_edges = T.EdgeList(
+        nodes, nodes, np.zeros_like(nodes), graph.n_nodes, cfg.clips.integration_buckets()
+    )
     _, post = graph_integration(s, loop_graph, model, 0)
     prefix = "layer0.integ"
     ak = model.tensors[f"{prefix}.ak"].data
