@@ -154,6 +154,21 @@ def test_finite_diff_exact_for_quadratic():
     assert err < 1e-10
 
 
+def test_finite_diff_fourth_order_exact_for_quartic():
+    p = tensor(np.array([1.0, -2.0, 0.5]))
+
+    def f():
+        sq = T.mul(p, p)
+        return T.tsum(T.mul(sq, sq))
+
+    # the 2-point stencil is off by eps^2 * f'''/6 = 4 eps^2 p; the
+    # 4-point stencil is exact up to degree 4
+    assert T.finite_diff_check(f, {"p": p}) > 1e-7
+    assert T.finite_diff_check(f, {"p": p}, order=4) < 1e-9
+    with pytest.raises(T.ContractViolation):
+        T.finite_diff_check(f, {"p": p}, order=3)
+
+
 def test_finite_diff_dead_parameter():
     p = tensor(np.ones(2))
     dead = tensor(np.ones(2))
@@ -201,9 +216,11 @@ def test_random_expression_gradcheck(seed):
         return T.tsum(T.mul(h, w))
 
     # looser than the pinned micro-model check: random points can sit in
-    # high-curvature regions where the O(eps^2) truncation term dominates
+    # high-curvature regions, and a coordinate whose gradient is near zero
+    # turns the 2-point stencil's O(eps^2) truncation into a large relative
+    # error, so this check uses the 4-point stencil
     with T.precision("extended"):
-        assert T.finite_diff_check(f, {"a": a, "b": b}) < 2e-3
+        assert T.finite_diff_check(f, {"a": a, "b": b}, order=4) < 2e-3
 
 
 @settings(max_examples=30, deadline=None)
