@@ -14,7 +14,7 @@ from collections import deque
 import numpy as np
 
 from . import tensor as T
-from .docgraph import build_graph, validate_graph
+from .docgraph import NodeType, build_graph, validate_graph
 from .encoder import (
     AttentionTrace,
     EncoderConfig,
@@ -144,7 +144,7 @@ def micro_gradcheck(eps: float = 1e-3, seed: int = 1, scale: float = 0.1) -> flo
     gradients of the joint loss, on the micro model in extended precision.
 
     The init scale keeps pre-normalization activations away from the
-    high-curvature regime of layer norm, so the O(eps^2) truncation term
+    high-curvature regime of layer norm, so the O(eps^4) truncation term
     of the central difference stays well under the analytic gradient.
     """
     with precision("extended"):
@@ -230,24 +230,32 @@ def dense_attention_oracle(
 def dense_oracle_check(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> float:
     """gat_attention vs the dense oracle on random graphs with random
     relational tables: the dense masked path and the edge-list path over
-    the same edges. Every other graph is fully connected (the same-level
-    case); the rest are random masks with self-loops (the integration
-    case). Returns the max abs deviation."""
+    the same edges. Every other graph is a fully connected token level
+    with Toeplitz relative-distance buckets (the same-level case); the
+    rest are random masks with self-loops and random buckets (the
+    integration case). Returns the max abs deviation."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
         cfg = micro_config(n_layers=1)
         model = ModelParams.init(cfg, seed=int(rng.integers(1 << 30)))
-        prefix = "layer0.integ"
-        n_buckets = cfg.clips.integration_buckets()
+        n = int(rng.integers(2, 9))
+        states = rng.normal(size=(n, cfg.d_h))
+        if trial % 2 == 0:
+            prefix = "layer0.tok"
+            n_buckets = cfg.clips.level_buckets(NodeType.TOKEN)
+            mask = np.ones((n, n), dtype=bool)
+            idx = np.arange(n)
+            buckets = np.clip(idx[None, :] - idx[:, None], -cfg.token_clip, cfg.token_clip) + cfg.token_clip
+        else:
+            prefix = "layer0.integ"
+            n_buckets = cfg.clips.integration_buckets()
+            mask = rng.random((n, n)) < 0.4
+            np.fill_diagonal(mask, True)
+            buckets = rng.integers(0, n_buckets, size=(n, n))
         ak, av = model.tensors[f"{prefix}.ak"].data, model.tensors[f"{prefix}.av"].data
         ak[:] = rng.normal(scale=0.5, size=ak.shape)
         av[:] = rng.normal(scale=0.5, size=av.shape)
-        n = int(rng.integers(2, 9))
-        states = rng.normal(size=(n, cfg.d_h))
-        mask = rng.random((n, n)) < (1.0 if trial % 2 == 0 else 0.4)
-        np.fill_diagonal(mask, True)
-        buckets = rng.integers(0, n_buckets, size=(n, n))
         dst, src = np.nonzero(mask)
         edges = T.EdgeList(dst, src, buckets[dst, src], n, n_buckets)
         oracle = dense_attention_oracle(

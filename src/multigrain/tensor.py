@@ -271,14 +271,22 @@ class ScatterPlan:
 
     `plan(values)` returns `out` of length `size` along axis 0 with
     out[k] = sum of values[i] over keys[i] == k.
-    The keys are stably argsorted once (not at all when already sorted),
-    so a plan built for static index arrays serves every later scatter.
+    Negative keys count from the end, as numpy indices do, so -1 and
+    size - 1 land in one sum. The keys are stably argsorted once (not at
+    all when already sorted), so a plan built for static index arrays
+    serves every later scatter.
     """
 
     __slots__ = ("order", "starts", "targets", "size")
 
     def __init__(self, keys, size: int):
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
+        if keys.size:
+            lo, hi = keys.min(), keys.max()
+            if lo < -size or hi >= size:
+                raise ContractViolation(f"scatter key outside [-{size}, {size})")
+            if lo < 0:
+                keys = np.where(keys < 0, keys + size, keys)
         self.order = None
         if (keys[1:] < keys[:-1]).any():
             self.order = np.argsort(keys, kind="stable")
@@ -313,6 +321,9 @@ def pair_plan(rows, cols, shape: tuple) -> ScatterPlan:
     """Scatter plan over the cells (rows, cols) of a 2-D array of `shape`,
     shared by `take_pairs` backward and `bucket_sum` over the same indices."""
     rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
+    if rows.size and (rows.min() < 0 or cols.min() < 0):
+        # wrap per axis: the flat key of (r, -1) is not negative
+        rows, cols = rows % shape[0], cols % shape[1]
     return ScatterPlan(rows * shape[1] + cols, shape[0] * shape[1])
 
 
@@ -608,12 +619,10 @@ def finite_diff_check(
     f: Callable[[], Tensor],
     params: Dict[str, Tensor],
     eps: float = 1e-3,
-    order: int = 2,
 ) -> float:
     """Compare backward() against central finite differences.
 
-    `order` 2 uses the 2-point stencil (truncation error O(eps^2)); order 4
-    uses the 4-point stencil (8(f(x+e) - f(x-e)) - (f(x+2e) - f(x-2e))) / 12e,
+    Uses the 4-point stencil (8(f(x+e) - f(x-e)) - (f(x+2e) - f(x-2e))) / 12e,
     whose O(eps^4) truncation stays small at coordinates whose gradient is
     near zero, where the relative error is most sensitive.
 
@@ -622,8 +631,6 @@ def finite_diff_check(
     """
     if eps <= 0:
         raise ContractViolation("finite_diff_check requires eps > 0")
-    if order not in (2, 4):
-        raise ContractViolation("finite_diff_check order must be 2 or 4")
     zero_grads(params)
     with record_tape():
         loss = f()
@@ -646,10 +653,7 @@ def finite_diff_check(
                 flat[i] = orig
                 return fp - fm
 
-            if order == 2:
-                numeric = diff(eps) / (2.0 * eps)
-            else:
-                numeric = (8.0 * diff(eps) - diff(2.0 * eps)) / (12.0 * eps)
+            numeric = (8.0 * diff(eps) - diff(2.0 * eps)) / (12.0 * eps)
             analytic = float(gflat[i])
             rel = abs(analytic - numeric) / max(1e-8, abs(analytic) + abs(numeric))
             worst = max(worst, rel)

@@ -154,19 +154,16 @@ def test_finite_diff_exact_for_quadratic():
     assert err < 1e-10
 
 
-def test_finite_diff_fourth_order_exact_for_quartic():
+def test_finite_diff_exact_for_quartic():
     p = tensor(np.array([1.0, -2.0, 0.5]))
 
     def f():
         sq = T.mul(p, p)
         return T.tsum(T.mul(sq, sq))
 
-    # the 2-point stencil is off by eps^2 * f'''/6 = 4 eps^2 p; the
-    # 4-point stencil is exact up to degree 4
-    assert T.finite_diff_check(f, {"p": p}) > 1e-7
-    assert T.finite_diff_check(f, {"p": p}, order=4) < 1e-9
-    with pytest.raises(T.ContractViolation):
-        T.finite_diff_check(f, {"p": p}, order=3)
+    # the 4-point stencil is exact up to degree 4; a 2-point one would be
+    # off by eps^2 * f'''/6 = 4 eps^2 p here
+    assert T.finite_diff_check(f, {"p": p}) < 1e-9
 
 
 def test_finite_diff_dead_parameter():
@@ -216,11 +213,9 @@ def test_random_expression_gradcheck(seed):
         return T.tsum(T.mul(h, w))
 
     # looser than the pinned micro-model check: random points can sit in
-    # high-curvature regions, and a coordinate whose gradient is near zero
-    # turns the 2-point stencil's O(eps^2) truncation into a large relative
-    # error, so this check uses the 4-point stencil
+    # high-curvature regions
     with T.precision("extended"):
-        assert T.finite_diff_check(f, {"a": a, "b": b}, order=4) < 2e-3
+        assert T.finite_diff_check(f, {"a": a, "b": b}) < 2e-3
 
 
 @settings(max_examples=30, deadline=None)
@@ -371,6 +366,39 @@ def test_scatter_plan_matches_add_at(mode):
         plan = T.ScatterPlan(keys[order], 9)
         assert plan.order is None  # already sorted: no argsort
         np.testing.assert_allclose(plan(values[order]), want, rtol=0, atol=1e-13)
+        # negative keys count from the end: -1 and 8 share one sum
+        mixed = np.where(keys % 2 == 0, keys - 9, keys)
+        np.testing.assert_allclose(T.ScatterPlan(mixed, 9)(values), want, rtol=0, atol=1e-13)
+        mixed[0] = 8
+        mixed[1] = -1
+        want = np.zeros((9, 3), dtype=values.dtype)
+        np.add.at(want, mixed, values)
+        np.testing.assert_allclose(T.ScatterPlan(mixed, 9)(values), want, rtol=0, atol=1e-13)
+        with pytest.raises(T.ContractViolation):
+            T.ScatterPlan([0, 9], 9)
+
+
+def test_gather_take_pairs_backward_sum_negative_indices():
+    """gather and take_pairs accept numpy-style negative indices; their
+    backward must sum index -1 and index n-1 into the same row."""
+    rng = np.random.default_rng(2)
+    a = tensor(rng.normal(size=(4, 3)))
+    idx = np.array([3, -1, 0, -4, 2])
+    g = rng.normal(size=(5, 3))
+    with T.record_tape():
+        grads = T.backward(T.tsum(T.mul(T.gather(a, idx), tensor(g, grad=False))), {"a": a})
+    want = np.zeros((4, 3))
+    np.add.at(want, idx, g)
+    np.testing.assert_allclose(grads["a"], want, rtol=0, atol=1e-14)
+
+    rows, cols = np.array([0, 0, -1, 3]), np.array([2, -1, 1, -2])
+    gp = rng.normal(size=4)
+    T.zero_grads({"a": a})
+    with T.record_tape():
+        grads = T.backward(T.tsum(T.mul(T.take_pairs(a, rows, cols), tensor(gp, grad=False))), {"a": a})
+    want = np.zeros((4, 3))
+    np.add.at(want, (rows, cols), gp)
+    np.testing.assert_allclose(grads["a"], want, rtol=0, atol=1e-14)
 
 
 @settings(max_examples=25, deadline=None)
