@@ -2,7 +2,10 @@
 """Finite-difference audit of the full model gradient.
 
 Checks every parameter of the micro model against central differences
-in extended precision and prints the worst coordinate per parameter.
+in extended precision and prints the worst coordinate per parameter. It
+runs `tensor.finite_diff_check` once per parameter on the loss of
+criterion 1 (`checks.micro_gradcheck`), so both report the same worst
+error.
 
     python3 scripts/gradient_check.py [--eps 1e-3]
 """
@@ -11,13 +14,8 @@ import argparse
 import sys
 import time
 
-import numpy as np
-
 from multigrain import tensor as T
-from multigrain.checks import micro_config, micro_instance
-from multigrain.docgraph import build_graph
-from multigrain.encoder import ModelParams, encode
-from multigrain.heads import joint_loss, score_nodes
+from multigrain.checks import micro_loss
 
 
 def main() -> int:
@@ -28,40 +26,12 @@ def main() -> int:
     ap.add_argument("--tolerance", type=float, default=1e-4)
     args = ap.parse_args()
 
-    cfg = micro_config()
-    inst = micro_instance()
-    graph = build_graph(inst, clips=cfg.clips)
-    model = ModelParams.init(cfg, seed=args.seed, scale=args.scale)
-    params = model.tensors
-
-    def f():
-        states = encode(inst, graph, model)
-        scores = score_nodes(states, graph, inst, model)
-        return joint_loss(scores, inst.long_target, inst.start, inst.end, inst.answer_type)
-
     t0 = time.time()
     worst_overall = 0.0
     with T.precision("extended"):
-        T.zero_grads(params)
-        with T.record_tape():
-            grads = T.backward(f(), params)
-        T.zero_grads(params)
+        f, params = micro_loss(args.seed, args.scale)
         for name, p in params.items():
-            flat = p.data.reshape(-1)
-            g = grads[name].reshape(-1)
-            worst = 0.0
-            for i in range(flat.size):
-                orig = flat[i]
-                flat[i] = orig + args.eps
-                with T.no_grad():
-                    fp = f().item()
-                flat[i] = orig - args.eps
-                with T.no_grad():
-                    fm = f().item()
-                flat[i] = orig
-                num = (fp - fm) / (2 * args.eps)
-                rel = abs(float(g[i]) - num) / max(1e-8, abs(float(g[i])) + abs(num))
-                worst = max(worst, rel)
+            worst = T.finite_diff_check(f, {name: p}, eps=args.eps)
             print(f"{name:35s} worst rel err {worst:.3e}")
             worst_overall = max(worst_overall, worst)
 

@@ -1,7 +1,7 @@
 """Self-contained verification suites: finite-difference gradient checks
 on a micro model, attention-row properties on random graphs, the dense
-attention oracle (for both the dense masked and the edge-list attention
-paths), initializer exactness, two-hop reachability via BFS,
+attention oracle (for both fused attention ops, Toeplitz-level and
+edge-list), initializer exactness, two-hop reachability via BFS,
 and sweep-vs-grid agreement. Reused by the CLI (`gradcheck`, `selftest`)
 and by the acceptance tests.
 """
@@ -22,6 +22,7 @@ from .encoder import (
     encode,
     gat_attention,
     graph_initialize,
+    split_qkv,
 )
 from .evaluate import GrainRecord, f1_at_threshold, threshold_sweep
 from .heads import joint_loss, score_nodes
@@ -139,6 +140,22 @@ def random_instance(rng: np.random.Generator, vocab_size: int = 32, max_len: int
 # ------------------------------------------------------------ check suites
 
 
+def micro_loss(seed: int = 1, scale: float = 0.1):
+    """(f, params): the joint loss of the micro model on the micro instance
+    as a function of its parameters, built in the current precision."""
+    cfg = micro_config()
+    model = ModelParams.init(cfg, seed=seed, scale=scale)
+    inst = micro_instance()
+    graph = build_graph(inst, clips=cfg.clips)
+
+    def f():
+        states = encode(inst, graph, model)
+        scores = score_nodes(states, graph, inst, model)
+        return joint_loss(scores, inst.long_target, inst.start, inst.end, inst.answer_type)
+
+    return f, model.tensors
+
+
 def micro_gradcheck(eps: float = 1e-3, seed: int = 1, scale: float = 0.1) -> float:
     """Max relative error between analytic and central-difference
     gradients of the joint loss, on the micro model in extended precision.
@@ -148,17 +165,8 @@ def micro_gradcheck(eps: float = 1e-3, seed: int = 1, scale: float = 0.1) -> flo
     of the central difference stays well under the analytic gradient.
     """
     with precision("extended"):
-        cfg = micro_config()
-        model = ModelParams.init(cfg, seed=seed, scale=scale)
-        inst = micro_instance()
-        graph = build_graph(inst, clips=cfg.clips)
-
-        def f():
-            states = encode(inst, graph, model)
-            scores = score_nodes(states, graph, inst, model)
-            return joint_loss(scores, inst.long_target, inst.start, inst.end, inst.answer_type)
-
-        return finite_diff_check(f, model.tensors, eps=eps)
+        f, params = micro_loss(seed, scale)
+        return finite_diff_check(f, params, eps=eps)
 
 
 def attention_rows_check(trials: int = 100, seed: int = 0, tol: float = 1e-6) -> bool:
@@ -206,7 +214,9 @@ def dense_attention_oracle(
 
     Row i attends to the j with mask[i, j] (all j without a mask). With
     `buckets` and the relational tables, pair (i, j) uses the key
-    k_j + ak[b_ij] and the value v_j + av[b_ij], built per pair.
+    k_j + ak[b_ij] and the value v_j + av[b_ij], built per pair. Only
+    analytic numpy functions are used, so complex inputs give
+    complex-step derivatives.
     """
     n = states.shape[0]
     if mask is None:
@@ -229,11 +239,12 @@ def dense_attention_oracle(
 
 def dense_oracle_check(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> float:
     """gat_attention vs the dense oracle on random graphs with random
-    relational tables: the dense masked path and the edge-list path over
-    the same edges. Every other graph is a fully connected token level
-    with Toeplitz relative-distance buckets (the same-level case); the
-    rest are random masks with self-loops and random buckets (the
-    integration case). Returns the max abs deviation."""
+    relational tables. Every other graph is a fully connected token level
+    with Toeplitz relative-distance buckets (the same-level case), run both
+    as a level (`relative_attention`) and as the edge list of all its
+    pairs; the rest are random masks with self-loops and random buckets
+    run as edge lists (the integration case). Returns the max abs
+    deviation."""
     rng = np.random.default_rng(seed)
     worst = 0.0
     for trial in range(trials):
@@ -247,28 +258,26 @@ def dense_oracle_check(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> fl
             mask = np.ones((n, n), dtype=bool)
             idx = np.arange(n)
             buckets = np.clip(idx[None, :] - idx[:, None], -cfg.token_clip, cfg.token_clip) + cfg.token_clip
+            relations = [cfg.token_clip]
         else:
             prefix = "layer0.integ"
             n_buckets = cfg.clips.integration_buckets()
             mask = rng.random((n, n)) < 0.4
             np.fill_diagonal(mask, True)
             buckets = rng.integers(0, n_buckets, size=(n, n))
+            relations = []
         ak, av = model.tensors[f"{prefix}.ak"].data, model.tensors[f"{prefix}.av"].data
         ak[:] = rng.normal(scale=0.5, size=ak.shape)
         av[:] = rng.normal(scale=0.5, size=av.shape)
         dst, src = np.nonzero(mask)
-        edges = T.EdgeList(dst, src, buckets[dst, src], n, n_buckets)
+        relations.append(T.EdgeList(dst, src, buckets[dst, src], n, n_buckets))
+        wq, wk, wv = split_qkv(model.tensors[f"{prefix}.wqkv"].data, cfg.m).swapaxes(0, 1)
         oracle = dense_attention_oracle(
-            states,
-            [model.tensors[f"{prefix}.h{k}.wq"].data for k in range(cfg.m)],
-            [model.tensors[f"{prefix}.h{k}.wk"].data for k in range(cfg.m)],
-            [model.tensors[f"{prefix}.h{k}.wv"].data for k in range(cfg.m)],
-            model.tensors[f"{prefix}.wo"].data,
-            cfg.d_z,
+            states, wq, wk, wv, model.tensors[f"{prefix}.wo"].data, cfg.d_z,
             mask, buckets, ak, av,
         )
-        for index in (buckets, edges):
-            out = gat_attention(Tensor(states), mask, index, model, prefix, n_buckets)
+        for relation in relations:
+            out = gat_attention(Tensor(states), mask, relation, model, prefix)
             worst = max(worst, float(np.abs(out.data - oracle).max()))
     return worst
 

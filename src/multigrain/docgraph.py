@@ -59,13 +59,15 @@ class ClipConfig:
     def integration_buckets(self) -> int:
         return 1 + len(EDGE_FAMILIES) * (self.cross_clip + 1)
 
-    def level_buckets(self, level: NodeType) -> int:
-        k = {
+    def level_clip(self, level: NodeType) -> int:
+        return {
             NodeType.TOKEN: self.token_clip,
             NodeType.SENTENCE: self.sent_clip,
             NodeType.PARAGRAPH: self.par_clip,
         }[level]
-        return 2 * k + 1
+
+    def level_buckets(self, level: NodeType) -> int:
+        return 2 * self.level_clip(level) + 1
 
 
 def same_level_bucket(i: int, j: int, clip: int) -> int:
@@ -95,7 +97,6 @@ class HierGraph:
     sent_ord: np.ndarray = field(init=False)  # ordinal of sentence in paragraph
     par_ord: np.ndarray = field(init=False)   # ordinal of paragraph in document
     tok_par_ord: np.ndarray = field(init=False)
-    level_bucket_mats: dict = field(init=False)
 
     def __post_init__(self):
         self._finalize()
@@ -178,18 +179,6 @@ class HierGraph:
             self.n_nodes, self.clips.integration_buckets(),
         )
 
-        self.level_bucket_mats = {}
-        for level, count in (
-            (NodeType.TOKEN, self.n_tokens),
-            (NodeType.SENTENCE, self.n_sents),
-            (NodeType.PARAGRAPH, self.n_pars),
-        ):
-            k = (self.clips.level_buckets(level) - 1) // 2
-            idx = np.arange(count)
-            self.level_bucket_mats[level] = (
-                np.clip(idx[None, :] - idx[:, None], -k, k) + k
-            )
-
     # averaging matrices for the bottom-up initializer --------------------
     def mean_matrix(self, child_parent: np.ndarray, n_parents: int) -> np.ndarray:
         m = np.zeros((n_parents, len(child_parent)))
@@ -207,8 +196,7 @@ def relative_position(graph: HierGraph, i: int, j: int) -> int:
     ti, tj = graph.node_type(i), graph.node_type(j)
     if ti == tj and ti != NodeType.DOCUMENT:
         sl = graph.level_slice(ti)
-        k = (graph.clips.level_buckets(ti) - 1) // 2
-        return same_level_bucket(i - sl.start, j - sl.start, k)
+        return same_level_bucket(i - sl.start, j - sl.start, graph.clips.level_clip(ti))
     edge = graph.integ_edges.find(i, j)
     if edge < 0:
         raise ValueError(f"no edge between nodes {i} and {j}")

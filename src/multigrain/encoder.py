@@ -1,17 +1,21 @@
 """Graph encoder: initialization plus stacked attention layers.
 
 One encoder layer = token/sentence/paragraph self-attention (each over a
-fully connected same-level graph with relative-distance buckets, dense),
-one graph-integration pass over the cross-level edge list (sparse: only
-edges are scored), then a feed-forward
-block applied to the concatenation of the integration input and output.
-Relational embeddings enter the attention on both the key and value side.
+fully connected same-level graph with clipped relative-distance
+buckets), one graph-integration pass over the cross-level edge list
+(sparse: only edges are scored), then a feed-forward block applied to the
+concatenation of the integration input and output. Relational embeddings
+enter the attention on both the key and value side. Each attention
+sublayer is one fused QKV matmul, one batched-head attention op and one
+output matmul.
 """
 
 from __future__ import annotations
 
 import json
-import math
+import os
+import re
+import zlib
 from dataclasses import asdict, dataclass, field
 from typing import Optional
 
@@ -22,7 +26,8 @@ from .docgraph import ClipConfig, HierGraph, NodeType
 from .preprocess import TrainingInstance
 from .tensor import Tensor
 
-CHECKPOINT_MAGIC = b"MGQA-CKPT-1\n"
+CHECKPOINT_MAGIC = b"MGQA-CKPT-2\n"
+_CHECKPOINT_MAGIC_V1 = b"MGQA-CKPT-1\n"
 
 
 @dataclass
@@ -38,7 +43,6 @@ class EncoderConfig:
     sent_clip: int = 8
     par_clip: int = 8
     cross_clip: int = 32
-    integrate_per_sublayer: bool = False
     type_score_agg: str = "lse"  # "lse" | "max" over positive-type logits
     max_answer_tokens: int = 30
 
@@ -82,10 +86,7 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple]:
                 buckets = clips.integration_buckets()
             else:
                 buckets = clips.level_buckets(_LEVEL_OF[sub])
-            for k in range(cfg.m):
-                shapes[f"{p}.h{k}.wq"] = (d, dz)
-                shapes[f"{p}.h{k}.wk"] = (d, dz)
-                shapes[f"{p}.h{k}.wv"] = (d, dz)
+            shapes[f"{p}.wqkv"] = (d, 3 * d)
             shapes[f"{p}.ak"] = (buckets, dz)
             shapes[f"{p}.av"] = (buckets, dz)
             shapes[f"{p}.wo"] = (d, d)
@@ -110,6 +111,19 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple]:
     return shapes
 
 
+def fuse_qkv(per_head: np.ndarray) -> np.ndarray:
+    """(m, 3, d, d_z) per-head [wq, wk, wv] -> one (d, 3d) `wqkv` whose
+    columns are [Q heads | K heads | V heads], head k at columns
+    k d_z..(k + 1) d_z of each block."""
+    m, three, d, dz = per_head.shape
+    return per_head.transpose(2, 1, 0, 3).reshape(d, three * m * dz)
+
+
+def split_qkv(wqkv: np.ndarray, m: int) -> np.ndarray:
+    """Inverse of `fuse_qkv`: (d, 3d) -> (m, 3, d, d_z)."""
+    return wqkv.reshape(wqkv.shape[0], 3, m, -1).transpose(2, 1, 0, 3)
+
+
 @dataclass
 class ModelParams:
     config: EncoderConfig
@@ -124,6 +138,9 @@ class ModelParams:
                 data = np.ones(shape)
             elif name.endswith((".b", "ln_b", ".b1", ".b2")):
                 data = np.zeros(shape)
+            elif name.endswith(".wqkv"):
+                # one draw, in the order of the former per-head wq, wk, wv
+                data = fuse_qkv(rng.normal(0.0, scale, size=(cfg.m, 3, cfg.d_h, cfg.d_z)))
             else:
                 data = rng.normal(0.0, scale, size=shape)
             tensors[name] = Tensor(data, requires_grad=True)
@@ -137,59 +154,107 @@ class ModelParams:
 
     @classmethod
     def load(cls, path) -> tuple["ModelParams", dict[str, np.ndarray]]:
+        """The parameters in `param_shapes` order, and the other arrays."""
         cfg, arrays = load_checkpoint(path)
         expected = param_shapes(cfg)
-        tensors = {}
-        extra = {}
-        for name, arr in arrays.items():
-            if name in expected:
-                if tuple(arr.shape) != tuple(expected[name]):
-                    raise ValueError(
-                        f"checkpoint shape mismatch for {name}: {arr.shape} vs {expected[name]}"
-                    )
-                tensors[name] = Tensor(arr, requires_grad=True)
-            else:
-                extra[name] = arr
-        missing = set(expected) - set(tensors)
+        missing = [name for name in expected if name not in arrays]
         if missing:
-            raise ValueError(f"checkpoint missing parameters: {sorted(missing)[:5]}")
-        return cls(cfg, tensors), extra
+            raise ValueError(f"checkpoint missing parameters: {missing[:5]}")
+        tensors = {}
+        for name, shape in expected.items():
+            arr = arrays.pop(name)
+            if arr.shape != tuple(shape):
+                raise ValueError(f"checkpoint shape mismatch for {name}: {arr.shape} vs {shape}")
+            tensors[name] = Tensor(arr, requires_grad=True)
+        return cls(cfg, tensors), arrays
 
 
 def save_checkpoint(path, cfg: EncoderConfig, arrays: dict[str, np.ndarray],
                     extra: Optional[dict[str, np.ndarray]] = None):
-    """Versioned container: magic, JSON header, then raw little-endian f8."""
+    """Versioned container: magic, JSON header, then raw little-endian f8.
+
+    The header holds the payload's CRC32. The file is written next to the
+    target under a temporary name, synced to disk and renamed over the
+    target, so a write that fails part-way leaves the previous file whole.
+    """
     entries = dict(arrays)
     if extra:
         entries.update(extra)
+    payload = [np.ascontiguousarray(v, dtype="<f8").tobytes() for v in entries.values()]
+    crc = 0
+    for buf in payload:
+        crc = zlib.crc32(buf, crc)
     header = {
-        "version": 1,
+        "version": 2,
         "config": asdict(cfg),
         "params": [{"name": k, "shape": list(v.shape)} for k, v in entries.items()],
+        "crc32": crc,
     }
-    with open(path, "wb") as fh:
-        fh.write(CHECKPOINT_MAGIC)
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        for v in entries.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+    path = os.fspath(path)
+    tmp = path + ".tmp"
+    try:
+        with open(tmp, "wb") as fh:
+            fh.write(CHECKPOINT_MAGIC)
+            fh.write((json.dumps(header) + "\n").encode("utf-8"))
+            fh.writelines(payload)
+            fh.flush()
+            os.fsync(fh.fileno())
+        os.replace(tmp, path)
+    except BaseException:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+        raise
 
 
 def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
+    """Read a version-2 checkpoint, or convert a version-1 one on the way
+    in (see `_upgrade_v1`). A truncated file or, in version 2, a payload
+    that fails its checksum raises ValueError."""
     with open(path, "rb") as fh:
         magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic != CHECKPOINT_MAGIC:
+        if magic not in (CHECKPOINT_MAGIC, _CHECKPOINT_MAGIC_V1):
             raise ValueError(f"{path}: not a checkpoint file")
         header = json.loads(fh.readline().decode("utf-8"))
-        cfg = EncoderConfig(**header["config"])
-        arrays = {}
-        for entry in header["params"]:
-            shape = tuple(entry["shape"])
-            n = int(np.prod(shape)) if shape else 1
-            buf = fh.read(n * 8)
-            if len(buf) != n * 8:
-                raise ValueError(f"{path}: truncated data for {entry['name']}")
-            arrays[entry["name"]] = np.frombuffer(buf, dtype="<f8").reshape(shape).copy()
-    return cfg, arrays
+        payload = fh.read()
+    shapes = [tuple(entry["shape"]) for entry in header["params"]]
+    sizes = [8 * int(np.prod(shape)) for shape in shapes]
+    if len(payload) != sum(sizes):
+        raise ValueError(f"{path}: payload is {len(payload)} bytes, the header lists {sum(sizes)}")
+    if magic == CHECKPOINT_MAGIC and zlib.crc32(payload) != header["crc32"]:
+        raise ValueError(f"{path}: payload checksum mismatch")
+    arrays = {}
+    offset = 0
+    for entry, shape, size in zip(header["params"], shapes, sizes):
+        arr = np.frombuffer(payload, dtype="<f8", count=size // 8, offset=offset)
+        arrays[entry["name"]] = arr.reshape(shape).copy()
+        offset += size
+    if magic == _CHECKPOINT_MAGIC_V1:
+        return _upgrade_v1(header["config"], arrays)
+    return EncoderConfig(**header["config"]), arrays
+
+
+def _upgrade_v1(config: dict, arrays: dict[str, np.ndarray]) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
+    """Version 1 held per-head `h{k}.wq/wk/wv` tensors, with Adam moments
+    `opt.m.*`/`opt.v.*` of the same names, and an `integrate_per_sublayer`
+    flag. Fuse each sublayer's heads into `wqkv` (moments alike) and drop
+    the flag, which must be false."""
+    config = dict(config)
+    if config.pop("integrate_per_sublayer", False):
+        raise ValueError("version-1 checkpoint sets integrate_per_sublayer=true, which is not supported")
+    cfg = EncoderConfig(**config)
+    out = {}
+    for name, arr in arrays.items():
+        head = re.fullmatch(r"(.+)\.h(\d+)\.w([qkv])", name)
+        if head is None:
+            out[name] = arr
+        elif head.group(2, 3) == ("0", "q"):
+            prefix = head.group(1)
+            try:
+                per_head = [[arrays[f"{prefix}.h{k}.w{w}"] for w in "qkv"] for k in range(cfg.m)]
+            except KeyError as exc:
+                raise ValueError(f"version-1 checkpoint lacks {exc.args[0]}") from None
+            out[f"{prefix}.wqkv"] = fuse_qkv(np.array(per_head))
+    return cfg, out
 
 
 # ------------------------------------------------------------------ traces
@@ -245,59 +310,41 @@ def graph_initialize(graph: HierGraph, token_states: Tensor, params: ModelParams
 def gat_attention(
     states: Tensor,
     mask: np.ndarray,
-    buckets,
+    relation,
     params: ModelParams,
     prefix: str,
-    n_buckets: int,
     trace: Optional[AttentionTrace] = None,
 ) -> Tensor:
     """Multi-head graph attention with relational key/value embeddings.
 
-    e_ij = [(h_i Wq)(h_j Wk)^T + (h_i Wq)(ak[b_ij])^T] / sqrt(d_z)
+    e_ij = (h_i Wq) . (h_j Wk + ak[b_ij]) / sqrt(d_z)
     z_i  = sum_j alpha_ij (h_j Wv + av[b_ij]), heads concatenated and
     output-projected back to d_h.
 
-    `buckets` is either a dense (n, n) bucket matrix, attended under the
-    boolean `mask`, or an `EdgeList` holding the mask's edges with their
-    buckets, in which case only the edges are scored (`mask` then only
-    describes the graph; a trace still records dense e and alpha).
+    `relation` is either the clip c of a fully connected level, whose pair
+    (i, j) has bucket clip(j - i, -c, c) + c, or an `EdgeList` of the
+    attended edges with their buckets. `mask` is the (n, n) boolean of the
+    attended cells; the computation reads only `relation`. Records three
+    tape nodes: the QKV matmul, the fused attention op and the output
+    matmul.
     """
     cfg = params.config
     n = states.shape[0]
-    inv_sqrt = 1.0 / math.sqrt(cfg.d_z)
-    ak = params[f"{prefix}.ak"]
-    av = params[f"{prefix}.av"]
-    edges = buckets if isinstance(buckets, T.EdgeList) else None
-    if edges is None:
-        rows = np.arange(n)[:, None]
-        plan = T.pair_plan(rows, buckets, (n, n_buckets))
-    heads = []
-    for k in range(cfg.m):
-        q = T.matmul(states, params[f"{prefix}.h{k}.wq"])
-        key = T.matmul(states, params[f"{prefix}.h{k}.wk"])
-        val = T.matmul(states, params[f"{prefix}.h{k}.wv"])
-        if edges is not None:
-            e = T.edge_scores(q, key, ak, edges) * inv_sqrt
-            alpha = T.segment_softmax(e, edges)
-            z = T.edge_aggregate(alpha, val, av, edges)
-        else:
-            content = T.matmul(q, T.transpose(key))
-            rel = T.take_pairs(T.matmul(q, T.transpose(ak)), rows, buckets, plan)
-            e = (content + rel) * inv_sqrt
-            alpha = T.masked_softmax(e, mask, axis=1)
-            z = T.matmul(alpha, val) + T.matmul(T.bucket_sum(alpha, buckets, n_buckets, plan), av)
-        if trace is not None:
-            if edges is None:
-                e_rec, alpha_rec = e.data.copy(), alpha.data.copy()
-            else:  # scatter to dense: off-edge cells get e = -inf, alpha = 0
-                e_rec = np.full((n, n), -np.inf, dtype=e.data.dtype)
-                alpha_rec = np.zeros((n, n), dtype=alpha.data.dtype)
-                e_rec[edges.dst, edges.src] = e.data
-                alpha_rec[edges.dst, edges.src] = alpha.data
-            trace.add(prefix, k, e_rec, alpha_rec, z.data.copy())
-        heads.append(z)
-    zc = T.concat(heads, axis=1)
-    return T.matmul(zc, params[f"{prefix}.wo"])
+    if mask.shape != (n, n):
+        raise T.ShapeMismatchError(f"mask {mask.shape} for {n} attending rows")
+    qkv = T.matmul(states, params[f"{prefix}.wqkv"])
+    ak, av = params[f"{prefix}.ak"], params[f"{prefix}.av"]
+    weights = [] if trace is not None else None
+    if isinstance(relation, T.EdgeList):
+        z = T.edge_attention(qkv, ak, av, cfg.m, relation, weights)
+    else:
+        z = T.relative_attention(qkv, ak, av, cfg.m, relation, weights)
+    if trace is not None:
+        ((e, alpha),) = weights
+        dz = cfg.d_z
+        for k in range(cfg.m):
+            trace.add(prefix, k, e[k], alpha[k], z.data[:, k * dz : (k + 1) * dz].copy())
+    return T.matmul(z, params[f"{prefix}.wo"])
 
 
 def self_attention_level(
@@ -319,11 +366,8 @@ def self_attention_level(
     sl = graph.level_slice(level)
     n_level = sl.stop - sl.start
     block = T.gather(states, np.arange(sl.start, sl.stop))
-    buckets = graph.level_bucket_mats[level]
-    full = np.ones((n_level, n_level), dtype=bool)
-    att = gat_attention(
-        block, full, buckets, params, prefix, cfg.clips.level_buckets(level), trace
-    )
+    full = np.broadcast_to(True, (n_level, n_level))
+    att = gat_attention(block, full, cfg.clips.level_clip(level), params, prefix, trace)
     att = T.dropout(att, cfg.dropout, rng)
     updated = T.layer_norm(block + att, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
     before = T.gather(states, np.arange(0, sl.start))
@@ -342,13 +386,7 @@ def graph_integration(
     """Cross-level attention pass; returns (input, attended) for the concat."""
     cfg = params.config
     post = gat_attention(
-        states,
-        graph.integ_mask,
-        graph.integ_edges,
-        params,
-        f"layer{layer}.integ",
-        cfg.clips.integration_buckets(),
-        trace,
+        states, graph.integ_mask, graph.integ_edges, params, f"layer{layer}.integ", trace
     )
     post = T.dropout(post, cfg.dropout, rng)
     return states, post
@@ -385,14 +423,8 @@ def encode(
     states = graph_initialize(graph, embed_tokens(instance, params), params)
     levels = (NodeType.TOKEN, NodeType.SENTENCE, NodeType.PARAGRAPH)
     for layer in range(cfg.n_layers):
-        if cfg.integrate_per_sublayer:
-            for level in levels:
-                states = self_attention_level(level, states, graph, params, layer, rng, trace)
-                pre, post = graph_integration(states, graph, params, layer, rng, trace)
-                states = feed_forward_concat(pre, post, params, layer, rng)
-        else:
-            for level in levels:
-                states = self_attention_level(level, states, graph, params, layer, rng, trace)
-            pre, post = graph_integration(states, graph, params, layer, rng, trace)
-            states = feed_forward_concat(pre, post, params, layer, rng)
+        for level in levels:
+            states = self_attention_level(level, states, graph, params, layer, rng, trace)
+        pre, post = graph_integration(states, graph, params, layer, rng, trace)
+        states = feed_forward_concat(pre, post, params, layer, rng)
     return states

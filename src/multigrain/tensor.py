@@ -1,8 +1,8 @@
 """Minimal dense tensors with reverse-mode differentiation.
 
 The op set is intentionally small: exactly what the graph encoder and the
-output heads need (matmul, broadcast add/mul, concat, gathers, masked
-softmax, edge-list attention, gelu, layer norm, masked log-softmax,
+output heads need (matmul, broadcast add/mul, concat, gathers, two fused
+multi-head attention ops, gelu, layer norm, masked log-softmax,
 reductions, dropout). Every scatter-add goes through `ScatterPlan`, which
 keeps the working dtype.
 Every forward op validates that its output is finite; NaN/Inf anywhere is
@@ -19,6 +19,7 @@ from contextlib import contextmanager
 from typing import Callable, Dict, Iterable, Sequence
 
 import numpy as np
+from numpy.lib.stride_tricks import as_strided
 from scipy.special import erf as _erf64
 
 
@@ -231,15 +232,6 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     return _make(data, (a, b), backward, "matmul")
 
 
-def transpose(a: Tensor) -> Tensor:
-    data = a.data.T
-
-    def backward(g):
-        _accumulate(a, g.T)
-
-    return _make(data, (a,), backward, "transpose")
-
-
 def reshape(a: Tensor, shape) -> Tensor:
     shape = tuple(shape)
     data = a.data.reshape(shape)
@@ -317,57 +309,13 @@ def gather(a: Tensor, index) -> Tensor:
     return _make(data, (a,), backward, "gather")
 
 
-def pair_plan(rows, cols, shape: tuple) -> ScatterPlan:
-    """Scatter plan over the cells (rows, cols) of a 2-D array of `shape`,
-    shared by `take_pairs` backward and `bucket_sum` over the same indices."""
-    rows, cols = np.broadcast_arrays(np.asarray(rows), np.asarray(cols))
-    if rows.size and (rows.min() < 0 or cols.min() < 0):
-        # wrap per axis: the flat key of (r, -1) is not negative
-        rows, cols = rows % shape[0], cols % shape[1]
-    return ScatterPlan(rows * shape[1] + cols, shape[0] * shape[1])
-
-
-def take_pairs(a: Tensor, rows, cols, plan: ScatterPlan | None = None) -> Tensor:
-    """out[...] = a[rows[...], cols[...]] for a 2-D tensor."""
-    rows = np.asarray(rows)
-    cols = np.asarray(cols)
-    rows, cols = np.broadcast_arrays(rows, cols)
-    data = a.data[rows, cols]
-
-    def backward(g):
-        if a.requires_grad:
-            p = plan if plan is not None else pair_plan(rows, cols, a.shape)
-            _accumulate(a, p(g.reshape(-1)).reshape(a.shape))
-
-    return _make(data, (a,), backward, "take_pairs")
-
-
-def bucket_sum(alpha: Tensor, buckets, n_buckets: int, plan: ScatterPlan | None = None) -> Tensor:
-    """out[i, b] = sum_j alpha[i, j] where buckets[i, j] == b.
-
-    Used to fold attention weights over shared relational-embedding
-    buckets so the value-side relational term reduces to one matmul.
-    """
-    b = np.asarray(buckets)
-    n = alpha.shape[0]
-    rows = np.broadcast_to(np.arange(n)[:, None], b.shape)
-    if plan is None:
-        plan = pair_plan(rows, b, (n, n_buckets))
-    data = plan(alpha.data.reshape(-1)).reshape(n, n_buckets)
-
-    def backward(g):
-        _accumulate(alpha, g[rows, b])
-
-    return _make(data, (alpha,), backward, "bucket_sum")
-
-
 class EdgeList:
     """Directed, bucketed edges (dst attends to src), sorted by (dst, src).
 
     The sparse counterpart of a boolean mask plus a bucket matrix:
     `starts[i]` is the first edge of destination i, and the scatter plans
-    over dst, src and bucket are built once, so every backward pass of
-    the edge ops reuses them.
+    over dst, src and bucket are built once, so every pass of
+    `edge_attention` reuses them.
     """
 
     def __init__(self, dst, src, bucket, n_nodes: int, n_buckets: int):
@@ -406,59 +354,173 @@ class EdgeList:
         return k if k < hi and self.src[k] == src else -1
 
 
-def edge_scores(q: Tensor, k: Tensor, ak: Tensor, edges: EdgeList) -> Tensor:
-    """s[e] = q[dst_e] . (k[src_e] + ak[bucket_e]), one score per edge."""
-    qd = q.data[edges.dst]
-    kb = k.data[edges.src] + ak.data[edges.bucket]
-    data = (qd * kb).sum(axis=1)
+def _skew(p: np.ndarray, n: int) -> np.ndarray:
+    """(..., n, n) view of a contiguous (..., n, 2h + 1) array p, h >= n - 1,
+    whose cell (i, j) is p[..., i, h + j - i]: view row i starts at
+    column h - i of row i of p."""
+    s = p.strides[-1]
+    h = (p.shape[-1] - 1) // 2
+    return as_strided(p[..., h:], p.shape[:-1] + (n,), p.strides[:-2] + (p.strides[-2] - s, s))
+
+
+def toeplitz_expand(r: np.ndarray) -> np.ndarray:
+    """out[..., i, j] = r[..., i, clip(j - i, -c, c) + c] for r of shape
+    (..., n, 2c + 1), without an index gather.
+
+    The rows of r are edge-padded to the offsets -h..h, h = max(n - 1, c),
+    and read through a skewed view, the "skewing" of Music Transformer
+    (Huang et al., arXiv:1809.04281).
+    """
+    n, width = r.shape[-2:]
+    c = (width - 1) // 2
+    w = max(n - 1, c) - c
+    p = np.empty(r.shape[:-1] + (width + 2 * w,), dtype=r.dtype)
+    p[..., :w] = r[..., :1]
+    p[..., w : w + width] = r
+    p[..., w + width :] = r[..., -1:]
+    return _skew(p, n)
+
+
+def toeplitz_fold(g: np.ndarray, clip: int) -> np.ndarray:
+    """Adjoint of toeplitz_expand: out[..., i, b] is the sum of g[..., i, j]
+    over the j with clip(j - i, -c, c) + c == b, without a scatter.
+
+    The skewed view writes each row of g at its offsets -h..h; the offsets
+    within the clip are a band of columns, the rest are two tail sums.
+    """
+    n = g.shape[-1]
+    w = max(n - 1, clip) - clip
+    p = np.zeros(g.shape[:-1] + (2 * clip + 1 + 2 * w,), dtype=g.dtype)
+    _skew(p, n)[...] = g
+    out = p[..., w : w + 2 * clip + 1].copy()
+    out[..., 0] += p[..., :w].sum(axis=-1)
+    out[..., -1] += p[..., w + 2 * clip + 1 :].sum(axis=-1)
+    return out
+
+
+def _head_width(qkv: Tensor, m: int, ak: Tensor, av: Tensor, n_buckets: int) -> tuple[int, int]:
+    """Check the operand shapes of a fused attention op; return (n, d_z)."""
+    n, d3 = qkv.shape
+    dz = d3 // (3 * m) if m > 0 else 0
+    if dz < 1 or d3 != 3 * m * dz:
+        raise ShapeMismatchError(f"qkv width {d3} is not 3 x {m} heads x d_z")
+    for name, table in (("ak", ak), ("av", av)):
+        if table.shape != (n_buckets, dz):
+            raise ShapeMismatchError(f"{name} is {table.shape}, expected {(n_buckets, dz)}")
+    return n, dz
+
+
+def relative_attention(
+    qkv: Tensor, ak: Tensor, av: Tensor, m: int, clip: int, weights: list | None = None
+) -> Tensor:
+    """Multi-head attention over a fully connected level whose pair (i, j)
+    has relational bucket clip(j - i, -c, c) + c.
+
+    `qkv` is (n, 3d) with columns [Q heads | K heads | V heads], head k at
+    columns k d_z..(k + 1) d_z of each block; `ak` and `av` are the
+    (2c + 1, d_z) tables the heads share. Per head,
+    e_ij = q_i . (k_j + ak[b_ij]) / sqrt(d_z), alpha_i = softmax(e_i),
+    z_i = sum_j alpha_ij (v_j + av[b_ij]), and the result is (n, d) with
+    the heads side by side. Heads are batched on a leading axis; the key
+    term is one q . ak^T expanded by `toeplitz_expand` (Shaw et al.,
+    arXiv:1803.02155), the value term one `toeplitz_fold` of alpha.
+    If `weights` is a list, the dense (m, n, n) scores e and weights alpha
+    are appended to it.
+    """
+    n, dz = _head_width(qkv, m, ak, av, 2 * clip + 1)
+    q, k, v = np.ascontiguousarray(qkv.data.reshape(n, 3, m, dz).transpose(1, 2, 0, 3))
+    scale = 1.0 / math.sqrt(dz)
+    e = q @ k.swapaxes(1, 2)
+    e += toeplitz_expand(q @ ak.data.T)
+    e *= scale
+    _check_finite(e, "relative_attention")
+    scores = e.copy() if weights is not None else None
+    alpha = e  # the softmax runs in place
+    alpha -= alpha.max(axis=-1, keepdims=True)
+    np.exp(alpha, out=alpha)
+    alpha /= alpha.sum(axis=-1, keepdims=True)
+    folded = toeplitz_fold(alpha, clip)
+    z = alpha @ v + folded @ av.data
+    if weights is not None:
+        weights.append((scores, alpha.copy()))
 
     def backward(g):
-        g = g[:, None]
-        if q.requires_grad:
-            _accumulate(q, edges.by_dst(g * kb))
-        gk = g * qd
-        if k.requires_grad:
-            _accumulate(k, edges.by_src(gk))
+        gz = np.ascontiguousarray(g.reshape(n, m, dz).transpose(1, 0, 2))
+        gs = gz @ v.swapaxes(1, 2)
+        gs += toeplitz_expand(gz @ av.data.T)
+        gs -= np.einsum("hij,hij->hi", gs, alpha)[..., None]
+        gs *= alpha
+        gs *= scale
+        gfold = toeplitz_fold(gs, clip)
+        if qkv.requires_grad:
+            grad = np.stack([gs @ k + gfold @ ak.data, gs.swapaxes(1, 2) @ q, alpha.swapaxes(1, 2) @ gz])
+            _accumulate(qkv, grad.transpose(2, 0, 1, 3).reshape(n, 3 * m * dz))
         if ak.requires_grad:
-            _accumulate(ak, edges.by_bucket(gk))
-
-    return _make(data, (q, k, ak), backward, "edge_scores")
-
-
-def segment_softmax(scores: Tensor, edges: EdgeList) -> Tensor:
-    """Softmax of edge scores over each destination's incoming edges."""
-    if not edges.degree.all():
-        raise ContractViolation("segment_softmax: a destination has no incoming edge")
-    x = scores.data
-    xmax = np.maximum.reduceat(x, edges.starts)
-    ex = np.exp(x - xmax[edges.dst])
-    p = ex / np.add.reduceat(ex, edges.starts)[edges.dst]
-
-    def backward(g):
-        if scores.requires_grad:
-            inner = np.add.reduceat(g * p, edges.starts)
-            _accumulate(scores, p * (g - inner[edges.dst]))
-
-    return _make(p, (scores,), backward, "segment_softmax")
-
-
-def edge_aggregate(alpha: Tensor, v: Tensor, av: Tensor, edges: EdgeList) -> Tensor:
-    """out[i] = sum over edges e into i of alpha[e] * (v[src_e] + av[bucket_e])."""
-    a = alpha.data[:, None]
-    vb = v.data[edges.src] + av.data[edges.bucket]
-    data = edges.by_dst(a * vb)
-
-    def backward(g):
-        gd = g[edges.dst]
-        if alpha.requires_grad:
-            _accumulate(alpha, (gd * vb).sum(axis=1))
-        ga = a * gd
-        if v.requires_grad:
-            _accumulate(v, edges.by_src(ga))
+            _accumulate(ak, gfold.reshape(-1, 2 * clip + 1).T @ q.reshape(-1, dz))
         if av.requires_grad:
-            _accumulate(av, edges.by_bucket(ga))
+            _accumulate(av, folded.reshape(-1, 2 * clip + 1).T @ gz.reshape(-1, dz))
 
-    return _make(data, (alpha, v, av), backward, "edge_aggregate")
+    return _make(z.transpose(1, 0, 2).reshape(n, m * dz), (qkv, ak, av), backward, "relative_attention")
+
+
+def edge_attention(
+    qkv: Tensor, ak: Tensor, av: Tensor, m: int, edges: EdgeList, weights: list | None = None
+) -> Tensor:
+    """Multi-head attention along the edges of `edges` (dst attends to src).
+
+    `qkv`, the result and `weights` are as in `relative_attention`; `ak`
+    and `av` are (n_buckets, d_z). Per head and edge,
+    e = q[dst] . (k[src] + ak[bucket]) / sqrt(d_z), alpha is the softmax of
+    e over each destination's incoming edges, and
+    z[i] = sum over edges into i of alpha (v[src] + av[bucket]). Only the
+    edges are scored; the backward pass scatters through the edge list's
+    plans. With `weights`, off-edge cells hold e = -inf and alpha = 0.
+    """
+    if not edges.degree.all():
+        raise ContractViolation("edge_attention: a destination has no incoming edge")
+    n, dz = _head_width(qkv, m, ak, av, edges.n_buckets)
+    if n != edges.n_nodes:
+        raise ShapeMismatchError(f"{n} rows for a graph of {edges.n_nodes} nodes")
+    x = qkv.data.reshape(n, 3, m, dz)
+    dst, src, starts = edges.dst, edges.src, edges.starts
+    qd = x[dst, 0]                                               # (E, m, d_z)
+    kb = x[src, 1]
+    kb += ak.data[edges.bucket][:, None]
+    vb = x[src, 2]
+    vb += av.data[edges.bucket][:, None]
+    scale = 1.0 / math.sqrt(dz)
+    e = np.einsum("emd,emd->em", qd, kb)                         # (E, m)
+    e *= scale
+    _check_finite(e, "edge_attention")
+    alpha = e - np.maximum.reduceat(e, starts)[dst]
+    np.exp(alpha, out=alpha)
+    alpha /= np.add.reduceat(alpha, starts)[dst]
+    z = edges.by_dst(alpha[..., None] * vb)
+    if weights is not None:
+        e_dense = np.full((m, n, n), -np.inf, dtype=e.dtype)
+        alpha_dense = np.zeros((m, n, n), dtype=e.dtype)
+        e_dense[:, dst, src] = e.T
+        alpha_dense[:, dst, src] = alpha.T
+        weights.append((e_dense, alpha_dense))
+
+    def backward(g):
+        gd = g.reshape(n, m, dz)[dst]
+        gs = np.einsum("emd,emd->em", gd, vb)
+        gs -= np.add.reduceat(gs * alpha, starts)[dst]
+        gs *= alpha
+        gs *= scale
+        gkb = gs[..., None] * qd
+        gvb = gd
+        gvb *= alpha[..., None]  # in place: gd is not read again
+        if qkv.requires_grad:
+            grad = np.stack([edges.by_dst(gs[..., None] * kb), edges.by_src(gkb), edges.by_src(gvb)], axis=1)
+            _accumulate(qkv, grad.reshape(n, 3 * m * dz))
+        if ak.requires_grad:
+            _accumulate(ak, edges.by_bucket(gkb.sum(axis=1)))
+        if av.requires_grad:
+            _accumulate(av, edges.by_bucket(gvb.sum(axis=1)))
+
+    return _make(z.reshape(n, m * dz), (qkv, ak, av), backward, "edge_attention")
 
 
 def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -525,25 +587,6 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
             _accumulate(a, da)
 
     return _make(data, (a, gain, bias), backward, "layer_norm")
-
-
-def masked_softmax(logits: Tensor, mask, axis: int = -1) -> Tensor:
-    """Softmax over unmasked entries; masked entries are exactly zero."""
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
-    if not m.any(axis=axis).all():
-        raise ContractViolation("masked_softmax: a row has every position masked")
-    x = logits.data
-    xmax = np.where(m, x, -np.inf).max(axis=axis, keepdims=True)
-    ex = np.where(m, np.exp(x - xmax), 0.0)
-    denom = ex.sum(axis=axis, keepdims=True)
-    p = ex / denom
-
-    def backward(g):
-        if logits.requires_grad:
-            inner = (g * p).sum(axis=axis, keepdims=True)
-            _accumulate(logits, p * (g - inner))
-
-    return _make(p, (logits,), backward, "masked_softmax")
 
 
 def masked_log_softmax(logits: Tensor, mask, axis: int = -1) -> Tensor:

@@ -1,9 +1,13 @@
 """Encoder forward pass: embeddings, graph initializer, attention
 sublayers, integration, FFN, and checkpointing."""
 
+import json
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
+from multigrain import encoder as E
 from multigrain import tensor as T
 from multigrain.checks import (
     attention_rows_check,
@@ -26,9 +30,12 @@ from multigrain.encoder import (
     graph_integration,
     load_checkpoint,
     param_shapes,
+    save_checkpoint,
     self_attention_level,
+    split_qkv,
 )
 from multigrain.tensor import Tensor
+from multigrain.train import OptimizerState, TrainConfig, train_loop
 
 
 @pytest.fixture
@@ -152,19 +159,23 @@ def test_initializer_mean_exactness_suite():
 # ---------------------------------------------------------------- attention
 
 
+def value_heads(model, prefix, h):
+    """Every head's value projection h Wv, heads side by side: the V block
+    of the fused wqkv."""
+    d = model.config.d_h
+    return h @ model.tensors[f"{prefix}.wqkv"].data[:, 2 * d :]
+
+
 def test_isolated_node_value_projection(setup):
     cfg, _, _, model = setup
     prefix = "layer0.tok"
     zeroed(model, [f"{prefix}.ak", f"{prefix}.av"])
     rng = np.random.default_rng(0)
     h = Tensor(rng.normal(size=(3, cfg.d_h)))
-    mask = np.eye(3, dtype=bool)  # self-loops only
-    buckets = np.zeros((3, 3), dtype=np.int64)
-    out = gat_attention(h, mask, buckets, model, prefix, 5)
-    heads = [
-        h.data @ model.tensors[f"{prefix}.h{k}.wv"].data for k in range(cfg.m)
-    ]
-    want = np.concatenate(heads, axis=1) @ model.tensors[f"{prefix}.wo"].data
+    nodes = np.arange(3)
+    edges = T.EdgeList(nodes, nodes, np.zeros(3), 3, 5)  # self-loops only
+    out = gat_attention(h, edges.adjacency(), edges, model, prefix)
+    want = value_heads(model, prefix, h.data) @ model.tensors[f"{prefix}.wo"].data
     np.testing.assert_allclose(out.data, want, atol=1e-12)
 
 
@@ -175,13 +186,10 @@ def test_identical_neighbors_convexity(setup):
     rng = np.random.default_rng(1)
     u = rng.normal(size=cfg.d_h)
     h = Tensor(np.stack([rng.normal(size=cfg.d_h), u, u]))
-    mask = np.zeros((3, 3), dtype=bool)
-    mask[0, 1] = mask[0, 2] = True  # query 0 sees two identical neighbors
-    mask[1, 1] = mask[2, 2] = True
-    buckets = np.zeros((3, 3), dtype=np.int64)
-    out = gat_attention(h, mask, buckets, model, prefix, 5)
-    heads = [u @ model.tensors[f"{prefix}.h{k}.wv"].data for k in range(cfg.m)]
-    want = np.concatenate(heads) @ model.tensors[f"{prefix}.wo"].data
+    # query 0 sees two identical neighbors; 1 and 2 see themselves
+    edges = T.EdgeList([0, 0, 1, 2], [1, 2, 1, 2], [0, 0, 0, 0], 3, 5)
+    out = gat_attention(h, edges.adjacency(), edges, model, prefix)
+    want = value_heads(model, prefix, u) @ model.tensors[f"{prefix}.wo"].data
     np.testing.assert_allclose(out.data[0], want, atol=1e-12)
 
 
@@ -217,7 +225,8 @@ def test_document_level_rejected(setup):
 def test_self_attention_permutation_equivariance(setup):
     """Permuting paragraph states while buckets stay self-consistent:
     with relational tables zeroed, attention over a fully connected level
-    commutes with any permutation of the level's rows."""
+    commutes with any permutation of the level's rows, run as a level and
+    as the edge list of all pairs."""
     cfg, inst, graph, model = setup
     prefix = "layer0.par"
     zeroed(model, [f"{prefix}.ak", f"{prefix}.av"])
@@ -226,13 +235,28 @@ def test_self_attention_permutation_equivariance(setup):
     n = sl.stop - sl.start
     h = Tensor(rng.normal(size=(n, cfg.d_h)))
     mask = np.ones((n, n), dtype=bool)
-    buckets = np.zeros((n, n), dtype=np.int64)
+    dst, src = np.nonzero(mask)
     nb = cfg.clips.level_buckets(NodeType.PARAGRAPH)
-    out = gat_attention(h, mask, buckets, model, prefix, nb).data
     perm = rng.permutation(n)
     hp = Tensor(h.data[perm])
-    outp = gat_attention(hp, mask, buckets, model, prefix, nb).data
-    np.testing.assert_allclose(outp, out[perm], atol=1e-10)
+    for relation in (cfg.par_clip, T.EdgeList(dst, src, np.zeros_like(dst), n, nb)):
+        out = gat_attention(h, mask, relation, model, prefix).data
+        outp = gat_attention(hp, mask, relation, model, prefix).data
+        np.testing.assert_allclose(outp, out[perm], atol=1e-10)
+
+
+@pytest.mark.parametrize("sub", ["tok", "integ"])
+def test_attention_sublayer_records_three_tape_nodes(setup, sub):
+    cfg, inst, graph, model = setup
+    states = Tensor(np.random.default_rng(10).normal(size=(graph.n_nodes, cfg.d_h)), requires_grad=True)
+    if sub == "tok":
+        n = graph.n_tokens
+        x, mask, relation = T.gather(states, np.arange(n)), np.ones((n, n), bool), cfg.token_clip
+    else:
+        x, mask, relation = states, graph.integ_mask, graph.integ_edges
+    with T.record_tape() as tape:
+        gat_attention(x, mask, relation, model, f"layer0.{sub}")
+    assert len(tape) == 3  # QKV matmul, fused attention, output matmul
 
 
 # ---------------------------------------------------------------- integration
@@ -273,13 +297,10 @@ def test_self_loops_only_reduces_to_self_transform(setup):
     )
     _, post = graph_integration(s, loop_graph, model, 0)
     prefix = "layer0.integ"
-    ak = model.tensors[f"{prefix}.ak"].data
     av = model.tensors[f"{prefix}.av"].data
-    heads = []
-    for k in range(cfg.m):
-        v = s.data @ model.tensors[f"{prefix}.h{k}.wv"].data
-        heads.append(v + av[0])  # alpha = 1 on the self loop, bucket 0
-    want = np.concatenate(heads, axis=1) @ model.tensors[f"{prefix}.wo"].data
+    # alpha = 1 on the self loop, bucket 0, in every head
+    heads = value_heads(model, prefix, s.data) + np.tile(av[0], cfg.m)
+    want = heads @ model.tensors[f"{prefix}.wo"].data
     np.testing.assert_allclose(post.data, want, atol=1e-10)
 
 
@@ -389,3 +410,134 @@ def test_checkpoint_extra_arrays_round_trip(tmp_path, setup):
     model.save(path, extra=extra)
     _, back = ModelParams.load(path)
     np.testing.assert_array_equal(back["opt.step"], extra["opt.step"])
+
+
+def test_init_draws_match_per_head_order():
+    """The fused init is one draw in the order of the former per-head
+    wq, wk, wv tensors, so a fresh model keeps the same numbers."""
+    cfg = micro_config()
+    model = ModelParams.init(cfg, seed=4, scale=0.1)
+    rng = np.random.default_rng(4)
+    for name, shape in param_shapes(cfg).items():
+        data = model.tensors[name].data
+        if name.endswith(".wqkv"):
+            want = [[rng.normal(0.0, 0.1, size=(cfg.d_h, cfg.d_z)) for _ in "qkv"] for _ in range(cfg.m)]
+            np.testing.assert_array_equal(split_qkv(data, cfg.m), want)
+        elif not name.endswith(("ln_g", ".b", "ln_b", ".b1", ".b2")):  # no draw for norms and biases
+            np.testing.assert_array_equal(data, rng.normal(0.0, 0.1, size=shape))
+
+
+def write_v1(path, cfg, arrays):
+    """A version-1 checkpoint: per-head h{k}.wq/wk/wv tensors and Adam
+    moments, an integrate_per_sublayer flag and no checksum."""
+    split = {}
+    for name, arr in arrays.items():
+        if name.endswith(".wqkv"):
+            prefix = name[: -len(".wqkv")]
+            for k, head in enumerate(split_qkv(arr, cfg.m)):
+                for w, part in zip("qkv", head):
+                    split[f"{prefix}.h{k}.w{w}"] = part
+        else:
+            split[name] = arr
+    header = {
+        "version": 1,
+        "config": {**vars(cfg), "integrate_per_sublayer": False},
+        "params": [{"name": k, "shape": list(v.shape)} for k, v in split.items()],
+    }
+    with open(path, "wb") as fh:
+        fh.write(b"MGQA-CKPT-1\n")
+        fh.write((json.dumps(header) + "\n").encode("utf-8"))
+        for v in split.values():
+            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
+
+
+def test_v1_checkpoint_loads_and_resumes_like_v2(tmp_path, setup):
+    cfg, inst, graph, model = setup
+    tc = TrainConfig(batch_size=1, total_steps=3, peak_lr=1e-3, seed=5)
+    model, _, opt = train_loop([inst], model, tc)
+    arrays = {**{k: t.data for k, t in model.tensors.items()}, **opt.to_arrays()}
+    assert "opt.m.layer0.tok.wqkv" in arrays
+    write_v1(tmp_path / "v1.ckpt", cfg, arrays)
+    model.save(tmp_path / "v2.ckpt", extra=opt.to_arrays())
+    runs = []
+    for name in ("v1.ckpt", "v2.ckpt"):
+        loaded, extra = ModelParams.load(tmp_path / name)
+        assert list(loaded.tensors) == list(model.tensors)
+        state = OptimizerState.from_arrays(loaded.tensors, extra)
+        forward = encode(inst, graph, loaded).data
+        resumed, _, _ = train_loop([inst], loaded, replace(tc, total_steps=4), opt_state=state)
+        runs.append((forward, {k: t.data for k, t in resumed.tensors.items()}, extra))
+    np.testing.assert_array_equal(runs[0][0], runs[1][0])
+    np.testing.assert_array_equal(runs[0][0], encode(inst, graph, model).data)
+    assert runs[0][1].keys() == runs[1][1].keys()
+    for k in runs[0][1]:
+        np.testing.assert_array_equal(runs[0][1][k], runs[1][1][k], err_msg=k)
+    assert runs[0][2].keys() == runs[1][2].keys()
+    for k in runs[0][2]:
+        np.testing.assert_array_equal(runs[0][2][k], runs[1][2][k], err_msg=k)
+
+
+def test_v1_checkpoint_with_per_sublayer_integration_refused(tmp_path, setup):
+    cfg, _, _, model = setup
+    path = tmp_path / "v1.ckpt"
+    write_v1(path, cfg, {k: t.data for k, t in model.tensors.items()})
+    raw = path.read_bytes().replace(b'"integrate_per_sublayer": false', b'"integrate_per_sublayer": true')
+    path.write_bytes(raw)
+    with pytest.raises(ValueError, match="integrate_per_sublayer"):
+        load_checkpoint(path)
+
+
+class FailingFile:
+    """A file whose writes raise once `limit` bytes are written."""
+
+    def __init__(self, fh, limit):
+        self.fh, self.limit = fh, limit
+
+    def write(self, data):
+        if self.fh.tell() + len(data) > self.limit:
+            raise OSError("disk full")
+        return self.fh.write(data)
+
+    def writelines(self, parts):
+        for part in parts:
+            self.write(part)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def test_failed_checkpoint_write_keeps_previous(tmp_path, setup, monkeypatch):
+    cfg, inst, graph, model = setup
+    path = tmp_path / "m.ckpt"
+    model.save(path)
+    before = path.read_bytes()
+    size = len(before)
+    changed = {k: t.data + 1.0 for k, t in model.tensors.items()}
+    monkeypatch.setattr(E, "open", lambda p, mode: FailingFile(open(p, mode), size // 2), raising=False)
+    with pytest.raises(OSError, match="disk full"):
+        save_checkpoint(path, cfg, changed)
+    monkeypatch.undo()
+    assert path.read_bytes() == before
+    assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
+    loaded, _ = ModelParams.load(path)
+    np.testing.assert_array_equal(encode(inst, graph, loaded).data, encode(inst, graph, model).data)
+
+
+def test_checkpoint_refuses_flipped_or_truncated_payload(tmp_path, setup):
+    _, _, _, model = setup
+    path = tmp_path / "m.ckpt"
+    model.save(path)
+    raw = bytearray(path.read_bytes())
+    raw[-3] ^= 0x01
+    path.write_bytes(bytes(raw))
+    with pytest.raises(ValueError, match="checksum"):
+        load_checkpoint(path)
+    path.write_bytes(bytes(raw[:-8]))
+    with pytest.raises(ValueError, match="payload"):
+        load_checkpoint(path)

@@ -8,7 +8,7 @@ from scipy.special import erf
 
 from multigrain import tensor as T
 from multigrain.checks import dense_attention_oracle, micro_config
-from multigrain.encoder import ModelParams, gat_attention
+from multigrain.encoder import ModelParams, gat_attention, split_qkv
 
 
 def tensor(a, grad=True):
@@ -51,25 +51,41 @@ def test_matmul_shape_error_names_both_shapes():
 # ---------------------------------------------------------------- softmax
 
 
+def edge_softmax(logits, mask):
+    """Attention weights of `edge_attention` over the cells of `mask`, for
+    scores equal to the square `logits`: one head of width 1 with q = 1,
+    k = 0 and one bucket per cell whose ak entry is that cell's logit."""
+    n = logits.shape[0]
+    dst, src = np.nonzero(mask)
+    edges = T.EdgeList(dst, src, dst * n + src, n, n * n)
+    qkv = np.zeros((n, 3))
+    qkv[:, 0] = 1.0
+    weights = []
+    ak, av = tensor(np.reshape(logits, (-1, 1))), tensor(np.zeros((n * n, 1)))
+    T.edge_attention(tensor(qkv), ak, av, 1, edges, weights)
+    return weights[0][1][0]
+
+
 def test_masked_softmax_symmetry():
-    out = T.masked_softmax(tensor([[5.0, 5.0]]), np.ones((1, 2), bool))
-    np.testing.assert_allclose(out.data, [[0.5, 0.5]])
+    alpha = edge_softmax(np.array([[5.0, 5.0], [0.0, 0.0]]), np.array([[True, True], [False, True]]))
+    np.testing.assert_allclose(alpha[0], [0.5, 0.5])
 
 
 def test_masked_softmax_single_unmasked():
-    mask = np.array([[False, True, False]])
-    out = T.masked_softmax(tensor([[3.0, -2.0, 9.0]]), mask)
-    np.testing.assert_array_equal(out.data, [[0.0, 1.0, 0.0]])
+    mask = np.array([[False, True, False], [False, True, False], [False, False, True]])
+    alpha = edge_softmax(np.array([[3.0, -2.0, 9.0], [0, 0, 0], [0, 0, 0]]), mask)
+    np.testing.assert_array_equal(alpha[0], [0.0, 1.0, 0.0])
 
 
 def test_masked_softmax_exp_normalize_oracle():
-    out = T.masked_softmax(tensor([[1.0, 2.0, 3.0]]), np.ones((1, 3), bool))
-    np.testing.assert_allclose(out.data, [[0.0900, 0.2447, 0.6652]], atol=1e-4)
+    logits = np.array([[1.0, 2.0, 3.0], [0, 0, 0], [0, 0, 0]])
+    alpha = edge_softmax(logits, np.eye(3, dtype=bool) | np.array([[True], [False], [False]]))
+    np.testing.assert_allclose(alpha[0], [0.0900, 0.2447, 0.6652], atol=1e-4)
 
 
 def test_masked_softmax_all_masked_rejected():
     with pytest.raises(T.ContractViolation):
-        T.masked_softmax(tensor([[1.0, 2.0]]), np.zeros((1, 2), bool))
+        T.masked_log_softmax(tensor([[1.0, 2.0], [0.0, 1.0]]), np.array([[True, False], [False, False]]))
 
 
 def test_masked_log_softmax_masked_entries_sentinel():
@@ -181,20 +197,16 @@ def test_finite_diff_dead_parameter():
 
 
 @settings(max_examples=50, deadline=None)
-@given(
-    st.integers(1, 5),
-    st.integers(1, 5),
-    st.integers(0, 2**32 - 1),
-)
-def test_masked_softmax_rows_are_distributions(n, m, seed):
+@given(st.integers(1, 5), st.integers(0, 2**32 - 1))
+def test_masked_softmax_rows_are_distributions(n, seed):
     rng = np.random.default_rng(seed)
-    logits = rng.normal(size=(n, m)) * 5
-    mask = rng.random((n, m)) < 0.7
-    mask[np.arange(n), rng.integers(0, m, size=n)] = True  # keep rows nonempty
-    out = T.masked_softmax(tensor(logits), mask)
-    np.testing.assert_allclose(out.data.sum(axis=1), np.ones(n), atol=1e-12)
-    assert (out.data[~mask] == 0.0).all()
-    assert (out.data >= 0.0).all()
+    logits = rng.normal(size=(n, n)) * 5
+    mask = rng.random((n, n)) < 0.7
+    mask[np.arange(n), rng.integers(0, n, size=n)] = True  # keep rows nonempty
+    out = edge_softmax(logits, mask)
+    np.testing.assert_allclose(out.sum(axis=1), np.ones(n), atol=1e-12)
+    assert (out[~mask] == 0.0).all()
+    assert (out >= 0.0).all()
 
 
 @settings(max_examples=30, deadline=None)
@@ -218,23 +230,23 @@ def test_random_expression_gradcheck(seed):
         assert T.finite_diff_check(f, {"a": a, "b": b}) < 2e-3
 
 
-@settings(max_examples=30, deadline=None)
-@given(st.integers(0, 2**32 - 1))
-def test_take_pairs_bucket_sum_adjoint(seed):
-    """<take_pairs(A), G> == <A, scatter(G)> for random G: adjoint identity."""
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_toeplitz_expand_fold_adjoint(n, clip, seed):
+    """toeplitz_expand is the gather r[i, clip(j - i) + c] and toeplitz_fold
+    its scatter-add; <expand(R), G> == <R, fold(G)>, for n <= c + 1 too."""
     rng = np.random.default_rng(seed)
-    n, m = 4, 3
-    a = tensor(rng.normal(size=(n, m)))
-    rows = rng.integers(0, n, size=6)
-    cols = rng.integers(0, m, size=6)
-    with T.record_tape():
-        out = T.take_pairs(a, rows, cols)
-        g = rng.normal(size=out.data.shape)
-        loss = T.tsum(T.mul(out, T.Tensor(g)))
-        grads = T.backward(loss, {"a": a})
-    scatter = np.zeros((n, m))
-    np.add.at(scatter, (rows, cols), g)
-    np.testing.assert_allclose(grads["a"], scatter, atol=1e-12)
+    r = rng.normal(size=(2, n, 2 * clip + 1))
+    g = rng.normal(size=(2, n, n))
+    idx = np.arange(n)
+    buckets = np.clip(idx[None, :] - idx[:, None], -clip, clip) + clip
+    np.testing.assert_array_equal(T.toeplitz_expand(r), r[:, idx[:, None], buckets])
+    scatter = np.zeros_like(r)
+    np.add.at(scatter, (slice(None), np.broadcast_to(idx[:, None], buckets.shape), buckets), g)
+    folded = T.toeplitz_fold(g, clip)
+    np.testing.assert_allclose(folded, scatter, rtol=0, atol=1e-12)
+    lhs = (T.toeplitz_expand(r) * g).sum()
+    assert abs(lhs - (r * folded).sum()) <= 1e-12 * max(1.0, abs(lhs))
 
 
 def test_nonfinite_rejected():
@@ -248,7 +260,7 @@ def test_dropout_identity_when_off():
     np.testing.assert_array_equal(out.data, x.data)
 
 
-# ---------------------------------------------------------------- edge ops
+# ---------------------------------------------------------------- fused attention
 
 
 def random_edges(rng, n, n_buckets, density=0.4):
@@ -260,17 +272,21 @@ def random_edges(rng, n, n_buckets, density=0.4):
     return T.EdgeList(dst, src, buckets[dst, src], n, n_buckets), mask, buckets
 
 
-def edge_op_cases(rng, n=5, d=3, n_buckets=4):
-    """(name, op, args) per edge op, with random inputs of the current dtype."""
-    edges, _, _ = random_edges(rng, n, n_buckets)
-    E = len(edges)
-    node = lambda: T.Tensor(rng.normal(size=(n, d)), requires_grad=True)
-    table = lambda: T.Tensor(rng.normal(size=(n_buckets, d)), requires_grad=True)
-    edge = lambda: T.Tensor(rng.normal(size=E), requires_grad=True)
-    return edges, [
-        ("edge_scores", T.edge_scores, [node(), node(), table()]),
-        ("segment_softmax", T.segment_softmax, [edge()]),
-        ("edge_aggregate", T.edge_aggregate, [T.Tensor(rng.random(E), requires_grad=True), node(), table()]),
+def attention_op_cases(rng, n=5, m=2, dz=3, clip=2):
+    """(name, op, args) per fused attention op, with random inputs of the
+    current dtype; args are (qkv, ak, av), then m and the relation.
+
+    The edges get a bucket each: a bucket shared by all edges into a node
+    shifts that node's scores alike, so its ak gradient is zero up to
+    rounding, which a relative error cannot score."""
+    _, mask, _ = random_edges(rng, n, 1)
+    dst, src = np.nonzero(mask)
+    edges = T.EdgeList(dst, src, np.arange(len(dst)), n, len(dst))
+    qkv = lambda: T.Tensor(rng.normal(size=(n, 3 * m * dz)), requires_grad=True)
+    table = lambda rows: T.Tensor(rng.normal(size=(rows, dz)), requires_grad=True)
+    return [
+        ("edge_attention", lambda *a: T.edge_attention(*a, m, edges), [qkv(), table(len(edges)), table(len(edges))]),
+        ("relative_attention", lambda *a: T.relative_attention(*a, m, clip), [qkv(), table(2 * clip + 1), table(2 * clip + 1)]),
     ]
 
 
@@ -278,26 +294,29 @@ def edge_op_cases(rng, n=5, d=3, n_buckets=4):
 @settings(max_examples=20, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
 def test_edge_ops_adjoint(mode, seed):
-    """<f(x + dx) - f(x), G> == <dx, J^T G> for every argument in which the
-    op is linear; gradients come back in the working dtype."""
+    """Both fused ops are linear in the V block of qkv and in av:
+    <f(x + dx) - f(x), G> == <dx, J^T G> along those directions;
+    gradients come back in the working dtype."""
     rng = np.random.default_rng(seed)
     with T.precision(mode):
         dtype = T.current_dtype()
         tol = 1e-12 if mode == "standard" else 1e-15
-        edges, cases = edge_op_cases(rng)
-        for name, op, args in cases:
-            if name == "segment_softmax":
-                continue  # not linear; covered by the finite-difference test
-            out = op(*args, edges)
+        for name, op, args in attention_op_cases(rng):
+            out = op(*args)
             g = rng.normal(size=out.shape).astype(dtype)
             with T.record_tape():
-                loss = T.tsum(T.mul(op(*args, edges), T.Tensor(g)))
+                loss = T.tsum(T.mul(op(*args), T.Tensor(g)))
                 grads = T.backward(loss, {str(i): a for i, a in enumerate(args)})
+            width = args[0].shape[1] // 3
             for i, a in enumerate(args):
                 assert grads[str(i)].dtype == dtype
+                if i == 1:
+                    continue  # ak enters the softmax: covered by the finite-difference test
                 dx = rng.normal(size=a.shape).astype(dtype)
+                if i == 0:
+                    dx[:, : 2 * width] = 0.0  # Q and K columns enter the softmax
                 moved = [T.Tensor(b.data + dx) if j == i else b for j, b in enumerate(args)]
-                lhs = ((op(*moved, edges).data - out.data) * g).sum()
+                lhs = ((op(*moved).data - out.data) * g).sum()
                 rhs = (dx * grads[str(i)]).sum()
                 assert abs(lhs - rhs) <= tol * max(1.0, abs(lhs)), (name, i)
 
@@ -308,29 +327,49 @@ def test_edge_ops_adjoint(mode, seed):
 def test_edge_ops_finite_differences(mode, seed):
     rng = np.random.default_rng(seed)
     with T.precision(mode):
-        edges, cases = edge_op_cases(rng)
-        for name, op, args in cases:
-            g = T.Tensor(rng.normal(size=op(*args, edges).shape))
+        for name, op, args in attention_op_cases(rng):
+            g = T.Tensor(rng.normal(size=op(*args).shape))
 
             def f():
-                return T.tsum(T.mul(op(*args, edges), g))
+                return T.tsum(T.mul(op(*args), g))
 
             err = T.finite_diff_check(f, {str(i): a for i, a in enumerate(args)})
             assert err < 1e-6, (name, err)
 
 
 def test_segment_softmax_rows_are_distributions():
+    """edge_attention's weights: per head, each row is a distribution over
+    the node's incoming edges, positive on them and zero elsewhere."""
     rng = np.random.default_rng(0)
-    edges, _, _ = random_edges(rng, 6, 3)
-    p = T.segment_softmax(T.Tensor(rng.normal(size=len(edges)) * 5), edges).data
-    np.testing.assert_allclose(np.bincount(edges.dst, p), np.ones(6), atol=1e-12)
-    assert (p > 0).all()
+    edges, mask, _ = random_edges(rng, 6, 3)
+    qkv = T.Tensor(rng.normal(size=(6, 3 * 2 * 2)) * 5)
+    weights = []
+    T.edge_attention(qkv, T.Tensor(rng.normal(size=(3, 2))), T.Tensor(np.zeros((3, 2))), 2, edges, weights)
+    e, alpha = weights[0]
+    np.testing.assert_allclose(alpha.sum(axis=2), np.ones((2, 6)), atol=1e-12)
+    assert (alpha[:, mask] > 0).all() and (alpha[:, ~mask] == 0).all()
+    assert (e[:, ~mask] == -np.inf).all() and np.isfinite(e[:, mask]).all()
 
 
 def test_segment_softmax_rejects_node_without_edges():
     edges = T.EdgeList([0, 0], [0, 1], [0, 0], 2, 1)  # node 1 has no incoming edge
+    zeros = T.Tensor(np.zeros((1, 1)))
     with pytest.raises(T.ContractViolation):
-        T.segment_softmax(T.Tensor(np.zeros(2)), edges)
+        T.edge_attention(T.Tensor(np.zeros((2, 3))), zeros, zeros, 1, edges)
+
+
+@pytest.mark.parametrize("op", ["relative_attention", "edge_attention"])
+def test_fused_attention_rejects_nonfinite_scores(op):
+    """The scores are not an op output, so each op checks them itself: a
+    score that overflows to -inf must raise, not silently get weight 0
+    (the rest of its row, and so the output, stay finite)."""
+    qkv = np.zeros((2, 3))  # one head of width 1: columns q, k, v
+    qkv[0, 0], qkv[0, 1] = 1e200, -1e200  # e_00 = q_0 k_0 = -inf, e_01 = 0
+    dst, src = np.nonzero(np.ones((2, 2), dtype=bool))
+    relation = 1 if op == "relative_attention" else T.EdgeList(dst, src, np.zeros(4), 2, 3)
+    zeros = T.Tensor(np.zeros((3, 1)))
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match=op):
+        getattr(T, op)(T.Tensor(qkv), zeros, zeros, 1, relation)
 
 
 def test_edge_list_rejects_duplicates_and_out_of_range():
@@ -378,9 +417,9 @@ def test_scatter_plan_matches_add_at(mode):
             T.ScatterPlan([0, 9], 9)
 
 
-def test_gather_take_pairs_backward_sum_negative_indices():
-    """gather and take_pairs accept numpy-style negative indices; their
-    backward must sum index -1 and index n-1 into the same row."""
+def test_gather_backward_sums_negative_indices():
+    """gather accepts numpy-style negative indices; its backward must sum
+    index -1 and index n-1 into the same row."""
     rng = np.random.default_rng(2)
     a = tensor(rng.normal(size=(4, 3)))
     idx = np.array([3, -1, 0, -4, 2])
@@ -391,55 +430,91 @@ def test_gather_take_pairs_backward_sum_negative_indices():
     np.add.at(want, idx, g)
     np.testing.assert_allclose(grads["a"], want, rtol=0, atol=1e-14)
 
-    rows, cols = np.array([0, 0, -1, 3]), np.array([2, -1, 1, -2])
-    gp = rng.normal(size=4)
-    T.zero_grads({"a": a})
+
+def oracle_gradients(states, model, prefix, mask, buckets, g):
+    """Output of dense_attention_oracle and the gradients of <output, g>
+    with respect to the states and every parameter of `prefix`, by complex
+    steps: d/dx f(x) = Im f(x + ih) / h, exact to rounding for the
+    oracle's analytic numpy functions."""
+    cfg = model.config
+    names = ["wqkv", "wo", "ak", "av"]
+    base = {"states": states, **{k: model.tensors[f"{prefix}.{k}"].data for k in names}}
+
+    def run(x):
+        wq, wk, wv = split_qkv(x["wqkv"], cfg.m).swapaxes(0, 1)
+        return dense_attention_oracle(
+            x["states"], wq, wk, wv, x["wo"], cfg.d_z, mask, buckets, x["ak"], x["av"]
+        )
+
+    h = 1e-30
+    grads = {}
+    for key, value in base.items():
+        grad = np.zeros(value.size)
+        for c in range(value.size):
+            x = dict(base)
+            x[key] = value.astype(complex)
+            x[key].reshape(-1)[c] += 1j * h
+            grad[c] = (run(x) * g).sum().imag / h
+        grads[key] = grad.reshape(value.shape)
+    return run(base), grads
+
+
+def check_against_oracle(model, prefix, relation, mask, buckets, states, g):
+    """gat_attention over `relation` equals the dense oracle within 1e-12,
+    forward and for every parameter and state gradient."""
+    names = ["wqkv", "wo", "ak", "av"]
+    T.zero_grads(model.tensors)
+    x = T.Tensor(states, requires_grad=True)
     with T.record_tape():
-        grads = T.backward(T.tsum(T.mul(T.take_pairs(a, rows, cols), tensor(gp, grad=False))), {"a": a})
-    want = np.zeros((4, 3))
-    np.add.at(want, (rows, cols), gp)
-    np.testing.assert_allclose(grads["a"], want, rtol=0, atol=1e-14)
+        out = gat_attention(x, mask, relation, model, prefix)
+        loss = T.tsum(T.mul(out, T.Tensor(g)))
+        grads = T.backward(loss, {"states": x, **{k: model.tensors[f"{prefix}.{k}"] for k in names}})
+    T.zero_grads(model.tensors)
+    want, want_grads = oracle_gradients(states, model, prefix, mask, buckets, g)
+    np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12)
+    for k, grad in want_grads.items():
+        np.testing.assert_allclose(grads[k], grad, rtol=0, atol=1e-12, err_msg=k)
+
+
+def randomized_model(seed, prefix, rng):
+    model = ModelParams.init(micro_config(), seed=seed % 1000, scale=0.3)
+    for nm in (f"{prefix}.ak", f"{prefix}.av"):
+        model.tensors[nm].data[:] = rng.normal(scale=0.5, size=model.tensors[nm].shape)
+    return model
 
 
 @settings(max_examples=25, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9), density=st.floats(0.0, 1.0))
 def test_edge_integration_matches_dense_masked_oracle(seed, n, density):
-    """gat_attention over an EdgeList equals the dense masked path over the
-    same edges, forward and for every parameter and state gradient."""
+    """gat_attention over a random EdgeList equals the dense masked oracle
+    over the same edges, forward and for every parameter and state
+    gradient."""
     rng = np.random.default_rng(seed)
-    cfg = micro_config()
-    model = ModelParams.init(cfg, seed=seed % 1000, scale=0.3)
     prefix = "layer0.integ"
-    n_buckets = cfg.clips.integration_buckets()
-    for nm in (f"{prefix}.ak", f"{prefix}.av"):
-        model.tensors[nm].data[:] = rng.normal(scale=0.5, size=model.tensors[nm].shape)
-    edges, mask, buckets = random_edges(rng, n, n_buckets, density)
-    states = rng.normal(size=(n, cfg.d_h))
-    g = rng.normal(size=(n, cfg.d_h))
-    names = [k for k in model.tensors if k.startswith(prefix)]
+    model = randomized_model(seed, prefix, rng)
+    d = model.config.d_h
+    edges, mask, buckets = random_edges(rng, n, model.config.clips.integration_buckets(), density)
+    states, g = rng.normal(size=(n, d)), rng.normal(size=(n, d))
+    check_against_oracle(model, prefix, edges, mask, buckets, states, g)
 
-    def run(index):
-        T.zero_grads(model.tensors)
-        x = T.Tensor(states, requires_grad=True)
-        with T.record_tape():
-            out = gat_attention(x, mask, index, model, prefix, n_buckets)
-            loss = T.tsum(T.mul(out, T.Tensor(g)))
-            grads = T.backward(loss, {**{k: model.tensors[k] for k in names}, "states": x})
-        T.zero_grads(model.tensors)
-        return out.data, grads
 
-    dense_out, dense_grads = run(buckets)
-    edge_out, edge_grads = run(edges)
-    oracle = dense_attention_oracle(
-        states,
-        [model.tensors[f"{prefix}.h{k}.wq"].data for k in range(cfg.m)],
-        [model.tensors[f"{prefix}.h{k}.wk"].data for k in range(cfg.m)],
-        [model.tensors[f"{prefix}.h{k}.wv"].data for k in range(cfg.m)],
-        model.tensors[f"{prefix}.wo"].data,
-        cfg.d_z,
-        mask, buckets, model.tensors[f"{prefix}.ak"].data, model.tensors[f"{prefix}.av"].data,
-    )
-    np.testing.assert_allclose(edge_out, oracle, rtol=0, atol=1e-12)
-    np.testing.assert_allclose(edge_out, dense_out, rtol=0, atol=1e-12)
-    for k in dense_grads:
-        np.testing.assert_allclose(edge_grads[k], dense_grads[k], rtol=0, atol=1e-12, err_msg=k)
+@settings(max_examples=15, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 9))
+def test_level_attention_matches_dense_oracle(seed, n):
+    """A fully connected level with Toeplitz buckets clip(j - i) + c, as a
+    level (relative_attention) and as the edge list of all its pairs,
+    equals the dense oracle forward and for every gradient; n runs below
+    and above the clip."""
+    rng = np.random.default_rng(seed)
+    prefix = "layer0.tok"
+    model = randomized_model(seed, prefix, rng)
+    cfg = model.config
+    clip = cfg.token_clip
+    idx = np.arange(n)
+    buckets = np.clip(idx[None, :] - idx[:, None], -clip, clip) + clip
+    mask = np.ones((n, n), dtype=bool)
+    dst, src = np.nonzero(mask)
+    edges = T.EdgeList(dst, src, buckets[dst, src], n, 2 * clip + 1)
+    states, g = rng.normal(size=(n, cfg.d_h)), rng.normal(size=(n, cfg.d_h))
+    for relation in (clip, edges):
+        check_against_oracle(model, prefix, relation, mask, buckets, states, g)
