@@ -12,7 +12,6 @@ import argparse
 import dataclasses
 import json
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, field
 
 from . import checks
@@ -31,6 +30,7 @@ from .preprocess import (
     write_raw_examples,
 )
 from .synthgen import CorpusSpec, build_vocab, generate_corpus
+from .tensor import ContractViolation
 from .train import OptimizerState, TrainConfig, train_loop, write_trace_csv
 from .evaluate import write_gold
 
@@ -102,12 +102,7 @@ def _cmd_preprocess(args) -> int:
     vocab = Vocab.load(args.vocab)
     examples = read_raw_examples(args.input)
     pp = cfg.preprocess
-    if args.threads > 1:
-        with ThreadPoolExecutor(max_workers=args.threads) as pool:
-            per_example = list(pool.map(lambda ex: preprocess_example(ex, vocab, pp), examples))
-    else:
-        per_example = [preprocess_example(ex, vocab, pp) for ex in examples]
-    instances = [inst for group in per_example for inst in group]
+    instances = [inst for ex in examples for inst in preprocess_example(ex, vocab, pp)]
     instances = downsample_null(instances, pp.keep_prob, pp.seed)
     write_instances(args.output, instances)
     print(f"wrote {len(instances)} instances to {args.output}")
@@ -136,10 +131,18 @@ def _cmd_train(args) -> int:
 def _cmd_predict(args) -> int:
     model, _ = ModelParams.load(args.checkpoint)
     vocab = Vocab.load(args.vocab)
-    instances = read_instances(args.instances)
-    preds = predict_instances(instances, model, vocab)
+    by_doc: dict[str, list] = {}
+    for inst in read_instances(args.instances):
+        by_doc.setdefault(inst.example_id, []).append(inst)
+    preds, skipped = [], 0
+    for example_id, frags in by_doc.items():
+        try:
+            preds.extend(predict_instances(frags, model, vocab))
+        except ContractViolation as exc:
+            skipped += 1
+            print(f"skipped document {example_id}: {exc}", file=sys.stderr)
     write_jsonl(args.out, (p.to_json() for p in preds))
-    print(f"wrote {len(preds)} predictions to {args.out}")
+    print(f"wrote {len(preds)} predictions to {args.out}" + (f", skipped {skipped}" if skipped else ""))
     return 0
 
 
@@ -173,7 +176,6 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--config", help="flat JSON config file")
     parser.add_argument("--seed", type=int, default=None, help="override every seed")
-    parser.add_argument("--threads", type=int, default=1, help="worker thread cap")
     sub = parser.add_subparsers(dest="command", required=True)
 
     p = sub.add_parser("synth", help="generate a synthetic corpus")

@@ -301,7 +301,7 @@ def graph_initialize(graph: HierGraph, token_states: Tensor, params: ModelParams
         rel = T.gather(params[f"init.rel.{name}"], np.minimum(ordinals, cc))
         mean_mat = Tensor(graph.mean_matrix(containment, n_parents))
         pooled = T.matmul(mean_mat, child + rel)
-        parent = pooled + T.gather(params["init.type"], np.array([type_id]))
+        parent = pooled + T.rows(params["init.type"], slice(type_id, type_id + 1))
         states.append(parent)
         child = parent
     return T.concat(states, axis=0)
@@ -365,13 +365,13 @@ def self_attention_level(
     cfg = params.config
     sl = graph.level_slice(level)
     n_level = sl.stop - sl.start
-    block = T.gather(states, np.arange(sl.start, sl.stop))
+    block = T.rows(states, sl)
     full = np.broadcast_to(True, (n_level, n_level))
     att = gat_attention(block, full, cfg.clips.level_clip(level), params, prefix, trace)
     att = T.dropout(att, cfg.dropout, rng)
     updated = T.layer_norm(block + att, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
-    before = T.gather(states, np.arange(0, sl.start))
-    after = T.gather(states, np.arange(sl.stop, graph.n_nodes))
+    before = T.rows(states, slice(0, sl.start))
+    after = T.rows(states, slice(sl.stop, graph.n_nodes))
     return T.concat([before, updated, after], axis=0)
 
 

@@ -89,9 +89,9 @@ def score_nodes(
     tok_sl = graph.level_slice(NodeType.TOKEN)
     par_sl = graph.level_slice(NodeType.PARAGRAPH)
     doc_sl = graph.level_slice(NodeType.DOCUMENT)
-    tok_states = T.gather(states, np.arange(tok_sl.start, tok_sl.stop))
-    par_states = T.gather(states, np.arange(par_sl.start, par_sl.stop))
-    doc_state = T.gather(states, np.arange(doc_sl.start, doc_sl.stop))
+    tok_states = T.rows(states, tok_sl)
+    par_states = T.rows(states, par_sl)
+    doc_state = T.rows(states, doc_sl)
 
     start_t = _project(tok_states, params["head.start.w"], params["head.start.b"])
     end_t = _project(tok_states, params["head.end.w"], params["head.end.b"])
@@ -118,7 +118,7 @@ def score_nodes(
 
 
 def _pick(logp: Tensor, idx: int) -> Tensor:
-    return T.tsum(T.gather(logp, np.array([idx])))
+    return T.tsum(T.rows(logp, slice(idx, idx + 1)))
 
 
 def joint_loss(scores: ScoreSet, l: int, s: int, e: int, t: AnswerType) -> Tensor:

@@ -1,10 +1,13 @@
 """Minimal dense tensors with reverse-mode differentiation.
 
 The op set is intentionally small: exactly what the graph encoder and the
-output heads need (matmul, broadcast add/mul, concat, gathers, two fused
-multi-head attention ops, gelu, layer norm, masked log-softmax,
-reductions, dropout). Every scatter-add goes through `ScatterPlan`, which
-keeps the working dtype.
+output heads need (matmul, broadcast add/mul, concat, row slices, gathers,
+two fused multi-head attention ops, gelu, layer norm, masked log-softmax,
+reductions, dropout). Every scatter-add goes through `ScatterPlan`, a
+0/1 CSR matrix applied as one sparse product, which keeps the working
+dtype; the relative-position buckets of a fully connected level go
+through its cached `BandPlan`, which expands and folds them without an
+index gather or scatter.
 Every forward op validates that its output is finite; NaN/Inf anywhere is
 a hard error rather than a silent corruption of the run.
 
@@ -16,10 +19,11 @@ from __future__ import annotations
 
 import math
 from contextlib import contextmanager
+from functools import cached_property, lru_cache
 from typing import Callable, Dict, Iterable, Sequence
 
 import numpy as np
-from numpy.lib.stride_tricks import as_strided
+from scipy.sparse import csr_array
 from scipy.special import erf as _erf64
 
 
@@ -264,12 +268,15 @@ class ScatterPlan:
     `plan(values)` returns `out` of length `size` along axis 0 with
     out[k] = sum of values[i] over keys[i] == k.
     Negative keys count from the end, as numpy indices do, so -1 and
-    size - 1 land in one sum. The keys are stably argsorted once (not at
-    all when already sorted), so a plan built for static index arrays
-    serves every later scatter.
+    size - 1 land in one sum. The plan is the (size, len(keys)) CSR
+    matrix with a one at (keys[i], i), built straight from the stable
+    sort order of the keys (O(len(keys)) when they are already sorted);
+    a scatter is one sparse product, whose result has the values' dtype,
+    longdouble included. A plan built for static index arrays serves
+    every later scatter.
     """
 
-    __slots__ = ("order", "starts", "targets", "size")
+    __slots__ = ("matrix",)
 
     def __init__(self, keys, size: int):
         keys = np.asarray(keys, dtype=np.int64).reshape(-1)
@@ -279,21 +286,27 @@ class ScatterPlan:
                 raise ContractViolation(f"scatter key outside [-{size}, {size})")
             if lo < 0:
                 keys = np.where(keys < 0, keys + size, keys)
-        self.order = None
-        if (keys[1:] < keys[:-1]).any():
-            self.order = np.argsort(keys, kind="stable")
-            keys = keys[self.order]
-        self.starts = np.flatnonzero(np.r_[True, keys[1:] != keys[:-1]]) if keys.size else keys
-        self.targets = keys[self.starts]
-        self.size = size
+        indptr = np.zeros(size + 1, dtype=np.int64)
+        np.cumsum(np.bincount(keys, minlength=size), out=indptr[1:])
+        order = np.argsort(keys, kind="stable")
+        self.matrix = csr_array((np.ones(keys.size), order, indptr), shape=(size, keys.size))
 
     def __call__(self, values: np.ndarray) -> np.ndarray:
-        out = np.zeros((self.size,) + values.shape[1:], dtype=values.dtype)
-        if self.starts.size:
-            if self.order is not None:
-                values = values[self.order]
-            out[self.targets] = np.add.reduceat(values, self.starts, axis=0)
-        return out
+        out = self.matrix @ values.reshape(values.shape[0], math.prod(values.shape[1:]))
+        return out.reshape((self.matrix.shape[0],) + values.shape[1:])
+
+
+def rows(a: Tensor, index: slice) -> Tensor:
+    """The rows a[index] of a contiguous range; the backward pass places
+    the gradient in those rows, with no scatter."""
+    data = a.data[index]
+
+    def backward(g):
+        full = np.zeros_like(a.data)
+        full[index] = g
+        _accumulate(a, full)
+
+    return _make(data, (a,), backward, "rows")
 
 
 def gather(a: Tensor, index) -> Tensor:
@@ -314,7 +327,7 @@ class EdgeList:
 
     The sparse counterpart of a boolean mask plus a bucket matrix:
     `starts[i]` is the first edge of destination i, and the scatter plans
-    over dst, src and bucket are built once, so every pass of
+    over dst, src and bucket are built once each, so every pass of
     `edge_attention` reuses them.
     """
 
@@ -334,9 +347,20 @@ class EdgeList:
         self.n_nodes, self.n_buckets = n_nodes, n_buckets
         self.degree = np.bincount(self.dst, minlength=n_nodes)
         self.starts = np.r_[0, np.cumsum(self.degree)[:-1]]
-        self.by_dst = ScatterPlan(self.dst, n_nodes)
-        self.by_src = ScatterPlan(self.src, n_nodes)
-        self.by_bucket = ScatterPlan(self.bucket, n_buckets)
+
+    # The scatter plans are built on first use and kept: inference only
+    # ever sums by destination.
+    @cached_property
+    def by_dst(self) -> ScatterPlan:
+        return ScatterPlan(self.dst, self.n_nodes)
+
+    @cached_property
+    def by_src(self) -> ScatterPlan:
+        return ScatterPlan(self.src, self.n_nodes)
+
+    @cached_property
+    def by_bucket(self) -> ScatterPlan:
+        return ScatterPlan(self.bucket, self.n_buckets)
 
     def __len__(self) -> int:
         return len(self.dst)
@@ -354,48 +378,64 @@ class EdgeList:
         return k if k < hi and self.src[k] == src else -1
 
 
-def _skew(p: np.ndarray, n: int) -> np.ndarray:
-    """(..., n, n) view of a contiguous (..., n, 2h + 1) array p, h >= n - 1,
-    whose cell (i, j) is p[..., i, h + j - i]: view row i starts at
-    column h - i of row i of p."""
-    s = p.strides[-1]
-    h = (p.shape[-1] - 1) // 2
-    return as_strided(p[..., h:], p.shape[:-1] + (n,), p.strides[:-2] + (p.strides[-2] - s, s))
+class BandPlan:
+    """Relative-position buckets of a fully connected level of n nodes:
+    pair (i, j) is in bucket clip(j - i, -c, c) + c.
 
-
-def toeplitz_expand(r: np.ndarray) -> np.ndarray:
-    """out[..., i, j] = r[..., i, clip(j - i, -c, c) + c] for r of shape
-    (..., n, 2c + 1), without an index gather.
-
-    The rows of r are edge-padded to the offsets -h..h, h = max(n - 1, c),
-    and read through a skewed view, the "skewing" of Music Transformer
-    (Huang et al., arXiv:1809.04281).
+    In the row-major (n, n) layout the buckets of row i are consecutive
+    runs of cells: bucket 0 is columns 0..i-c, the interior bucket c + d
+    the single cell (i, i + d) (a diagonal), and bucket 2c the columns
+    i+c..n-1 (for c = 0 the one bucket is the whole row).
+    `add_expanded` repeats each bucket value over its run and `fold` sums
+    each run, so neither pads a copy, as the "skewing" of Music Transformer
+    (Huang et al., arXiv:1809.04281) does, nor gathers or scatters by
+    index. Build plans with `band_plan`, which caches them.
     """
-    n, width = r.shape[-2:]
-    c = (width - 1) // 2
-    w = max(n - 1, c) - c
-    p = np.empty(r.shape[:-1] + (width + 2 * w,), dtype=r.dtype)
-    p[..., :w] = r[..., :1]
-    p[..., w : w + width] = r
-    p[..., w + width :] = r[..., -1:]
-    return _skew(p, n)
+
+    __slots__ = ("n", "runs", "starts", "nonempty")
+
+    def __init__(self, n: int, clip: int):
+        rows = np.arange(n)[:, None]
+        first = np.clip(rows + np.arange(2 * clip + 1) - clip, 0, n)  # first column of each run
+        first[:, 0] = 0
+        self.n = n
+        # int32 halves what the cache holds; n * n < 2**31 for any level
+        # whose (n, n) scores fit in memory
+        self.runs = np.diff(first, axis=1, append=n).reshape(-1).astype(np.int32)
+        # flat run starts; an empty run at the very end points at the last cell
+        self.starts = np.minimum(rows * n + first, max(n * n - 1, 0)).reshape(-1).astype(np.int32)
+        self.nonempty = self.runs > 0
+
+    def add_expanded(self, out: np.ndarray, r: np.ndarray) -> None:
+        """out[..., i, j] += r[..., i, clip(j - i, -c, c) + c] for r of shape
+        (..., n, 2c + 1), in place.
+
+        Rows go in blocks of about 64k cells, so the expanded copy is never
+        a second (n, n) array: at n = 512 that copy is 8 MB, and malloc
+        trims such a block, freed at the top of the heap, back to the
+        system, for the next call to fault in again page by page.
+        """
+        lead, width = r.shape[:-2], r.shape[-1]
+        step = max(1, (1 << 16) // (self.n * math.prod(lead)))
+        for i in range(0, self.n, step):
+            block = r[..., i : i + step, :]
+            runs = self.runs[i * width : (i + block.shape[-2]) * width]
+            flat = np.repeat(block.reshape(lead + (-1,)), runs, axis=-1)
+            out[..., i : i + step, :] += flat.reshape(block.shape[:-1] + (self.n,))
+
+    def fold(self, g: np.ndarray) -> np.ndarray:
+        """Adjoint of `add_expanded`: out[..., i, b] is the sum of
+        g[..., i, j] over the j with clip(j - i, -c, c) + c == b."""
+        lead = g.shape[:-2]
+        out = np.add.reduceat(g.reshape(lead + (-1,)), self.starts, axis=-1)
+        out *= self.nonempty  # reduceat hands back a cell for an empty run
+        return out.reshape(lead + (self.n, -1))
 
 
-def toeplitz_fold(g: np.ndarray, clip: int) -> np.ndarray:
-    """Adjoint of toeplitz_expand: out[..., i, b] is the sum of g[..., i, j]
-    over the j with clip(j - i, -c, c) + c == b, without a scatter.
-
-    The skewed view writes each row of g at its offsets -h..h; the offsets
-    within the clip are a band of columns, the rest are two tail sums.
-    """
-    n = g.shape[-1]
-    w = max(n - 1, clip) - clip
-    p = np.zeros(g.shape[:-1] + (2 * clip + 1 + 2 * w,), dtype=g.dtype)
-    _skew(p, n)[...] = g
-    out = p[..., w : w + 2 * clip + 1].copy()
-    out[..., 0] += p[..., :w].sum(axis=-1)
-    out[..., -1] += p[..., w + 2 * clip + 1 :].sum(axis=-1)
-    return out
+@lru_cache(maxsize=32)
+def band_plan(n: int, clip: int) -> BandPlan:
+    """The cached `BandPlan` of an n-node level with clip `clip`."""
+    return BandPlan(n, clip)
 
 
 def _head_width(qkv: Tensor, m: int, ak: Tensor, av: Tensor, n_buckets: int) -> tuple[int, int]:
@@ -422,43 +462,50 @@ def relative_attention(
     e_ij = q_i . (k_j + ak[b_ij]) / sqrt(d_z), alpha_i = softmax(e_i),
     z_i = sum_j alpha_ij (v_j + av[b_ij]), and the result is (n, d) with
     the heads side by side. Heads are batched on a leading axis; the key
-    term is one q . ak^T expanded by `toeplitz_expand` (Shaw et al.,
-    arXiv:1803.02155), the value term one `toeplitz_fold` of alpha.
+    term is one q . ak^T added through the level's `BandPlan` (Shaw et al.,
+    arXiv:1803.02155), the value term one band fold of the weights.
+    The softmax is left unnormalised, p = exp(e - max_j e), and 1/sum_j p
+    scales the (n, d_z) results instead of the (n, n) weights.
     If `weights` is a list, the dense (m, n, n) scores e and weights alpha
     are appended to it.
     """
     n, dz = _head_width(qkv, m, ak, av, 2 * clip + 1)
+    band = band_plan(n, clip)
     q, k, v = np.ascontiguousarray(qkv.data.reshape(n, 3, m, dz).transpose(1, 2, 0, 3))
     scale = 1.0 / math.sqrt(dz)
-    e = q @ k.swapaxes(1, 2)
-    e += toeplitz_expand(q @ ak.data.T)
-    e *= scale
-    _check_finite(e, "relative_attention")
-    scores = e.copy() if weights is not None else None
-    alpha = e  # the softmax runs in place
-    alpha -= alpha.max(axis=-1, keepdims=True)
-    np.exp(alpha, out=alpha)
-    alpha /= alpha.sum(axis=-1, keepdims=True)
-    folded = toeplitz_fold(alpha, clip)
-    z = alpha @ v + folded @ av.data
+    q *= scale
+    p = q @ k.swapaxes(1, 2)
+    band.add_expanded(p, q @ ak.data.T)
+    _check_finite(p, "relative_attention")
+    scores = p.copy() if weights is not None else None
+    p -= p.max(axis=-1, keepdims=True)  # the softmax runs in place
+    np.exp(p, out=p)
+    inv_s = 1.0 / p.sum(axis=-1, keepdims=True)  # (m, n, 1)
+    folded = band.fold(p)
+    z = p @ v
+    z += folded @ av.data
+    z *= inv_s
     if weights is not None:
-        weights.append((scores, alpha.copy()))
+        weights.append((scores, p * inv_s))
 
     def backward(g):
-        gz = np.ascontiguousarray(g.reshape(n, m, dz).transpose(1, 0, 2))
-        gs = gz @ v.swapaxes(1, 2)
-        gs += toeplitz_expand(gz @ av.data.T)
-        gs -= np.einsum("hij,hij->hi", gs, alpha)[..., None]
-        gs *= alpha
-        gs *= scale
-        gfold = toeplitz_fold(gs, clip)
+        # de_ij = alpha_ij (gz_i . (v_j + av[b_ij]) - gz_i . z_i); 1/s_i
+        # rides on gz_i, the one per-row factor
+        gzs = g.reshape(n, m, dz).transpose(1, 0, 2) * inv_s
+        gs = gzs @ v.swapaxes(1, 2)
+        band.add_expanded(gs, gzs @ av.data.T - np.einsum("hid,hid->hi", gzs, z)[..., None])
+        gs *= p
+        gfold = band.fold(gs)
         if qkv.requires_grad:
-            grad = np.stack([gs @ k + gfold @ ak.data, gs.swapaxes(1, 2) @ q, alpha.swapaxes(1, 2) @ gz])
+            gq = gs @ k
+            gq += gfold @ ak.data
+            gq *= scale
+            grad = np.stack([gq, gs.swapaxes(1, 2) @ q, p.swapaxes(1, 2) @ gzs])
             _accumulate(qkv, grad.transpose(2, 0, 1, 3).reshape(n, 3 * m * dz))
         if ak.requires_grad:
             _accumulate(ak, gfold.reshape(-1, 2 * clip + 1).T @ q.reshape(-1, dz))
         if av.requires_grad:
-            _accumulate(av, folded.reshape(-1, 2 * clip + 1).T @ gz.reshape(-1, dz))
+            _accumulate(av, folded.reshape(-1, 2 * clip + 1).T @ gzs.reshape(-1, dz))
 
     return _make(z.transpose(1, 0, 2).reshape(n, m * dz), (qkv, ak, av), backward, "relative_attention")
 
@@ -473,8 +520,10 @@ def edge_attention(
     e = q[dst] . (k[src] + ak[bucket]) / sqrt(d_z), alpha is the softmax of
     e over each destination's incoming edges, and
     z[i] = sum over edges into i of alpha (v[src] + av[bucket]). Only the
-    edges are scored; the backward pass scatters through the edge list's
-    plans. With `weights`, off-edge cells hold e = -inf and alpha = 0.
+    edges are scored; every sum over edges is one of the edge list's
+    scatter plans, and, as in `relative_attention`, 1/sum p scales the
+    per-node results. With `weights`, off-edge cells hold e = -inf and
+    alpha = 0.
     """
     if not edges.degree.all():
         raise ContractViolation("edge_attention: a destination has no incoming edge")
@@ -482,38 +531,40 @@ def edge_attention(
     if n != edges.n_nodes:
         raise ShapeMismatchError(f"{n} rows for a graph of {edges.n_nodes} nodes")
     x = qkv.data.reshape(n, 3, m, dz)
-    dst, src, starts = edges.dst, edges.src, edges.starts
-    qd = x[dst, 0]                                               # (E, m, d_z)
+    dst, src = edges.dst, edges.src
+    scale = 1.0 / math.sqrt(dz)
+    qd = (x[:, 0] * scale)[dst]                                  # (E, m, d_z)
     kb = x[src, 1]
     kb += ak.data[edges.bucket][:, None]
     vb = x[src, 2]
     vb += av.data[edges.bucket][:, None]
-    scale = 1.0 / math.sqrt(dz)
     e = np.einsum("emd,emd->em", qd, kb)                         # (E, m)
-    e *= scale
     _check_finite(e, "edge_attention")
-    alpha = e - np.maximum.reduceat(e, starts)[dst]
-    np.exp(alpha, out=alpha)
-    alpha /= np.add.reduceat(alpha, starts)[dst]
-    z = edges.by_dst(alpha[..., None] * vb)
+    p = e - np.maximum.reduceat(e, edges.starts)[dst]
+    np.exp(p, out=p)
+    inv_s = 1.0 / edges.by_dst(p)                                # (n, m)
+    z = edges.by_dst(p[..., None] * vb)
+    z *= inv_s[..., None]
     if weights is not None:
         e_dense = np.full((m, n, n), -np.inf, dtype=e.dtype)
         alpha_dense = np.zeros((m, n, n), dtype=e.dtype)
         e_dense[:, dst, src] = e.T
-        alpha_dense[:, dst, src] = alpha.T
+        alpha_dense[:, dst, src] = (p * inv_s[dst]).T
         weights.append((e_dense, alpha_dense))
 
     def backward(g):
-        gd = g.reshape(n, m, dz)[dst]
+        gzs = g.reshape(n, m, dz) * inv_s[..., None]
+        gd = gzs[dst]
         gs = np.einsum("emd,emd->em", gd, vb)
-        gs -= np.add.reduceat(gs * alpha, starts)[dst]
-        gs *= alpha
-        gs *= scale
+        gs -= np.einsum("imd,imd->im", gzs, z)[dst]
+        gs *= p
         gkb = gs[..., None] * qd
         gvb = gd
-        gvb *= alpha[..., None]  # in place: gd is not read again
+        gvb *= p[..., None]  # in place: gd is not read again
         if qkv.requires_grad:
-            grad = np.stack([edges.by_dst(gs[..., None] * kb), edges.by_src(gkb), edges.by_src(gvb)], axis=1)
+            gq = edges.by_dst(gs[..., None] * kb)
+            gq *= scale
+            grad = np.stack([gq, edges.by_src(gkb), edges.by_src(gvb)], axis=1)
             _accumulate(qkv, grad.reshape(n, 3 * m * dz))
         if ak.requires_grad:
             _accumulate(ak, edges.by_bucket(gkb.sum(axis=1)))

@@ -107,3 +107,27 @@ def test_end_to_end_pipeline(tmp_path, capsys):
 
 def test_selftest_subcommand():
     assert main(["selftest"]) == 0
+
+
+def test_predict_skips_document_without_paragraphs(tmp_path, capsys):
+    """One document with no paragraphs does not abort `predict`: it is
+    named on stderr and every other document still gets a prediction."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_docs": 2, "total_steps": 1, "batch_size": 2, "d_h": 8, "m": 2,
+                               "n_layers": 1, "d_ff": 16, "keep_prob": 1.0}))
+    raw, gold, vocab = tmp_path / "raw.jsonl", tmp_path / "gold.jsonl", tmp_path / "vocab.txt"
+    inst, ckpt, preds = tmp_path / "inst.jsonl", tmp_path / "model.ckpt", tmp_path / "preds.jsonl"
+    c = str(cfg)
+    assert main(["--config", c, "synth", "--out", str(raw), "--gold", str(gold), "--vocab", str(vocab)]) == 0
+    docs = [json.loads(line) for line in raw.read_text().splitlines()]
+    empty = dict(docs[0], example_id="no-paragraphs", paragraphs=[], annotations={})
+    raw.write_text("".join(json.dumps(d) + "\n" for d in [docs[0], empty, docs[1]]))
+    assert main(["--config", c, "preprocess", "--vocab", str(vocab), "--input", str(raw), "--output", str(inst)]) == 0
+    assert main(["--config", c, "train", "--vocab", str(vocab), "--instances", str(inst), "--out", str(ckpt)]) == 0
+    capsys.readouterr()
+    assert main(["predict", "--checkpoint", str(ckpt), "--vocab", str(vocab), "--instances", str(inst),
+                 "--out", str(preds)]) == 0
+    err = capsys.readouterr().err
+    assert "skipped document no-paragraphs" in err
+    got = [json.loads(line)["example_id"] for line in preds.read_text().splitlines()]
+    assert got == [docs[0]["example_id"], docs[1]["example_id"]]

@@ -230,23 +230,34 @@ def test_random_expression_gradcheck(seed):
         assert T.finite_diff_check(f, {"a": a, "b": b}) < 2e-3
 
 
-@settings(max_examples=60, deadline=None)
-@given(st.integers(1, 9), st.integers(0, 6), st.integers(0, 2**32 - 1))
-def test_toeplitz_expand_fold_adjoint(n, clip, seed):
-    """toeplitz_expand is the gather r[i, clip(j - i) + c] and toeplitz_fold
-    its scatter-add; <expand(R), G> == <R, fold(G)>, for n <= c + 1 too."""
+def _check_band_plan(n, clip, seed):
     rng = np.random.default_rng(seed)
     r = rng.normal(size=(2, n, 2 * clip + 1))
     g = rng.normal(size=(2, n, n))
+    band = T.band_plan(n, clip)
     idx = np.arange(n)
     buckets = np.clip(idx[None, :] - idx[:, None], -clip, clip) + clip
-    np.testing.assert_array_equal(T.toeplitz_expand(r), r[:, idx[:, None], buckets])
+    expanded = np.zeros((2, n, n))
+    band.add_expanded(expanded, r)
+    np.testing.assert_array_equal(expanded, r[:, idx[:, None], buckets])
     scatter = np.zeros_like(r)
     np.add.at(scatter, (slice(None), np.broadcast_to(idx[:, None], buckets.shape), buckets), g)
-    folded = T.toeplitz_fold(g, clip)
+    folded = band.fold(g)
     np.testing.assert_allclose(folded, scatter, rtol=0, atol=1e-12)
-    lhs = (T.toeplitz_expand(r) * g).sum()
+    lhs = (expanded * g).sum()
     assert abs(lhs - (r * folded).sum()) <= 1e-12 * max(1.0, abs(lhs))
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.integers(1, 9), st.integers(0, 6), st.integers(0, 2**32 - 1))
+def test_toeplitz_expand_fold_adjoint(n, clip, seed):
+    """A band plan's expand is the gather r[i, clip(j - i) + c] and its fold
+    the scatter-add; <expand(R), G> == <R, fold(G)>, for n <= c + 1 too,
+    and for n >> c, where the clip buckets' tails are long; n + 300 rows
+    expand in several row blocks."""
+    _check_band_plan(n, clip, seed)
+    _check_band_plan(n + 60, clip % 3, seed)
+    _check_band_plan(n + 300, clip, seed)
 
 
 def test_nonfinite_rejected():
@@ -372,6 +383,21 @@ def test_fused_attention_rejects_nonfinite_scores(op):
         getattr(T, op)(T.Tensor(qkv), zeros, zeros, 1, relation)
 
 
+@pytest.mark.parametrize("n", [1, 7, 40])
+def test_relative_attention_taped_equals_no_grad(n):
+    """Taped and no_grad calls run one code path: bit-identical outputs."""
+    rng = np.random.default_rng(n)
+    m, dz, clip = 2, 3, 4
+    qkv = tensor(rng.normal(size=(n, 3 * m * dz)))
+    ak, av = tensor(rng.normal(size=(2 * clip + 1, dz))), tensor(rng.normal(size=(2 * clip + 1, dz)))
+    with T.record_tape() as tape:
+        taped = T.relative_attention(qkv, ak, av, m, clip)
+    with T.no_grad():
+        plain = T.relative_attention(qkv, ak, av, m, clip)
+    assert len(tape) == 1 and taped.requires_grad and not plain.requires_grad
+    np.testing.assert_array_equal(taped.data, plain.data)
+
+
 def test_edge_list_rejects_duplicates_and_out_of_range():
     with pytest.raises(T.ContractViolation):
         T.EdgeList([0, 0], [1, 1], [0, 0], 2, 1)
@@ -403,7 +429,7 @@ def test_scatter_plan_matches_add_at(mode):
         np.testing.assert_allclose(got, want, rtol=0, atol=1e-13)
         order = np.argsort(keys, kind="stable")
         plan = T.ScatterPlan(keys[order], 9)
-        assert plan.order is None  # already sorted: no argsort
+        np.testing.assert_array_equal(plan.matrix.indices, np.arange(40))  # already sorted: order kept
         np.testing.assert_allclose(plan(values[order]), want, rtol=0, atol=1e-13)
         # negative keys count from the end: -1 and 8 share one sum
         mixed = np.where(keys % 2 == 0, keys - 9, keys)
@@ -415,6 +441,10 @@ def test_scatter_plan_matches_add_at(mode):
         np.testing.assert_allclose(T.ScatterPlan(mixed, 9)(values), want, rtol=0, atol=1e-13)
         with pytest.raises(T.ContractViolation):
             T.ScatterPlan([0, 9], 9)
+        # no keys: all zeros, in the values' dtype
+        empty = T.ScatterPlan(np.arange(0, 0), 9)(values[:0])
+        assert empty.dtype == values.dtype
+        np.testing.assert_array_equal(empty, np.zeros((9, 3)))
 
 
 def test_gather_backward_sums_negative_indices():
@@ -429,6 +459,28 @@ def test_gather_backward_sums_negative_indices():
     want = np.zeros((4, 3))
     np.add.at(want, idx, g)
     np.testing.assert_allclose(grads["a"], want, rtol=0, atol=1e-14)
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("index", [slice(1, 3), slice(0, 0), slice(2, 4)])
+def test_rows_matches_gather(mode, index):
+    """rows(a, slice) equals the gather of the slice's arange, forward and
+    backward, in the working dtype; an empty slice (the first level's
+    `before` block) gives a zero gradient."""
+    rng = np.random.default_rng(3)
+    with T.precision(mode):
+        a = T.Tensor(rng.normal(size=(4, 3)), requires_grad=True)
+        g = T.Tensor(rng.normal(size=(4, 3))[index])
+        idx = np.arange(4)[index]
+        with T.record_tape():
+            sliced = T.rows(a, index)
+            got = T.backward(T.tsum(T.mul(sliced, g)), {"a": a})["a"]
+        T.zero_grads({"a": a})
+        with T.record_tape():
+            want = T.backward(T.tsum(T.mul(T.gather(a, idx), g)), {"a": a})["a"]
+        np.testing.assert_array_equal(sliced.data, a.data[idx])
+        assert got.dtype == a.data.dtype
+        np.testing.assert_array_equal(got, want)
 
 
 def oracle_gradients(states, model, prefix, mask, buckets, g):
