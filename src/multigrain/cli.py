@@ -21,8 +21,7 @@ from .predict import predict_instances
 from .preprocess import (
     PreprocessConfig,
     Vocab,
-    preprocess_example,
-    downsample_null,
+    preprocess_examples,
     read_instances,
     read_raw_examples,
     write_instances,
@@ -101,9 +100,7 @@ def _cmd_preprocess(args) -> int:
     cfg = load_config(args.config, args.seed)
     vocab = Vocab.load(args.vocab)
     examples = read_raw_examples(args.input)
-    pp = cfg.preprocess
-    instances = [inst for ex in examples for inst in preprocess_example(ex, vocab, pp)]
-    instances = downsample_null(instances, pp.keep_prob, pp.seed)
+    instances = preprocess_examples(examples, vocab, cfg.preprocess)
     write_instances(args.output, instances)
     print(f"wrote {len(instances)} instances to {args.output}")
     return 0

@@ -4,7 +4,10 @@ One encoder layer = token/sentence/paragraph self-attention (each over a
 fully connected same-level graph with clipped relative-distance
 buckets), one graph-integration pass over the cross-level edge list
 (sparse: only edges are scored), then a feed-forward block applied to the
-concatenation of the integration input and output. Relational embeddings
+concatenation of the integration input and output. Within a layer the
+node states are held per level: each level's self-attention reads and
+writes only its own (n_level, d) tensor, and the four levels are
+concatenated once, for the integration pass. Relational embeddings
 enter the attention on both the key and value side. Each attention
 sublayer is one fused QKV matmul, one batched-head attention op and one
 output matmul.
@@ -16,7 +19,7 @@ import json
 import os
 import re
 import zlib
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 from typing import Optional
 
 import numpy as np
@@ -63,8 +66,10 @@ class EncoderConfig:
         return ClipConfig(self.token_clip, self.sent_clip, self.par_clip, self.cross_clip)
 
 
+# Parameter prefixes, indexed by NodeType: SUBLAYERS[level] is a level's
+# self-attention; the document has none, and its slot names the
+# integration pass.
 SUBLAYERS = ("tok", "sent", "par", "integ")
-_LEVEL_OF = {"tok": NodeType.TOKEN, "sent": NodeType.SENTENCE, "par": NodeType.PARAGRAPH}
 
 
 def param_shapes(cfg: EncoderConfig) -> dict[str, tuple]:
@@ -80,12 +85,12 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple]:
         "init.type": (4, d),
     }
     for i in range(cfg.n_layers):
-        for sub in SUBLAYERS:
+        for level, sub in zip(NodeType, SUBLAYERS):
             p = f"layer{i}.{sub}"
-            if sub == "integ":
+            if level == NodeType.DOCUMENT:
                 buckets = clips.integration_buckets()
             else:
-                buckets = clips.level_buckets(_LEVEL_OF[sub])
+                buckets = clips.level_buckets(level)
             shapes[f"{p}.wqkv"] = (d, 3 * d)
             shapes[f"{p}.ak"] = (buckets, dz)
             shapes[f"{p}.av"] = (buckets, dz)
@@ -349,30 +354,23 @@ def gat_attention(
 
 def self_attention_level(
     level: NodeType,
-    states: Tensor,
-    graph: HierGraph,
+    block: Tensor,
     params: ModelParams,
     layer: int,
     rng: Optional[np.random.Generator] = None,
     trace: Optional[AttentionTrace] = None,
 ) -> Tensor:
-    """Fully connected same-level attention; residual + layer norm on the
-    level's rows only."""
+    """Fully connected attention within one level's rows `block`, then
+    residual + layer norm; returns the level's new rows."""
     if level == NodeType.DOCUMENT:
         raise ValueError("the document level has no self-attention sublayer")
-    sub = {NodeType.TOKEN: "tok", NodeType.SENTENCE: "sent", NodeType.PARAGRAPH: "par"}[level]
-    prefix = f"layer{layer}.{sub}"
+    prefix = f"layer{layer}.{SUBLAYERS[level]}"
     cfg = params.config
-    sl = graph.level_slice(level)
-    n_level = sl.stop - sl.start
-    block = T.rows(states, sl)
-    full = np.broadcast_to(True, (n_level, n_level))
+    n = block.shape[0]
+    full = np.broadcast_to(True, (n, n))
     att = gat_attention(block, full, cfg.clips.level_clip(level), params, prefix, trace)
     att = T.dropout(att, cfg.dropout, rng)
-    updated = T.layer_norm(block + att, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
-    before = T.rows(states, slice(0, sl.start))
-    after = T.rows(states, slice(sl.stop, graph.n_nodes))
-    return T.concat([before, updated, after], axis=0)
+    return T.layer_norm(block + att, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
 
 
 def graph_integration(
@@ -382,14 +380,13 @@ def graph_integration(
     layer: int,
     rng: Optional[np.random.Generator] = None,
     trace: Optional[AttentionTrace] = None,
-) -> tuple[Tensor, Tensor]:
-    """Cross-level attention pass; returns (input, attended) for the concat."""
-    cfg = params.config
+) -> Tensor:
+    """Cross-level attention pass over all nodes; returns the attended
+    states, which the FFN concatenates with its input `states`."""
     post = gat_attention(
         states, graph.integ_mask, graph.integ_edges, params, f"layer{layer}.integ", trace
     )
-    post = T.dropout(post, cfg.dropout, rng)
-    return states, post
+    return T.dropout(post, params.config.dropout, rng)
 
 
 def feed_forward_concat(
@@ -421,10 +418,11 @@ def encode(
     """Full forward pass; n_layers == 0 returns the initializer output."""
     cfg = params.config
     states = graph_initialize(graph, embed_tokens(instance, params), params)
-    levels = (NodeType.TOKEN, NodeType.SENTENCE, NodeType.PARAGRAPH)
     for layer in range(cfg.n_layers):
-        for level in levels:
-            states = self_attention_level(level, states, graph, params, layer, rng, trace)
-        pre, post = graph_integration(states, graph, params, layer, rng, trace)
-        states = feed_forward_concat(pre, post, params, layer, rng)
+        blocks = [T.rows(states, graph.level_slice(level)) for level in NodeType]
+        for level in (NodeType.TOKEN, NodeType.SENTENCE, NodeType.PARAGRAPH):
+            blocks[level] = self_attention_level(level, blocks[level], params, layer, rng, trace)
+        states = T.concat(blocks, axis=0)
+        post = graph_integration(states, graph, params, layer, rng, trace)
+        states = feed_forward_concat(states, post, params, layer, rng)
     return states

@@ -10,7 +10,6 @@ inside it second.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from typing import Optional
 
@@ -36,7 +35,7 @@ class ScoreSet:
     end_t: Tensor
     long_t: Tensor               # [|S|]
     type_t: Tensor               # [5]
-    token_positions: np.ndarray  # instance position per token node
+    token_positions: np.ndarray  # instance position per token node, ascending
     span_valid: np.ndarray       # [n_token_nodes] bool; True where a span may start/end
     spans: list[tuple[int, int]]
     seq_len: int
@@ -168,24 +167,22 @@ def inference_scores(
     cls_node = scores.node_of_position(0)
     null = fs[cls_node] + fe[cls_node]
     best_short: list[Optional[tuple[int, int, float]]] = [None]
-    pos2node = {int(p): i for i, p in enumerate(scores.token_positions)}
+    pos = scores.token_positions
     for a, b in scores.spans[1:]:
-        nodes = [
-            pos2node[p]
-            for p in range(a, b + 1)
-            if p in pos2node and scores.span_valid[pos2node[p]]
-        ]
-        best = None
-        for ii, i in enumerate(nodes):
-            for j in nodes[ii : ii + max_answer_tokens]:
-                sc = fs[i] + fe[j] - null
-                if best is None or sc > best[2]:
-                    best = (
-                        int(scores.token_positions[i]),
-                        int(scores.token_positions[j]),
-                        float(sc),
-                    )
-        best_short.append(best)
+        lo, hi = np.searchsorted(pos, (a, b + 1))
+        nodes = lo + np.flatnonzero(scores.span_valid[lo:hi])
+        width = min(max_answer_tokens, len(nodes))
+        if width < 1:
+            best_short.append(None)
+            continue
+        # row i, column t scores the span from nodes[i] to nodes[i + t];
+        # -inf past the last node. The first argmax in row-major order is
+        # the first maximum of the (start, end) scan.
+        fe_pad = np.concatenate([fe[nodes], np.full(width - 1, NEG_INF)])
+        ends = np.arange(len(nodes))[:, None] + np.arange(width)
+        band = fs[nodes][:, None] + fe_pad[ends] - null
+        i, t = np.unravel_index(int(np.argmax(band)), band.shape)
+        best_short.append((int(pos[nodes[i]]), int(pos[nodes[i + t]]), float(band[i, t])))
     return InferenceScores(g_frag=g_frag, g_long=g_long, best_short=best_short)
 
 

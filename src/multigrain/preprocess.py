@@ -243,7 +243,6 @@ class TokenizedDocument:
     cand_id: np.ndarray            # [n] candidate index per token
     char_spans: list[tuple[int, int]]  # candidate-local char offsets; markup (-1, -1)
     cand_token_spans: list[tuple[int, int]]  # [start, end) in doc tokens
-    cand_kinds: list[str]
     n_sentences: int
 
     def __len__(self):
@@ -314,7 +313,6 @@ def insert_markup_tokens(blocks: list[CandidateBlock], vocab: Vocab) -> Tokenize
         cand_id=np.asarray(cand_id, dtype=np.int64),
         char_spans=char_spans,
         cand_token_spans=cand_token_spans,
-        cand_kinds=[b.kind for b in blocks],
         n_sentences=next_sentence,
     )
 

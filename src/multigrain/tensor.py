@@ -20,7 +20,7 @@ from __future__ import annotations
 import math
 from contextlib import contextmanager
 from functools import cached_property, lru_cache
-from typing import Callable, Dict, Iterable, Sequence
+from typing import Callable, Dict, Sequence
 
 import numpy as np
 from scipy.sparse import csr_array
@@ -587,14 +587,6 @@ def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             _accumulate(a, np.broadcast_to(gg, a.shape).astype(a.data.dtype))
 
     return _make(data, (a,), backward, "sum")
-
-
-def tmean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    if axis is None:
-        n = a.size
-    else:
-        n = a.shape[axis]
-    return mul(tsum(a, axis=axis, keepdims=keepdims), _const(1.0 / n))
 
 
 def gelu(a: Tensor) -> Tensor:

@@ -202,24 +202,25 @@ def test_dense_oracle_suite():
 
 
 def test_single_node_level_function_of_itself(setup):
+    """A one-node level attends only to itself, in the centre bucket c:
+    its new row is layer_norm(h + (h Wv + av[c] per head) Wo)."""
     cfg, inst, graph, model = setup
-    rng = np.random.default_rng(2)
-    s1 = Tensor(rng.normal(size=(graph.n_nodes, cfg.d_h)))
-    s2 = Tensor(rng.normal(size=(graph.n_nodes, cfg.d_h)))
-    doc_row = graph.n_nodes - 1
-    sl = graph.level_slice(NodeType.PARAGRAPH)
-    if sl.stop - sl.start == 1:
-        s2.data[sl.start] = s1.data[sl.start]
-        a = self_attention_level(NodeType.PARAGRAPH, s1, graph, model, 0)
-        b = self_attention_level(NodeType.PARAGRAPH, s2, graph, model, 0)
-        np.testing.assert_array_equal(a.data[sl.start], b.data[sl.start])
+    prefix = "layer0.par"
+    h = np.random.default_rng(2).normal(size=(1, cfg.d_h))
+    out = self_attention_level(NodeType.PARAGRAPH, Tensor(h), model, 0)
+    av = model.tensors[f"{prefix}.av"].data
+    heads = value_heads(model, prefix, h) + np.tile(av[cfg.par_clip], cfg.m)
+    x = h + heads @ model.tensors[f"{prefix}.wo"].data
+    x = (x - x.mean(axis=1, keepdims=True)) / np.sqrt(x.var(axis=1, keepdims=True) + 1e-12)
+    want = x * model.tensors[f"{prefix}.ln_g"].data + model.tensors[f"{prefix}.ln_b"].data
+    np.testing.assert_allclose(out.data, want, atol=1e-10)
 
 
 def test_document_level_rejected(setup):
     cfg, inst, graph, model = setup
-    s = Tensor(np.zeros((graph.n_nodes, cfg.d_h)))
+    s = Tensor(np.zeros((1, cfg.d_h)))
     with pytest.raises(ValueError):
-        self_attention_level(NodeType.DOCUMENT, s, graph, model, 0)
+        self_attention_level(NodeType.DOCUMENT, s, model, 0)
 
 
 def test_self_attention_permutation_equivariance(setup):
@@ -268,8 +269,7 @@ def test_integration_zero_weights(setup):
     zeroed(model, [f"{prefix}.wo"])
     rng = np.random.default_rng(4)
     s = Tensor(rng.normal(size=(graph.n_nodes, cfg.d_h)))
-    pre, post = graph_integration(s, graph, model, 0)
-    assert pre is s
+    post = graph_integration(s, graph, model, 0)
     np.testing.assert_array_equal(post.data, np.zeros_like(post.data))
 
 
@@ -295,7 +295,7 @@ def test_self_loops_only_reduces_to_self_transform(setup):
     loop_graph.integ_edges = T.EdgeList(
         nodes, nodes, np.zeros_like(nodes), graph.n_nodes, cfg.clips.integration_buckets()
     )
-    _, post = graph_integration(s, loop_graph, model, 0)
+    post = graph_integration(s, loop_graph, model, 0)
     prefix = "layer0.integ"
     av = model.tensors[f"{prefix}.av"].data
     # alpha = 1 on the self loop, bucket 0, in every head
@@ -362,6 +362,21 @@ def test_encode_shape_and_determinism(setup):
     assert a.shape == (graph.n_nodes, cfg.d_h)
     np.testing.assert_array_equal(a.data, b.data)
     assert np.isfinite(a.data).all()
+
+
+def test_encoder_layer_records_31_tape_nodes(setup):
+    """Per layer: four level rows, five nodes for each of three level
+    sublayers (QKV matmul, attention, output matmul, residual add, layer
+    norm), one concat of the levels, three for the integration pass and
+    eight for the FFN."""
+    _, inst, graph, _ = setup
+    counts = []
+    for n_layers in (0, 1):
+        model = ModelParams.init(micro_config(n_layers=n_layers), seed=0)
+        with T.record_tape() as tape:
+            encode(inst, graph, model)
+        counts.append(len(tape))
+    assert counts[1] - counts[0] == 31
 
 
 def test_attention_trace_records_all_sublayers(setup):

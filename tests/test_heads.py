@@ -190,6 +190,64 @@ def test_max_answer_tokens_cap():
     assert e - s + 1 <= 2
 
 
+def double_loop_short(scores, max_answer_tokens):
+    """Each candidate's best (start, end) by scanning its valid nodes in
+    position order, ends at most max_answer_tokens nodes on, keeping the
+    first maximum."""
+    fs, fe, pos = scores.start_t.data, scores.end_t.data, scores.token_positions
+    cls = scores.node_of_position(0)
+    null = fs[cls] + fe[cls]
+    node_at = {int(p): i for i, p in enumerate(pos)}
+    out = [None]
+    for a, b in scores.spans[1:]:
+        nodes = [node_at[p] for p in range(a, b + 1) if p in node_at and scores.span_valid[node_at[p]]]
+        best = None
+        for k, i in enumerate(nodes):
+            for j in nodes[k : k + max_answer_tokens]:
+                sc = fs[i] + fe[j] - null
+                if best is None or sc > best[2]:
+                    best = (int(pos[i]), int(pos[j]), float(sc))
+        out.append(best)
+    return out
+
+
+@pytest.mark.parametrize("max_answer_tokens", [0, 1, 30])
+def test_span_search_matches_double_loop(max_answer_tokens):
+    """Integer logits, so equal scores are common and the tie order
+    shows. Positions have gaps (no node) and masked nodes; candidate
+    (5, 8) has no valid node, (10, 12) has one, and (1, 79) has more
+    than 30."""
+    rng = np.random.default_rng(11)
+    L = 80
+    for _ in range(25):
+        present = rng.random(L) < 0.85
+        present[[0, 11]] = True
+        valid_at = rng.random(L) < 0.7
+        valid_at[[0, 11]] = True
+        valid_at[5:9] = False
+        valid_at[[10, 12]] = False
+        positions = np.flatnonzero(present)
+        n = len(positions)
+        starts = rng.integers(1, L, size=6)
+        random_spans = [(int(a), int(min(a + rng.integers(0, 40), L - 1))) for a in starts]
+        sc = ScoreSet(
+            start_t=Tensor(rng.integers(-3, 4, size=n).astype(float)),
+            end_t=Tensor(rng.integers(-3, 4, size=n).astype(float)),
+            long_t=Tensor(np.zeros(4 + len(random_spans))),
+            type_t=Tensor(np.zeros(5)),
+            token_positions=positions,
+            span_valid=valid_at[positions],
+            spans=[(0, 0), (5, 8), (10, 12), (1, L - 1)] + random_spans,
+            seq_len=L,
+        )
+        got = inference_scores(sc, max_answer_tokens=max_answer_tokens).best_short
+        want = double_loop_short(sc, max_answer_tokens)
+        assert got == want
+        assert got[1] is None
+        if max_answer_tokens >= 1:
+            assert got[2][:2] == (11, 11)
+
+
 # ---------------------------------------------------------------- selection
 
 
