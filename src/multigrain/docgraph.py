@@ -127,13 +127,14 @@ class HierGraph:
                 return level
         raise IndexError(node)
 
-    def _ordinal_in(self, count_per_parent: np.ndarray) -> np.ndarray:
-        """Position of each child within its parent (children in id order)."""
-        ords = np.zeros(len(count_per_parent), dtype=np.int64)
-        seen: dict[int, int] = {}
-        for i, parent in enumerate(count_per_parent):
-            ords[i] = seen.get(int(parent), 0)
-            seen[int(parent)] = ords[i] + 1
+    @staticmethod
+    def _ordinal_in(parent: np.ndarray) -> np.ndarray:
+        """Position of each child within its parent (children in id order):
+        its rank in the stable sort by parent, less its group's first rank."""
+        order = np.argsort(parent, kind="stable")
+        ranked = parent[order]
+        ords = np.empty(len(parent), dtype=np.int64)
+        ords[order] = np.arange(len(parent)) - np.searchsorted(ranked, ranked)
         return ords
 
     def _finalize(self):
@@ -182,8 +183,7 @@ class HierGraph:
     # averaging matrices for the bottom-up initializer --------------------
     def mean_matrix(self, child_parent: np.ndarray, n_parents: int) -> np.ndarray:
         m = np.zeros((n_parents, len(child_parent)))
-        for child, parent in enumerate(child_parent):
-            m[parent, child] = 1.0
+        m[child_parent, np.arange(len(child_parent))] = 1.0
         deg = m.sum(axis=1, keepdims=True)
         if (deg == 0).any():
             bad = int(np.where(deg[:, 0] == 0)[0][0])

@@ -9,7 +9,9 @@ dtype; the relative-position buckets of a fully connected level go
 through its cached `BandPlan`, which expands and folds them without an
 index gather or scatter.
 Every forward op validates that its output is finite; NaN/Inf anywhere is
-a hard error rather than a silent corruption of the run.
+a hard error rather than a silent corruption of the run. The attention
+scores, which are not an op output, are covered either by a bound on
+their size, known before they are computed, or by a scan of their own.
 
 Two precision modes exist: "standard" (float64) for training and
 "extended" (longdouble) used only by the finite-difference harness.
@@ -450,6 +452,13 @@ def _head_width(qkv: Tensor, m: int, ak: Tensor, av: Tensor, n_buckets: int) -> 
     return n, dz
 
 
+# The largest score bound U by which `relative_attention` shifts its
+# softmax in place of the row max: every exp(e - U) with |e| <= U lies in
+# [e**-600, 1], so nothing overflows or underflows and each row sum is at
+# least one such term.
+SHIFT_LIMIT = 300.0
+
+
 def relative_attention(
     qkv: Tensor, ak: Tensor, av: Tensor, m: int, clip: int, weights: list | None = None
 ) -> Tensor:
@@ -464,24 +473,39 @@ def relative_attention(
     the heads side by side. Heads are batched on a leading axis; the key
     term is one q . ak^T added through the level's `BandPlan` (Shaw et al.,
     arXiv:1803.02155), the value term one band fold of the weights.
-    The softmax is left unnormalised, p = exp(e - max_j e), and 1/sum_j p
-    scales the (n, d_z) results instead of the (n, n) weights.
-    If `weights` is a list, the dense (m, n, n) scores e and weights alpha
-    are appended to it.
+
+    The softmax is left unnormalised, p = exp(e - U), and 1/sum_j p, read
+    off the fold, scales the (n, d_z) results instead of the (n, n)
+    weights. U = sqrt(d_z) max|q| (max|k| + max|ak|) >= |e| (the sum of
+    |q_d| |k_d + ak_d| over the d_z columns) comes from one reduction over
+    q and k and one over ak, before the scores exist, and -U rides on the
+    band add. With U <= SHIFT_LIMIT no score can be non-finite, so there
+    is no max pass and no finiteness scan; otherwise (U too large, or not
+    finite) the scores are scanned and shifted by their row max.
+    If `weights` is a list, the call takes that second route and appends
+    the dense (m, n, n) scores e and weights alpha to it.
     """
     n, dz = _head_width(qkv, m, ak, av, 2 * clip + 1)
     band = band_plan(n, clip)
-    q, k, v = np.ascontiguousarray(qkv.data.reshape(n, 3, m, dz).transpose(1, 2, 0, 3))
+    qkvt = qkv.data.reshape(n, 3, m, dz).transpose(1, 2, 0, 3).copy()  # a copy even when n == 1
+    q, k, v = qkvt
+    q_max, k_max = np.abs(qkvt[:2]).max(axis=(1, 2, 3)).tolist()
+    bound = math.sqrt(dz) * q_max * (k_max + np.abs(ak.data).max())
+    shifted = weights is None and bound <= SHIFT_LIMIT
     scale = 1.0 / math.sqrt(dz)
     q *= scale
     p = q @ k.swapaxes(1, 2)
-    band.add_expanded(p, q @ ak.data.T)
-    _check_finite(p, "relative_attention")
-    scores = p.copy() if weights is not None else None
-    p -= p.max(axis=-1, keepdims=True)  # the softmax runs in place
+    r = q @ ak.data.T
+    if shifted:
+        r -= bound
+    band.add_expanded(p, r)
+    if not shifted:
+        _check_finite(p, "relative_attention")
+        scores = p.copy() if weights is not None else None
+        p -= p.max(axis=-1, keepdims=True)  # the softmax runs in place
     np.exp(p, out=p)
-    inv_s = 1.0 / p.sum(axis=-1, keepdims=True)  # (m, n, 1)
-    folded = band.fold(p)
+    folded = band.fold(p)  # its runs partition each row
+    inv_s = 1.0 / folded.sum(axis=-1, keepdims=True)  # (m, n, 1)
     z = p @ v
     z += folded @ av.data
     z *= inv_s
@@ -522,8 +546,11 @@ def edge_attention(
     z[i] = sum over edges into i of alpha (v[src] + av[bucket]). Only the
     edges are scored; every sum over edges is one of the edge list's
     scatter plans, and, as in `relative_attention`, 1/sum p scales the
-    per-node results. With `weights`, off-edge cells hold e = -inf and
-    alpha = 0.
+    per-node results. The scores are checked finite and shifted by each
+    destination's max, not by a bound: a destination with one incoming
+    edge then gets p = 1 and exactly v[src] + av[bucket], where
+    exp(e - U) would leave it one rounding off, moving with q. With
+    `weights`, off-edge cells hold e = -inf and alpha = 0.
     """
     if not edges.degree.all():
         raise ContractViolation("edge_attention: a destination has no incoming edge")
@@ -594,12 +621,24 @@ def gelu(a: Tensor) -> Tensor:
     x = a.data
     # erf is evaluated in float64; the cast costs ~1e-16 relative noise,
     # well under the finite-difference tolerance.
-    phi = 0.5 * (1.0 + _erf64(x.astype(np.float64) / math.sqrt(2.0))).astype(x.dtype)
+    x64 = x if x.dtype == np.float64 else x.astype(np.float64)
+    phi = x64 / math.sqrt(2.0)
+    _erf64(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    phi = phi.astype(x.dtype, copy=False)
     data = x * phi
 
     def backward(g):
-        dens = np.exp(-0.5 * (x.astype(np.float64) ** 2)) / math.sqrt(2 * math.pi)
-        _accumulate(a, g * (phi + x * dens.astype(x.dtype)))
+        dens = x64 * x64
+        dens *= -0.5
+        np.exp(dens, out=dens)
+        dens /= math.sqrt(2 * math.pi)
+        grad = dens.astype(x.dtype, copy=False)  # g (Phi + x phi), in place
+        grad *= x
+        grad += phi
+        grad *= g
+        _accumulate(a, grad)
 
     return _make(data, (a,), backward, "gelu")
 

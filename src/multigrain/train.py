@@ -157,6 +157,7 @@ def train_loop(
     trace: list[TraceRow] = []
     perm_epoch = -1
     perm = None
+    saved = False  # whether the last step that ran saved a checkpoint
     for step in range(state.step, cfg.total_steps):
         epoch, bidx = divmod(step, steps_per_epoch)
         if epoch != perm_epoch:
@@ -182,12 +183,13 @@ def train_loop(
         adam_step(params, grads, state, lr, cfg.grad_clip)
         T.zero_grads(params)
         trace.append(TraceRow(step=step, lr=lr, loss=total / len(batch)))
-        if (
+        saved = bool(
             checkpoint_path
             and cfg.checkpoint_every
             and state.step % cfg.checkpoint_every == 0
-        ):
+        )
+        if saved:
             model.save(checkpoint_path, extra=state.to_arrays())
-    if checkpoint_path:
+    if checkpoint_path and not saved:
         model.save(checkpoint_path, extra=state.to_arrays())
     return model, trace, state

@@ -221,3 +221,54 @@ def test_buckets_only_on_edges():
     assert np.array_equal(e.dst[loops], diag)
     assert (e.bucket[loops] == SELF_BUCKET).all()
     assert (e.bucket[~loops] != SELF_BUCKET).all()
+
+
+# ---------------------------------------------------------------- ordinals and mean matrices
+
+
+def ordinal_loop(parent):
+    """Position of each child within its parent, children in id order."""
+    ords = np.zeros(len(parent), dtype=np.int64)
+    seen = {}
+    for i, p in enumerate(parent):
+        ords[i] = seen.get(int(p), 0)
+        seen[int(p)] = ords[i] + 1
+    return ords
+
+
+def mean_matrix_loop(child_parent, n_parents):
+    m = np.zeros((n_parents, len(child_parent)))
+    for child, parent in enumerate(child_parent):
+        m[parent, child] = 1.0
+    return m / m.sum(axis=1, keepdims=True)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_parents=st.integers(1, 9), extra=st.integers(0, 40),
+       shuffled=st.booleans())
+def test_ordinals_and_mean_matrix_match_loops(seed, n_parents, extra, shuffled):
+    """The stable-argsort ranks and the fancy-index fill equal the Python
+    loops they replace, on sorted parent arrays (as `build_graph` makes
+    them) and on shuffled ones; every parent has at least one child."""
+    rng = np.random.default_rng(seed)
+    parent = np.sort(np.r_[np.arange(n_parents), rng.integers(0, n_parents, size=extra)])
+    if shuffled:
+        parent = rng.permutation(parent)
+    g = build_graph(make_instance())
+    ords = g._ordinal_in(parent)
+    assert ords.dtype == np.int64
+    np.testing.assert_array_equal(ords, ordinal_loop(parent))
+    np.testing.assert_array_equal(g.mean_matrix(parent, n_parents), mean_matrix_loop(parent, n_parents))
+
+
+def test_graph_ordinals_match_loops():
+    g = build_graph(make_instance(n_cands=3, sents_per_cand=3))
+    np.testing.assert_array_equal(g.tok_ord, ordinal_loop(g.token_sent))
+    np.testing.assert_array_equal(g.sent_ord, ordinal_loop(g.sent_par))
+    np.testing.assert_array_equal(g.tok_par_ord, ordinal_loop(g.token_par))
+
+
+def test_mean_matrix_rejects_parent_without_children():
+    g = build_graph(make_instance())
+    with pytest.raises(ValueError, match="parent index 1"):
+        g.mean_matrix(np.array([0, 2, 2]), 3)

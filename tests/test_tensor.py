@@ -111,6 +111,27 @@ def test_gelu_normal_cdf_oracle():
     np.testing.assert_allclose(T.gelu(tensor([1.0])).data[0], phi1, atol=1e-12)
 
 
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_gelu_bit_identical_to_closed_form(mode):
+    """gelu and its gradient equal x Phi(x) and g (Phi(x) + x phi(x)), with
+    erf and exp taken in float64 and cast to the working dtype, bit for bit."""
+    rng = np.random.default_rng(0)
+    with T.precision(mode):
+        dtype = T.current_dtype()
+        x = (rng.normal(size=(37, 11)) * 3).astype(dtype)
+        g = rng.normal(size=x.shape).astype(dtype)
+        a = T.Tensor(x, requires_grad=True)
+        with T.record_tape():
+            out = T.gelu(a)
+            grad = T.backward(T.tsum(T.mul(out, T.Tensor(g))), {"a": a})["a"]
+    x64 = x.astype(np.float64)
+    phi = (0.5 * (1.0 + erf(x64 / np.sqrt(2.0)))).astype(dtype)
+    dens = (np.exp(-0.5 * (x64**2)) / np.sqrt(2 * np.pi)).astype(dtype)
+    assert out.data.dtype == grad.dtype == dtype
+    np.testing.assert_array_equal(out.data, x * phi)
+    np.testing.assert_array_equal(grad, g * (phi + x * dens))
+
+
 # ---------------------------------------------------------------- layer norm
 
 
@@ -396,6 +417,91 @@ def test_relative_attention_taped_equals_no_grad(n):
         plain = T.relative_attention(qkv, ak, av, m, clip)
     assert len(tape) == 1 and taped.requires_grad and not plain.requires_grad
     np.testing.assert_array_equal(taped.data, plain.data)
+
+
+@pytest.mark.parametrize("n", [1, 3])
+def test_relative_attention_leaves_its_input_alone(n):
+    """The op scales its own copy of q: qkv is unchanged and a second call
+    gives the same result, also for a one-node level."""
+    rng = np.random.default_rng(n)
+    m, dz, clip = 2, 4, 1
+    qkv = tensor(rng.normal(size=(n, 3 * m * dz)))
+    before = qkv.data.copy()
+    ak, av = tensor(rng.normal(size=(2 * clip + 1, dz))), tensor(rng.normal(size=(2 * clip + 1, dz)))
+    first = T.relative_attention(qkv, ak, av, m, clip)
+    np.testing.assert_array_equal(qkv.data, before)
+    np.testing.assert_array_equal(T.relative_attention(qkv, ak, av, m, clip).data, first.data)
+
+
+def op_oracle(qkv, ak, av, m, mask, buckets):
+    """dense_attention_oracle in the fused ops' layout: the states are qkv,
+    each head's W_q, W_k, W_v pick its columns and W_o is the identity."""
+    n, d3 = qkv.shape
+    d = d3 // 3
+    dz = d // m
+    pick = np.eye(d3)
+    wq, wk, wv = ([pick[:, b * d + h * dz : b * d + (h + 1) * dz] for h in range(m)] for b in range(3))
+    return dense_attention_oracle(qkv, wq, wk, wv, np.eye(d), dz, mask, buckets, ak, av)
+
+
+def op_oracle_gradients(arrays, m, mask, buckets, g):
+    """The oracle's output and the gradients of <output, g> with respect to
+    qkv, ak and av, by complex steps (exact to rounding)."""
+    h = 1e-30
+    grads = []
+    for i, value in enumerate(arrays):
+        grad = np.zeros(value.size)
+        for c in range(value.size):
+            x = [a.astype(complex) for a in arrays]
+            x[i].reshape(-1)[c] += 1j * h
+            grad[c] = (op_oracle(*x, m, mask, buckets) * g).sum().imag / h
+        grads.append(grad.reshape(value.shape))
+    return op_oracle(*arrays, m, mask, buckets), grads
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@settings(max_examples=12, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n=st.integers(1, 12), clip=st.integers(0, 6),
+       bound=st.sampled_from([2.0, 250.0, 350.0, 600.0]))
+def test_fused_ops_match_oracle_on_both_softmax_routes(mode, seed, n, clip, bound):
+    """Both fused ops equal the dense oracle within 1e-12, forward and for
+    the gradients of qkv, ak and av, whichever way the softmax is shifted.
+    The Q and K columns and ak are scaled so that relative_attention's
+    score bound U = sqrt(d_z) max|q| (max|k| + max|ak|) is `bound`: below
+    SHIFT_LIMIT it shifts by U, above it scans the scores and shifts by
+    the row max, which shows in the number of finiteness checks it makes
+    (the op output's alone, or also the scores')."""
+    rng = np.random.default_rng(seed)
+    m, dz, nb = 2, 8, 2 * clip + 1
+    qkv = rng.normal(size=(n, 3 * m * dz))
+    ak, av = rng.normal(size=(nb, dz)), rng.normal(size=(nb, dz))
+    qk = np.abs(qkv[:, : 2 * m * dz]).reshape(n, 2, -1)
+    t = np.sqrt(bound / (np.sqrt(dz) * qk[:, 0].max() * (qk[:, 1].max() + np.abs(ak).max())))
+    qkv[:, : 2 * m * dz] *= t
+    ak *= t
+    idx = np.arange(n)
+    band = np.clip(idx[None, :] - idx[:, None], -clip, clip) + clip
+    edges, mask, buckets = random_edges(rng, n, nb)
+    g = rng.normal(size=(n, m * dz))
+    checks = []
+    check_finite = T._check_finite
+    with T.precision(mode), pytest.MonkeyPatch.context() as mp:
+        mp.setattr(T, "_check_finite", lambda data, op: checks.append(op) or check_finite(data, op))
+        for op, relation, op_mask, op_buckets in (
+            (T.relative_attention, clip, np.ones((n, n), dtype=bool), band),
+            (T.edge_attention, edges, mask, buckets),
+        ):
+            args = [T.Tensor(a, requires_grad=True) for a in (qkv, ak, av)]
+            with T.record_tape():
+                out = op(*args, m, relation)
+                grads = T.backward(T.tsum(T.mul(out, T.Tensor(g))), {str(i): a for i, a in enumerate(args)})
+            want, want_grads = op_oracle_gradients([qkv, ak, av], m, op_mask, op_buckets, g)
+            np.testing.assert_allclose(out.data, want, rtol=0, atol=1e-12, err_msg=op.__name__)
+            for i, want_grad in enumerate(want_grads):
+                np.testing.assert_allclose(grads[str(i)], want_grad, rtol=0, atol=1e-12, err_msg=f"{op.__name__} {i}")
+    shifted = bound <= T.SHIFT_LIMIT
+    assert checks.count("relative_attention") == (1 if shifted else 2)
+    assert checks.count("edge_attention") == 2
 
 
 def test_edge_list_rejects_duplicates_and_out_of_range():

@@ -192,3 +192,24 @@ def test_empty_instances_rejected(tiny):
     _, model = tiny
     with pytest.raises(ValueError):
         train_loop([], model, TrainConfig())
+
+
+@pytest.mark.parametrize("total_steps, every, saves", [(3, 1, 3), (12, 4, 3), (10, 4, 3), (5, 0, 1)])
+def test_checkpoint_saved_once_per_state(tmp_path, total_steps, every, saves):
+    """One save per checkpointed step, plus a final one only when the last
+    step did not save; the last file holds the final parameters and Adam
+    state."""
+    insts = [micro_instance()]
+    tc = TrainConfig(batch_size=1, total_steps=total_steps, peak_lr=1e-3, seed=2, checkpoint_every=every)
+    rotating = RotatingPath(tmp_path)
+    model = ModelParams.init(micro_config(), seed=0, scale=0.1)
+    _, _, state = train_loop(insts, model, tc, checkpoint_path=rotating)
+    assert rotating.count == saves
+    loaded, extra = ModelParams.load(rotating.written[-1])
+    for name, t in model.tensors.items():
+        np.testing.assert_array_equal(loaded.tensors[name].data, t.data)
+    saved_state = state.to_arrays()
+    assert set(extra) == set(saved_state)
+    for name, arr in saved_state.items():
+        np.testing.assert_array_equal(extra[name], arr)
+    assert int(extra["opt.step"][0]) == total_steps
