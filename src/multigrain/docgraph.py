@@ -70,11 +70,6 @@ class ClipConfig:
         return 2 * self.level_clip(level) + 1
 
 
-def same_level_bucket(i: int, j: int, clip: int) -> int:
-    """clip(j - i, -k, k) + k; bucket k is the zero offset / self pair."""
-    return int(np.clip(j - i, -clip, clip)) + clip
-
-
 def family_bucket(family: int, ordinal, cross_clip: int):
     """Bucket of a cross-level edge; `ordinal` may be an int or an array."""
     return 1 + family * (cross_clip + 1) + np.minimum(ordinal, cross_clip)
@@ -119,13 +114,6 @@ class HierGraph:
     def integ_mask(self) -> np.ndarray:
         """Dense boolean adjacency of the integration graph (derived)."""
         return self.integ_edges.adjacency()
-
-    def node_type(self, node: int) -> NodeType:
-        for level in NodeType:
-            sl = self.level_slice(level)
-            if sl.start <= node < sl.stop:
-                return level
-        raise IndexError(node)
 
     @staticmethod
     def _ordinal_in(parent: np.ndarray) -> np.ndarray:
@@ -191,18 +179,6 @@ class HierGraph:
         return m / deg
 
 
-def relative_position(graph: HierGraph, i: int, j: int) -> int:
-    """Bucket index for the (i, j) node pair (i attends to j)."""
-    ti, tj = graph.node_type(i), graph.node_type(j)
-    if ti == tj and ti != NodeType.DOCUMENT:
-        sl = graph.level_slice(ti)
-        return same_level_bucket(i - sl.start, j - sl.start, graph.clips.level_clip(ti))
-    edge = graph.integ_edges.find(i, j)
-    if edge < 0:
-        raise ValueError(f"no edge between nodes {i} and {j}")
-    return int(graph.integ_edges.bucket[edge])
-
-
 def build_graph(
     instance: TrainingInstance, sentence_map: np.ndarray | None = None,
     clips: ClipConfig | None = None,
@@ -222,18 +198,17 @@ def build_graph(
         raise ValueError(f"token at position {bad} not covered by any sentence")
     n_sents = int(sent_of_pos.max()) + 1
 
-    # sentence -> paragraph: paragraph p covers span S[p]; sentence 0 is [CLS]'s
+    # sentence -> paragraph: the first span S[p], p >= 1, holding the
+    # sentence's first position, else 0 ([CLS]'s). A sentence id with no
+    # token takes positions[0], as argmax over an all-false row does.
+    sents, first = np.unique(sent_of_pos, return_index=True)
+    first_pos = np.full(n_sents, positions[0])
+    first_pos[sents] = positions[first]
+    spans = np.asarray(instance.spans[1:], dtype=np.int64).reshape(-1, 2)
     sent_par = np.zeros(n_sents, dtype=np.int64)
-    for sent in range(1, n_sents):
-        first_pos = int(positions[np.argmax(sent_of_pos == sent)])
-        par = 0
-        for p, (a, b) in enumerate(instance.spans):
-            if p == 0:
-                continue
-            if a <= first_pos <= b:
-                par = p
-                break
-        sent_par[sent] = par
+    if spans.size:
+        inside = (spans[:, 0] <= first_pos[1:, None]) & (first_pos[1:, None] <= spans[:, 1])
+        sent_par[1:] = np.where(inside.any(axis=1), inside.argmax(axis=1) + 1, 0)
     return HierGraph(
         n_tokens=len(positions),
         n_sents=n_sents,

@@ -19,6 +19,7 @@ import json
 import os
 import re
 import zlib
+from concurrent.futures import Executor, Future
 from dataclasses import asdict, dataclass
 from typing import Optional
 
@@ -154,8 +155,10 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
-    def save(self, path, extra: Optional[dict[str, np.ndarray]] = None):
-        save_checkpoint(path, self.config, {k: v.data for k, v in self.tensors.items()}, extra)
+    def save(self, path, extra: Optional[dict[str, np.ndarray]] = None,
+             executor: Optional[Executor] = None) -> Optional[Future]:
+        return save_checkpoint(path, self.config, {k: v.data for k, v in self.tensors.items()},
+                               extra, executor)
 
     @classmethod
     def load(cls, path) -> tuple["ModelParams", dict[str, np.ndarray]]:
@@ -175,33 +178,48 @@ class ModelParams:
 
 
 def save_checkpoint(path, cfg: EncoderConfig, arrays: dict[str, np.ndarray],
-                    extra: Optional[dict[str, np.ndarray]] = None):
+                    extra: Optional[dict[str, np.ndarray]] = None,
+                    executor: Optional[Executor] = None) -> Optional[Future]:
     """Versioned container: magic, JSON header, then raw little-endian f8.
 
     The header holds the payload's CRC32. The file is written next to the
     target under a temporary name, synced to disk and renamed over the
     target, so a write that fails part-way leaves the previous file whole.
+
+    The arrays are copied into one buffer here, so later in-place changes
+    do not reach the file. Without an `executor` the write runs here too
+    and None is returned; with one, the CRC, write, sync and rename run on
+    it and its future is returned, which raises what the write raised.
     """
     entries = dict(arrays)
     if extra:
         entries.update(extra)
-    payload = [np.ascontiguousarray(v, dtype="<f8").tobytes() for v in entries.values()]
-    crc = 0
-    for buf in payload:
-        crc = zlib.crc32(buf, crc)
+    payload = np.empty(sum(np.size(v) for v in entries.values()), dtype="<f8")
+    offset = 0
+    for v in entries.values():
+        payload[offset : offset + np.size(v)] = np.ravel(v)
+        offset += np.size(v)
     header = {
         "version": 2,
         "config": asdict(cfg),
         "params": [{"name": k, "shape": list(v.shape)} for k, v in entries.items()],
-        "crc32": crc,
     }
     path = os.fspath(path)
+    if executor is None:
+        _write_checkpoint(path, header, payload)
+        return None
+    return executor.submit(_write_checkpoint, path, header, payload)
+
+
+def _write_checkpoint(path: str, header: dict, payload: np.ndarray):
+    """Checksum `payload` into `header`, then write both atomically to `path`."""
+    header["crc32"] = zlib.crc32(payload)
     tmp = path + ".tmp"
     try:
         with open(tmp, "wb") as fh:
             fh.write(CHECKPOINT_MAGIC)
             fh.write((json.dumps(header) + "\n").encode("utf-8"))
-            fh.writelines(payload)
+            fh.write(payload.view(np.uint8))  # a byte view: len() counts bytes
             fh.flush()
             os.fsync(fh.fileno())
         os.replace(tmp, path)

@@ -13,6 +13,8 @@ import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
+import numpy as np
+
 GRAINS = ("long", "short")
 
 
@@ -127,16 +129,31 @@ class SweepResult:
 
 
 def threshold_sweep(records: list[GrainRecord]) -> SweepResult:
-    """Evaluate every distinct score as a threshold (plus +/-inf); return
-    the F1 argmax, ties resolved toward the larger threshold."""
+    """Evaluate every distinct score as a threshold (plus +/-inf), from
+    one sort and cumulative counts; return the F1 argmax, ties resolved
+    toward the larger threshold."""
     if not records:
         raise ValueError("threshold_sweep requires at least one prediction")
     taus = sorted({r.score for r in records if math.isfinite(r.score)})
     taus = [-math.inf] + taus + [math.inf]
+    # The counts `f1_at_threshold` takes, for every tau at once: a record
+    # is emitted iff score > tau, i.e. iff it sorts after tau's last tie;
+    # a NaN score never is. Per record: emitted-and-correct (TP),
+    # emitted-and-wrong (FP), and a TP that also clears a gold answer's FN.
+    scored = [r for r in records if not math.isnan(r.score)]
+    scores = np.array([r.score for r in scored], dtype=float)
+    order = np.argsort(scores)
+    kinds = np.array([(r.correct, not r.correct, r.correct and r.gold_has) for r in scored],
+                     dtype=np.int64).reshape(-1, 3)[order]
+    from_top = np.zeros((len(scored) + 1, 3), dtype=np.int64)  # sums of kinds[i:]
+    from_top[:-1] = np.cumsum(kinds[::-1], axis=0)[::-1]
+    first_above = np.searchsorted(scores[order], taus, side="right")
+    tp, fp, tp_gold = from_top[first_above].T.tolist()
+    n_gold = sum(r.gold_has for r in records)
     curve = []
     best = None
-    for tau in taus:
-        p, r, f1 = f1_at_threshold(records, tau)
+    for tau, t, f, tg in zip(taus, tp, fp, tp_gold):
+        p, r, f1 = prf(t, f, n_gold - tg)
         curve.append((tau, p, r, f1))
         if best is None or f1 >= best[3]:  # >= keeps the larger tau on ties
             best = (tau, p, r, f1)

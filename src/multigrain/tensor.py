@@ -373,12 +373,6 @@ class EdgeList:
         mask[self.dst, self.src] = True
         return mask
 
-    def find(self, dst: int, src: int) -> int:
-        """Index of the edge dst <- src, or -1 if there is none."""
-        lo, hi = self.starts[dst], self.starts[dst] + self.degree[dst]
-        k = lo + int(np.searchsorted(self.src[lo:hi], src))
-        return k if k < hi and self.src[k] == src else -1
-
 
 class BandPlan:
     """Relative-position buckets of a fully connected level of n nodes:

@@ -2,11 +2,18 @@
 checkpointing. A run is a pure function of (instances, seed, config):
 loss traces are bit-identical across repeats, and resuming from a
 checkpoint continues exactly where an uninterrupted run would be.
+
+A checkpoint is snapshotted on the training thread and written (CRC32,
+write, fsync, rename) on one background thread while the next steps run.
+At most one write is in flight: each save first waits for the previous
+one. `train_loop` returns only once the last file is durable, and raises
+any error a write raised.
 """
 
 from __future__ import annotations
 
 import math
+from concurrent.futures import Future, ThreadPoolExecutor
 from dataclasses import dataclass, field
 from typing import Optional
 
@@ -145,7 +152,9 @@ def train_loop(
 
     Passing a restored `opt_state` resumes at its step; the (seed, epoch)
     shuffle derivation makes the continuation identical to an
-    uninterrupted run.
+    uninterrupted run. Checkpoints go to `checkpoint_path` every
+    `cfg.checkpoint_every` steps and after the last step, written in the
+    background (see the module docstring).
     """
     if not instances:
         raise ValueError("train_loop requires at least one instance")
@@ -158,38 +167,51 @@ def train_loop(
     perm_epoch = -1
     perm = None
     saved = False  # whether the last step that ran saved a checkpoint
-    for step in range(state.step, cfg.total_steps):
-        epoch, bidx = divmod(step, steps_per_epoch)
-        if epoch != perm_epoch:
-            perm = np.random.default_rng([cfg.seed, epoch]).permutation(n)
-            perm_epoch = epoch
-        batch = perm[bidx * cfg.batch_size : (bidx + 1) * cfg.batch_size]
-        T.zero_grads(params)
-        total = 0.0
-        drop_rng = (
-            np.random.default_rng([cfg.seed, 7, step]) if model.config.dropout > 0 else None
-        )
-        for idx in batch:
-            with record_tape():
-                loss = instance_loss(instances[idx], graphs[idx], model, rng=drop_rng)
-                total += loss.item()
-                scaled = loss * (1.0 / len(batch))
-                T.backward(scaled, params)
-        grads = {
-            k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-            for k, p in params.items()
-        }
-        lr = lr_schedule(step + 1, cfg.total_steps, cfg.peak_lr, cfg.warmup_prop)
-        adam_step(params, grads, state, lr, cfg.grad_clip)
-        T.zero_grads(params)
-        trace.append(TraceRow(step=step, lr=lr, loss=total / len(batch)))
-        saved = bool(
-            checkpoint_path
-            and cfg.checkpoint_every
-            and state.step % cfg.checkpoint_every == 0
-        )
-        if saved:
-            model.save(checkpoint_path, extra=state.to_arrays())
-    if checkpoint_path and not saved:
-        model.save(checkpoint_path, extra=state.to_arrays())
+    writing: Optional[Future] = None  # the checkpoint write in flight
+
+    def save():
+        nonlocal writing
+        if writing is not None:
+            writing.result()  # at most one write in flight; raises its error
+        writing = model.save(checkpoint_path, extra=state.to_arrays(), executor=writer)
+
+    # Leaving the block waits for the write in flight, also when a step
+    # raises, so the last checkpoint is whole on disk either way.
+    with ThreadPoolExecutor(max_workers=1, thread_name_prefix="checkpoint") as writer:
+        for step in range(state.step, cfg.total_steps):
+            epoch, bidx = divmod(step, steps_per_epoch)
+            if epoch != perm_epoch:
+                perm = np.random.default_rng([cfg.seed, epoch]).permutation(n)
+                perm_epoch = epoch
+            batch = perm[bidx * cfg.batch_size : (bidx + 1) * cfg.batch_size]
+            T.zero_grads(params)
+            total = 0.0
+            drop_rng = (
+                np.random.default_rng([cfg.seed, 7, step]) if model.config.dropout > 0 else None
+            )
+            for idx in batch:
+                with record_tape():
+                    loss = instance_loss(instances[idx], graphs[idx], model, rng=drop_rng)
+                    total += loss.item()
+                    scaled = loss * (1.0 / len(batch))
+                    T.backward(scaled, params)
+            grads = {
+                k: (p.grad if p.grad is not None else np.zeros_like(p.data))
+                for k, p in params.items()
+            }
+            lr = lr_schedule(step + 1, cfg.total_steps, cfg.peak_lr, cfg.warmup_prop)
+            adam_step(params, grads, state, lr, cfg.grad_clip)
+            T.zero_grads(params)
+            trace.append(TraceRow(step=step, lr=lr, loss=total / len(batch)))
+            saved = bool(
+                checkpoint_path
+                and cfg.checkpoint_every
+                and state.step % cfg.checkpoint_every == 0
+            )
+            if saved:
+                save()
+        if checkpoint_path and not saved:
+            save()
+        if writing is not None:
+            writing.result()
     return model, trace, state

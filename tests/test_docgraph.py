@@ -13,8 +13,6 @@ from multigrain.docgraph import (
     NodeType,
     build_graph,
     family_bucket,
-    relative_position,
-    same_level_bucket,
     validate_graph,
 )
 from multigrain.preprocess import AnswerType, TrainingInstance
@@ -58,6 +56,40 @@ def make_instance(n_cands=2, sents_per_cand=2, toks_per_sent=3, q=4, L=64):
         question_len=q,
         cand_doc_idx=cand_doc_idx,
     )
+
+
+# ---------------------------------------------------------------- oracles
+
+
+def same_level_bucket(i: int, j: int, clip: int) -> int:
+    """clip(j - i, -k, k) + k; bucket k is the zero offset / self pair."""
+    return int(np.clip(j - i, -clip, clip)) + clip
+
+
+def node_type(graph, node: int) -> NodeType:
+    for level in NodeType:
+        sl = graph.level_slice(level)
+        if sl.start <= node < sl.stop:
+            return level
+    raise IndexError(node)
+
+
+def find_edge(edges, dst: int, src: int) -> int:
+    """Index of the edge dst <- src, or -1 if there is none."""
+    hits = np.flatnonzero((edges.dst == dst) & (edges.src == src))
+    return int(hits[0]) if hits.size else -1
+
+
+def relative_position(graph, i: int, j: int) -> int:
+    """Bucket index for the (i, j) node pair (i attends to j)."""
+    ti, tj = node_type(graph, i), node_type(graph, j)
+    if ti == tj and ti != NodeType.DOCUMENT:
+        sl = graph.level_slice(ti)
+        return same_level_bucket(i - sl.start, j - sl.start, graph.clips.level_clip(ti))
+    edge = find_edge(graph.integ_edges, i, j)
+    if edge < 0:
+        raise ValueError(f"no edge between nodes {i} and {j}")
+    return int(graph.integ_edges.bucket[edge])
 
 
 # ---------------------------------------------------------------- node counts
@@ -178,7 +210,7 @@ def test_validate_detects_three_hop_pair():
     doc = g.level_slice(NodeType.DOCUMENT).start
     # cutting the document hub from a token strands pairs beyond 2 hops
     drop_edges(g, lambda dst, src: ((dst == 0) | (src == 0)) & (dst != src))
-    assert g.integ_edges.find(0, 0) >= 0
+    assert find_edge(g.integ_edges, 0, 0) >= 0
     assert validate_graph(g) is not None
     assert doc == g.n_nodes - 1
 
@@ -198,6 +230,62 @@ def test_two_hop_reachability(seed):
     for src in range(g.n_nodes):
         dist = bfs_distances(adj, src)
         assert (dist >= 0).all() and dist.max() <= 2
+
+
+def sent_par_loop(instance):
+    """Each sentence's paragraph: the first span S[p], p >= 1, holding the
+    sentence's first real position (positions[0] for a sentence id with no
+    token), else 0."""
+    positions = np.where(instance.mask)[0]
+    sent_of_pos = instance.sentences[positions]
+    sent_par = np.zeros(int(sent_of_pos.max()) + 1, dtype=np.int64)
+    for sent in range(1, len(sent_par)):
+        first_pos = int(positions[np.argmax(sent_of_pos == sent)])
+        par = 0
+        for p, (a, b) in enumerate(instance.spans):
+            if p == 0:
+                continue
+            if a <= first_pos <= b:
+                par = p
+                break
+        sent_par[sent] = par
+    return sent_par
+
+
+@settings(max_examples=60, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), n_spans=st.integers(0, 8))
+def test_sentence_paragraph_map_matches_loop(seed, n_spans):
+    """Random, nested and overlapping spans, sentences outside every span
+    and sentence ids with no token: `build_graph` maps each sentence as
+    the double loop over sentences and spans does."""
+    rng = np.random.default_rng(seed)
+    inst = make_instance(n_cands=3, sents_per_cand=2, toks_per_sent=4, L=64)
+    n = int(inst.mask.sum())
+    real = np.flatnonzero(inst.mask)
+    inst.sentences[real] = rng.integers(0, 12, size=n)  # some ids get no token
+    starts = rng.integers(0, n, size=n_spans)
+    ends = np.minimum(starts + rng.integers(0, n // 2, size=n_spans), n - 1)
+    inst.spans = [(0, 0)] + [(int(a), int(b)) for a, b in zip(starts, ends)]
+    if n_spans >= 2:  # one span nested inside another
+        a, b = inst.spans[1]
+        inst.spans[2] = (a + (b - a) // 3, b - (b - a) // 3)
+    g = build_graph(inst)
+    loop = sent_par_loop(inst)
+    assert g.sent_par.dtype == np.int64
+    np.testing.assert_array_equal(g.sent_par, loop)
+
+
+def test_sentence_paragraph_map_edge_cases():
+    inst = make_instance()  # sentences 1-2 in span 1, 3-4 in span 2
+    inst.sentences[np.flatnonzero(inst.sentences == 3)] = 6  # ids 3-5 get no token
+    inst.spans = [(0, 0), (0, 63), (6, 8)]  # span 2 nested in span 1
+    g = build_graph(inst)
+    np.testing.assert_array_equal(g.sent_par, sent_par_loop(inst))
+    np.testing.assert_array_equal(g.sent_par, [0, 1, 1, 1, 1, 1, 1])
+    inst.spans = [(0, 0), (9, 11), (40, 50)]  # sentence 1 and the empty ids outside every span
+    g = build_graph(inst)
+    np.testing.assert_array_equal(g.sent_par, sent_par_loop(inst))
+    np.testing.assert_array_equal(g.sent_par, [0, 0, 1, 0, 0, 0, 0])
 
 
 def test_uncovered_token_rejected():

@@ -2,7 +2,10 @@
 sublayers, integration, FFN, and checkpointing."""
 
 import json
-from dataclasses import replace
+import threading
+import zlib
+from concurrent.futures import ThreadPoolExecutor
+from dataclasses import asdict, replace
 
 import numpy as np
 import pytest
@@ -542,6 +545,45 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, setup, monkeypatch):
     assert [p.name for p in tmp_path.iterdir()] == ["m.ckpt"]
     loaded, _ = ModelParams.load(path)
     np.testing.assert_array_equal(encode(inst, graph, loaded).data, encode(inst, graph, model).data)
+
+
+def v2_bytes(cfg, arrays):
+    """A version-2 file as written one entry at a time: magic, header with
+    the chained CRC32 of the entries, then each entry's little-endian f8."""
+    payload = [np.ascontiguousarray(v, dtype="<f8").tobytes() for v in arrays.values()]
+    crc = 0
+    for buf in payload:
+        crc = zlib.crc32(buf, crc)
+    header = {
+        "version": 2,
+        "config": asdict(cfg),
+        "params": [{"name": k, "shape": list(v.shape)} for k, v in arrays.items()],
+        "crc32": crc,
+    }
+    return CHECKPOINT_MAGIC + (json.dumps(header) + "\n").encode("utf-8") + b"".join(payload)
+
+
+def test_checkpoint_snapshot_ignores_later_in_place_changes(tmp_path, setup):
+    """With an executor, the arrays are copied before save_checkpoint
+    returns: changing them in place while the write waits in the queue
+    does not reach the file, which holds the same bytes as a synchronous
+    save and as the entry-by-entry format."""
+    cfg, _, _, model = setup
+    arrays = {k: t.data.copy() for k, t in model.tensors.items()}
+    arrays["opt.step"] = np.array([3.0])
+    want = v2_bytes(cfg, arrays)
+    save_checkpoint(tmp_path / "sync.ckpt", cfg, arrays)
+    gate = threading.Event()
+    with ThreadPoolExecutor(max_workers=1) as pool:
+        blocker = pool.submit(gate.wait, 10)
+        future = save_checkpoint(tmp_path / "async.ckpt", cfg, arrays, executor=pool)
+        for v in arrays.values():
+            v += 1.0
+        gate.set()
+        assert blocker.result(timeout=10) is True
+        assert future.result(timeout=10) is None
+    assert (tmp_path / "sync.ckpt").read_bytes() == want
+    assert (tmp_path / "async.ckpt").read_bytes() == want
 
 
 def test_checkpoint_refuses_flipped_or_truncated_payload(tmp_path, setup):

@@ -110,6 +110,41 @@ def test_sweep_matches_dense_grid(seed):
     np.testing.assert_allclose(sweep.f1, best_grid, atol=1e-12)
 
 
+def sweep_brute_force(records):
+    """The sweep as one `f1_at_threshold` pass per candidate threshold."""
+    taus = sorted({r.score for r in records if math.isfinite(r.score)})
+    taus = [-math.inf] + taus + [math.inf]
+    curve = []
+    best = None
+    for tau in taus:
+        p, r, f1 = f1_at_threshold(records, tau)
+        curve.append((tau, p, r, f1))
+        if best is None or f1 >= best[3]:
+            best = (tau, p, r, f1)
+    return best, curve
+
+
+@settings(max_examples=200, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1), gold=st.sampled_from(["mixed", "none", "all"]))
+def test_sweep_matches_brute_force(seed, gold):
+    """Tied scores, +/-inf and NaN scores, no gold and all gold: the curve
+    and the chosen threshold equal the per-threshold loop's exactly."""
+    rng = np.random.default_rng(seed)
+    n = int(rng.integers(1, 40))
+    levels = rng.uniform(-1, 1, size=int(rng.integers(1, 8)))  # few values, many ties
+    special = [math.inf, -math.inf, math.nan]
+    records = []
+    for i in range(n):
+        u = rng.random()
+        score = special[int(rng.integers(0, 3))] if u < 0.2 else float(rng.choice(levels))
+        gold_has = {"mixed": bool(rng.random() < 0.6), "none": False, "all": True}[gold]
+        records.append(rec(gold_has, bool(rng.random() < 0.5), score, f"e{i}"))
+    sweep = threshold_sweep(records)
+    best, curve = sweep_brute_force(records)
+    assert sweep.curve == curve
+    assert (sweep.tau, sweep.precision, sweep.recall, sweep.f1) == best
+
+
 # ---------------------------------------------------------------- five cases
 
 

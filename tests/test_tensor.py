@@ -513,13 +513,20 @@ def test_edge_list_rejects_duplicates_and_out_of_range():
         T.EdgeList([0], [0], [3], 2, 3)
 
 
+def find(edges, dst: int, src: int) -> int:
+    """Index of the edge dst <- src from the row starts, or -1 if there is none."""
+    lo, hi = edges.starts[dst], edges.starts[dst] + edges.degree[dst]
+    k = lo + int(np.searchsorted(edges.src[lo:hi], src))
+    return k if k < hi and edges.src[k] == src else -1
+
+
 def test_edge_list_sorted_with_row_starts():
     edges = T.EdgeList([2, 0, 1, 0, 2], [0, 1, 1, 0, 2], [1, 2, 3, 4, 5], 3, 6)
     assert edges.dst.tolist() == [0, 0, 1, 2, 2]
     assert edges.src.tolist() == [0, 1, 1, 0, 2]
     assert edges.bucket.tolist() == [4, 2, 3, 1, 5]
     assert edges.starts.tolist() == [0, 2, 3]
-    assert edges.find(2, 2) == 4 and edges.find(1, 0) == -1
+    assert find(edges, 2, 2) == 4 and find(edges, 1, 0) == -1
 
 
 @pytest.mark.parametrize("mode", ["standard", "extended"])

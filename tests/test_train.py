@@ -1,8 +1,13 @@
 """Optimizer, schedule, and training-loop determinism."""
 
+import time
+from pathlib import Path
+
 import numpy as np
 import pytest
 
+from multigrain import encoder as E
+from multigrain import train as train_module
 from multigrain.checks import micro_config, micro_instance
 from multigrain.encoder import ModelParams
 from multigrain.tensor import Tensor
@@ -213,3 +218,115 @@ def test_checkpoint_saved_once_per_state(tmp_path, total_steps, every, saves):
     for name, arr in saved_state.items():
         np.testing.assert_array_equal(extra[name], arr)
     assert int(extra["opt.step"][0]) == total_steps
+
+
+# ---------------------------------------------------------------- background checkpoint writes
+
+
+class PatchedFile:
+    """Wraps a file; `on_write(data)` runs before each write, and may raise."""
+
+    def __init__(self, fh, on_write):
+        self.fh, self.on_write = fh, on_write
+
+    def write(self, data):
+        self.on_write(data)
+        return self.fh.write(data)
+
+    def __getattr__(self, name):
+        return getattr(self.fh, name)
+
+    def __enter__(self):
+        return self
+
+    def __exit__(self, *exc):
+        self.fh.close()
+
+
+def step_checkpoints(tmp_path, total_steps):
+    """The bytes of each step's checkpoint, from an undisturbed run."""
+    tmp_path.mkdir()
+    rotating = RotatingPath(tmp_path)
+    tc = TrainConfig(batch_size=1, total_steps=total_steps, peak_lr=1e-3, seed=2, checkpoint_every=1)
+    train_loop([micro_instance()], ModelParams.init(micro_config(), seed=0, scale=0.1), tc,
+               checkpoint_path=rotating)
+    return [Path(path).read_bytes() for path in rotating.written]
+
+
+@pytest.mark.parametrize("every", [1, 2, 0])
+def test_background_checkpoint_equals_synchronous_save(tmp_path, every):
+    """The file train_loop leaves, written in the background, holds the
+    same bytes as a synchronous save of the final state."""
+    tc = TrainConfig(batch_size=1, total_steps=5, peak_lr=1e-3, seed=2, checkpoint_every=every)
+    model = ModelParams.init(micro_config(), seed=0, scale=0.1)
+    _, _, state = train_loop([micro_instance()], model, tc, checkpoint_path=tmp_path / "bg.ckpt")
+    model.save(tmp_path / "sync.ckpt", extra=state.to_arrays())
+    assert (tmp_path / "bg.ckpt").read_bytes() == (tmp_path / "sync.ckpt").read_bytes()
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["bg.ckpt", "sync.ckpt"]
+
+
+def test_failed_background_write_raises_and_keeps_previous(tmp_path, monkeypatch):
+    """The second of three writes fails on the writer thread: train_loop
+    raises that OSError, submits no further write, and leaves the first
+    step's file whole with no temporary file beside it."""
+    want = step_checkpoints(tmp_path / "ref", 3)
+    work = tmp_path / "work"
+    work.mkdir()
+    opened, raised = [], []
+
+    def disk_full(data):
+        raised.append(OSError("disk full"))
+        raise raised[-1]
+
+    def failing_open(path, mode):
+        opened.append(path)
+        fh = open(path, mode)
+        return PatchedFile(fh, disk_full) if len(opened) == 2 else fh
+
+    monkeypatch.setattr(E, "open", failing_open, raising=False)
+    tc = TrainConfig(batch_size=1, total_steps=3, peak_lr=1e-3, seed=2, checkpoint_every=1)
+    model = ModelParams.init(micro_config(), seed=0, scale=0.1)
+    with pytest.raises(OSError, match="disk full") as excinfo:
+        train_loop([micro_instance()], model, tc, checkpoint_path=work / "m.ckpt")
+    monkeypatch.undo()
+    assert excinfo.value is raised[0]
+    assert len(opened) == 2
+    assert [p.name for p in work.iterdir()] == ["m.ckpt"]
+    assert (work / "m.ckpt").read_bytes() == want[0]
+
+
+def test_step_error_waits_for_write_in_flight(tmp_path, monkeypatch):
+    """A step that raises while the previous checkpoint is still being
+    written: the write completes before the error leaves train_loop."""
+    want = step_checkpoints(tmp_path / "ref", 2)
+    work = tmp_path / "work"
+    work.mkdir()
+    slowed = []
+
+    def slow_first_write(data):
+        if not slowed:
+            slowed.append(True)
+            time.sleep(0.3)
+
+    monkeypatch.setattr(E, "open", lambda path, mode: PatchedFile(open(path, mode), slow_first_write),
+                        raising=False)
+    losses = []
+
+    def failing_loss(*args, **kwargs):
+        losses.append(True)
+        if len(losses) == 2:
+            raise RuntimeError("step failed")
+        return instance_loss(*args, **kwargs)
+
+    instance_loss = train_module.instance_loss
+    monkeypatch.setattr(train_module, "instance_loss", failing_loss)
+    tc = TrainConfig(batch_size=1, total_steps=2, peak_lr=1e-3, seed=2, checkpoint_every=1)
+    model = ModelParams.init(micro_config(), seed=0, scale=0.1)
+    with pytest.raises(RuntimeError, match="step failed"):
+        train_loop([micro_instance()], model, tc, checkpoint_path=work / "m.ckpt")
+    monkeypatch.undo()
+    assert slowed == [True]
+    assert [p.name for p in work.iterdir()] == ["m.ckpt"]
+    assert (work / "m.ckpt").read_bytes() == want[0]
+    loaded, extra = ModelParams.load(work / "m.ckpt")
+    assert int(extra["opt.step"][0]) == 1
