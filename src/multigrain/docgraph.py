@@ -179,20 +179,14 @@ class HierGraph:
         return m / deg
 
 
-def build_graph(
-    instance: TrainingInstance, sentence_map: np.ndarray | None = None,
-    clips: ClipConfig | None = None,
-) -> HierGraph:
+def build_graph(instance: TrainingInstance, clips: ClipConfig | None = None) -> HierGraph:
     """Build the graph for one instance.
 
-    `sentence_map` defaults to the instance's own sentence array. Token
-    nodes are the real (non-[PAD]) positions; [CLS] is sentence 0 and
-    paragraph 0; paragraph nodes follow the candidate list S in order.
+    Token nodes are the real (non-[PAD]) positions; [CLS] is sentence 0
+    and paragraph 0; paragraph nodes follow the candidate list S in order.
     """
-    if sentence_map is None:
-        sentence_map = instance.sentences
     positions = np.where(instance.mask)[0]
-    sent_of_pos = sentence_map[positions]
+    sent_of_pos = instance.sentences[positions]
     if (sent_of_pos < 0).any():
         bad = int(positions[np.argmax(sent_of_pos < 0)])
         raise ValueError(f"token at position {bad} not covered by any sentence")

@@ -17,7 +17,6 @@ from __future__ import annotations
 
 import json
 import os
-import re
 import zlib
 from concurrent.futures import Executor, Future
 from dataclasses import asdict, dataclass
@@ -30,8 +29,8 @@ from .docgraph import ClipConfig, HierGraph, NodeType
 from .preprocess import TrainingInstance
 from .tensor import Tensor
 
-CHECKPOINT_MAGIC = b"MGQA-CKPT-2\n"
-_CHECKPOINT_MAGIC_V1 = b"MGQA-CKPT-1\n"
+_MAGIC_PREFIX = b"MGQA-CKPT-"
+CHECKPOINT_MAGIC = _MAGIC_PREFIX + b"2\n"
 
 
 @dataclass
@@ -230,12 +229,15 @@ def _write_checkpoint(path: str, header: dict, payload: np.ndarray):
 
 
 def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
-    """Read a version-2 checkpoint, or convert a version-1 one on the way
-    in (see `_upgrade_v1`). A truncated file or, in version 2, a payload
-    that fails its checksum raises ValueError."""
+    """Read a version-2 checkpoint. A file of any other version, a
+    truncated file or a payload that fails its checksum raises ValueError."""
     with open(path, "rb") as fh:
-        magic = fh.read(len(CHECKPOINT_MAGIC))
-        if magic not in (CHECKPOINT_MAGIC, _CHECKPOINT_MAGIC_V1):
+        magic = fh.readline(64)
+        if magic != CHECKPOINT_MAGIC:
+            version = magic[len(_MAGIC_PREFIX) : -1]
+            if magic.startswith(_MAGIC_PREFIX) and magic.endswith(b"\n") and version.isdigit():
+                raise ValueError(f"{path}: checkpoint version {version.decode()} is not supported, "
+                                 f"only version 2")
             raise ValueError(f"{path}: not a checkpoint file")
         header = json.loads(fh.readline().decode("utf-8"))
         payload = fh.read()
@@ -243,7 +245,7 @@ def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
     sizes = [8 * int(np.prod(shape)) for shape in shapes]
     if len(payload) != sum(sizes):
         raise ValueError(f"{path}: payload is {len(payload)} bytes, the header lists {sum(sizes)}")
-    if magic == CHECKPOINT_MAGIC and zlib.crc32(payload) != header["crc32"]:
+    if zlib.crc32(payload) != header["crc32"]:
         raise ValueError(f"{path}: payload checksum mismatch")
     arrays = {}
     offset = 0
@@ -251,33 +253,7 @@ def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
         arr = np.frombuffer(payload, dtype="<f8", count=size // 8, offset=offset)
         arrays[entry["name"]] = arr.reshape(shape).copy()
         offset += size
-    if magic == _CHECKPOINT_MAGIC_V1:
-        return _upgrade_v1(header["config"], arrays)
     return EncoderConfig(**header["config"]), arrays
-
-
-def _upgrade_v1(config: dict, arrays: dict[str, np.ndarray]) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
-    """Version 1 held per-head `h{k}.wq/wk/wv` tensors, with Adam moments
-    `opt.m.*`/`opt.v.*` of the same names, and an `integrate_per_sublayer`
-    flag. Fuse each sublayer's heads into `wqkv` (moments alike) and drop
-    the flag, which must be false."""
-    config = dict(config)
-    if config.pop("integrate_per_sublayer", False):
-        raise ValueError("version-1 checkpoint sets integrate_per_sublayer=true, which is not supported")
-    cfg = EncoderConfig(**config)
-    out = {}
-    for name, arr in arrays.items():
-        head = re.fullmatch(r"(.+)\.h(\d+)\.w([qkv])", name)
-        if head is None:
-            out[name] = arr
-        elif head.group(2, 3) == ("0", "q"):
-            prefix = head.group(1)
-            try:
-                per_head = [[arrays[f"{prefix}.h{k}.w{w}"] for w in "qkv"] for k in range(cfg.m)]
-            except KeyError as exc:
-                raise ValueError(f"version-1 checkpoint lacks {exc.args[0]}") from None
-            out[f"{prefix}.wqkv"] = fuse_qkv(np.array(per_head))
-    return cfg, out
 
 
 # ------------------------------------------------------------------ traces

@@ -25,10 +25,9 @@ NEG_INF = float("-inf")
 
 @dataclass
 class ScoreSet:
-    """Logits from one instance forward pass.
-
-    Tensor fields are kept for the loss; the *_logits properties expose
-    the sequence-length numpy view with -inf at masked positions.
+    """Logits from one instance forward pass, one entry per token node
+    (span scores), candidate span or answer type. Tensor fields are kept
+    for the loss; the *_logits properties are their float64 numpy views.
     """
 
     start_t: Tensor              # [n_token_nodes]
@@ -38,21 +37,6 @@ class ScoreSet:
     token_positions: np.ndarray  # instance position per token node, ascending
     span_valid: np.ndarray       # [n_token_nodes] bool; True where a span may start/end
     spans: list[tuple[int, int]]
-    seq_len: int
-
-    def _full(self, t: Tensor) -> np.ndarray:
-        out = np.full(self.seq_len, NEG_INF)
-        valid = self.token_positions[self.span_valid]
-        out[valid] = np.asarray(t.data, dtype=np.float64)[self.span_valid]
-        return out
-
-    @property
-    def start_logits(self) -> np.ndarray:
-        return self._full(self.start_t)
-
-    @property
-    def end_logits(self) -> np.ndarray:
-        return self._full(self.end_t)
 
     @property
     def long_logits(self) -> np.ndarray:
@@ -112,7 +96,6 @@ def score_nodes(
         token_positions=pos,
         span_valid=span_valid,
         spans=list(instance.spans),
-        seq_len=len(instance.tokens),
     )
 
 

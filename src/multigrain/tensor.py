@@ -103,7 +103,7 @@ def _check_finite(data: np.ndarray, op: str):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_parents", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_tape")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype or current_dtype())
@@ -113,7 +113,6 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._parents: tuple[Tensor, ...] = ()
         self._tape: Tape | None = None
 
     @property
@@ -130,9 +129,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(()))
-
-    def numpy(self) -> np.ndarray:
-        return self.data
 
     def __repr__(self):
         return f"Tensor(shape={self.data.shape}, requires_grad={self.requires_grad})"
@@ -180,12 +176,10 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Ten
     out.data = data
     out.grad = None
     out._backward = None
-    out._parents = ()
     out._tape = None
     out.requires_grad = _grad_enabled[-1] and any(p.requires_grad for p in parents)
     if out.requires_grad and _tape_stack:
         out._backward = backward
-        out._parents = tuple(parents)
         out._tape = _tape_stack[-1]
         _tape_stack[-1].record(out)
     return out

@@ -194,11 +194,8 @@ def train_loop(
                     loss = instance_loss(instances[idx], graphs[idx], model, rng=drop_rng)
                     total += loss.item()
                     scaled = loss * (1.0 / len(batch))
-                    T.backward(scaled, params)
-            grads = {
-                k: (p.grad if p.grad is not None else np.zeros_like(p.data))
-                for k, p in params.items()
-            }
+                    # gradients accumulate in p.grad: the last call's dict holds the batch sum
+                    grads = T.backward(scaled, params)
             lr = lr_schedule(step + 1, cfg.total_steps, cfg.peak_lr, cfg.warmup_prop)
             adam_step(params, grads, state, lr, cfg.grad_clip)
             T.zero_grads(params)

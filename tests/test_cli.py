@@ -4,6 +4,7 @@ import json
 
 import pytest
 
+from multigrain import checks
 from multigrain.cli import RunConfig, ConfigError, main
 
 
@@ -103,6 +104,22 @@ def test_end_to_end_pipeline(tmp_path, capsys):
     assert set(obj) == {"long", "short"}
     for line in preds.read_text().splitlines():
         json.loads(line)
+
+
+def test_gradcheck_reports_each_parameter(monkeypatch, capsys):
+    """One line per parameter, in the order given, then the summary; the
+    exit code turns on the worst error against 1e-4."""
+    calls = []
+    for worst, code, verdict in ((9.9e-5, 0, "PASS"), (1e-4, 1, "FAIL")):
+        errors = {"emb.token": 1e-7, "layer0.tok.wqkv": worst, "head.type.b": 0.0}
+        monkeypatch.setattr(checks, "micro_gradcheck_by_param",
+                            lambda eps, errors=errors: calls.append(eps) or errors)
+        assert main(["gradcheck", "--eps", "2e-3"]) == code
+        lines = capsys.readouterr().out.splitlines()
+        assert [line.split()[0] for line in lines[:-1]] == list(errors)
+        assert lines[1].endswith(f"worst rel err {worst:.3e}")
+        assert lines[-1] == f"max relative gradient error: {worst:.3e} ({verdict} at 1e-4)"
+    assert calls == [2e-3, 2e-3]
 
 
 def test_selftest_subcommand():

@@ -5,7 +5,7 @@ import json
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import asdict, replace
+from dataclasses import asdict
 
 import numpy as np
 import pytest
@@ -38,7 +38,6 @@ from multigrain.encoder import (
     split_qkv,
 )
 from multigrain.tensor import Tensor
-from multigrain.train import OptimizerState, TrainConfig, train_loop
 
 
 @pytest.fixture
@@ -421,6 +420,23 @@ def test_checkpoint_rejects_bad_magic(tmp_path):
         load_checkpoint(path)
 
 
+def test_checkpoint_refuses_other_versions(tmp_path, setup):
+    """Only version 2 loads. A file of another version is refused by its
+    version number; a malformed magic line is not a checkpoint at all."""
+    _, _, _, model = setup
+    path = tmp_path / "m.ckpt"
+    model.save(path)
+    rest = path.read_bytes()[len(CHECKPOINT_MAGIC) :]
+    for version in ("1", "3", "10", "02"):
+        path.write_bytes(f"MGQA-CKPT-{version}\n".encode() + rest)
+        with pytest.raises(ValueError, match=f"version {version} is not supported"):
+            load_checkpoint(path)
+    for magic in (b"MGQA-CKPT-\n", b"MGQA-CKPT-1x\n", b"MGQA-CKPT-2"):
+        path.write_bytes(magic + rest)
+        with pytest.raises(ValueError, match="not a checkpoint file"):
+            load_checkpoint(path)
+
+
 def test_checkpoint_extra_arrays_round_trip(tmp_path, setup):
     _, _, _, model = setup
     extra = {"opt.step": np.array([3.0])}
@@ -443,66 +459,6 @@ def test_init_draws_match_per_head_order():
             np.testing.assert_array_equal(split_qkv(data, cfg.m), want)
         elif not name.endswith(("ln_g", ".b", "ln_b", ".b1", ".b2")):  # no draw for norms and biases
             np.testing.assert_array_equal(data, rng.normal(0.0, 0.1, size=shape))
-
-
-def write_v1(path, cfg, arrays):
-    """A version-1 checkpoint: per-head h{k}.wq/wk/wv tensors and Adam
-    moments, an integrate_per_sublayer flag and no checksum."""
-    split = {}
-    for name, arr in arrays.items():
-        if name.endswith(".wqkv"):
-            prefix = name[: -len(".wqkv")]
-            for k, head in enumerate(split_qkv(arr, cfg.m)):
-                for w, part in zip("qkv", head):
-                    split[f"{prefix}.h{k}.w{w}"] = part
-        else:
-            split[name] = arr
-    header = {
-        "version": 1,
-        "config": {**vars(cfg), "integrate_per_sublayer": False},
-        "params": [{"name": k, "shape": list(v.shape)} for k, v in split.items()],
-    }
-    with open(path, "wb") as fh:
-        fh.write(b"MGQA-CKPT-1\n")
-        fh.write((json.dumps(header) + "\n").encode("utf-8"))
-        for v in split.values():
-            fh.write(np.ascontiguousarray(v, dtype="<f8").tobytes())
-
-
-def test_v1_checkpoint_loads_and_resumes_like_v2(tmp_path, setup):
-    cfg, inst, graph, model = setup
-    tc = TrainConfig(batch_size=1, total_steps=3, peak_lr=1e-3, seed=5)
-    model, _, opt = train_loop([inst], model, tc)
-    arrays = {**{k: t.data for k, t in model.tensors.items()}, **opt.to_arrays()}
-    assert "opt.m.layer0.tok.wqkv" in arrays
-    write_v1(tmp_path / "v1.ckpt", cfg, arrays)
-    model.save(tmp_path / "v2.ckpt", extra=opt.to_arrays())
-    runs = []
-    for name in ("v1.ckpt", "v2.ckpt"):
-        loaded, extra = ModelParams.load(tmp_path / name)
-        assert list(loaded.tensors) == list(model.tensors)
-        state = OptimizerState.from_arrays(loaded.tensors, extra)
-        forward = encode(inst, graph, loaded).data
-        resumed, _, _ = train_loop([inst], loaded, replace(tc, total_steps=4), opt_state=state)
-        runs.append((forward, {k: t.data for k, t in resumed.tensors.items()}, extra))
-    np.testing.assert_array_equal(runs[0][0], runs[1][0])
-    np.testing.assert_array_equal(runs[0][0], encode(inst, graph, model).data)
-    assert runs[0][1].keys() == runs[1][1].keys()
-    for k in runs[0][1]:
-        np.testing.assert_array_equal(runs[0][1][k], runs[1][1][k], err_msg=k)
-    assert runs[0][2].keys() == runs[1][2].keys()
-    for k in runs[0][2]:
-        np.testing.assert_array_equal(runs[0][2][k], runs[1][2][k], err_msg=k)
-
-
-def test_v1_checkpoint_with_per_sublayer_integration_refused(tmp_path, setup):
-    cfg, _, _, model = setup
-    path = tmp_path / "v1.ckpt"
-    write_v1(path, cfg, {k: t.data for k, t in model.tensors.items()})
-    raw = path.read_bytes().replace(b'"integrate_per_sublayer": false', b'"integrate_per_sublayer": true')
-    path.write_bytes(raw)
-    with pytest.raises(ValueError, match="integrate_per_sublayer"):
-        load_checkpoint(path)
 
 
 class FailingFile:

@@ -106,6 +106,9 @@ def test_sweep_matches_dense_grid(seed):
     sweep = threshold_sweep(records)
     scores = [r.score for r in records]
     grid = np.arange(min(scores) - 2e-4, max(scores) + 2e-4, 1e-4)
+    # scores closer than the grid step leave gaps the grid steps over; probe each gap
+    distinct = np.unique(scores)
+    grid = np.concatenate([grid, (distinct[:-1] + distinct[1:]) / 2])
     best_grid = max(f1_at_threshold(records, float(t))[2] for t in grid)
     np.testing.assert_allclose(sweep.f1, best_grid, atol=1e-12)
 

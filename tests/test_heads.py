@@ -40,7 +40,6 @@ def make_scores(
         token_positions=positions,
         span_valid=np.asarray(valid, dtype=bool),
         spans=spans,
-        seq_len=8,
     )
 
 
@@ -76,10 +75,18 @@ def test_long_logits_cover_cls_pseudo_candidate(forward):
     assert inst.spans[0] == (0, 0)
 
 
+def start_logits(sc: ScoreSet, seq_len: int) -> np.ndarray:
+    """Start logits over all `seq_len` instance positions, -inf wherever
+    no valid token node sits."""
+    out = np.full(seq_len, -np.inf)
+    out[sc.token_positions[sc.span_valid]] = sc.start_t.data[sc.span_valid]
+    return out
+
+
 def test_masked_position_never_wins(forward):
     cfg, inst, graph, model, states = forward
     sc = score_nodes(states, graph, inst, model)
-    full = sc.start_logits
+    full = start_logits(sc, len(inst.tokens))
     masked = np.ones(len(inst.tokens), dtype=bool)
     masked[np.where(inst.mask)[0][sc.span_valid.nonzero()[0]]] = False
     assert not np.isfinite(full[masked]).any()
@@ -238,7 +245,6 @@ def test_span_search_matches_double_loop(max_answer_tokens):
             token_positions=positions,
             span_valid=valid_at[positions],
             spans=[(0, 0), (5, 8), (10, 12), (1, L - 1)] + random_spans,
-            seq_len=L,
         )
         got = inference_scores(sc, max_answer_tokens=max_answer_tokens).best_short
         want = double_loop_short(sc, max_answer_tokens)
@@ -299,7 +305,6 @@ def scores_for(inst, long=None, typ=None, start=None, end=None):
         token_positions=pos,
         span_valid=valid,
         spans=list(inst.spans),
-        seq_len=len(inst.tokens),
     )
 
 

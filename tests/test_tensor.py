@@ -292,6 +292,24 @@ def test_dropout_identity_when_off():
     np.testing.assert_array_equal(out.data, x.data)
 
 
+def test_dropout_finite_differences():
+    """Each evaluation rebuilds the rng, so every f() draws the same mask:
+    a dropped coordinate gets a zero gradient, a kept one the 1/(1 - rate)
+    scaled one."""
+    p = tensor(np.linspace(-1.0, 1.0, 12).reshape(3, 4))
+
+    def f():
+        d = T.dropout(p, 0.3, np.random.default_rng(5))
+        return T.tsum(T.mul(d, d))
+
+    assert T.finite_diff_check(f, {"p": p}) < 1e-9
+    with T.record_tape():
+        g = T.backward(f(), {"p": p})["p"]
+    kept = g != 0
+    assert 0 < kept.sum() < kept.size
+    np.testing.assert_allclose(g[kept], 2 * p.data[kept] / 0.7**2, rtol=1e-12)
+
+
 # ---------------------------------------------------------------- fused attention
 
 

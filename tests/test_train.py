@@ -134,14 +134,19 @@ def test_overfit_single_instance(tiny):
 
 
 def test_same_seed_identical_traces():
+    """Also with dropout on, whose masks come from (seed, step)."""
     insts = [micro_instance()]
     tc = TrainConfig(batch_size=1, total_steps=10, peak_lr=1e-3, seed=4)
-    traces = []
-    for _ in range(2):
-        model = ModelParams.init(micro_config(), seed=0, scale=0.1)
-        _, trace, _ = train_loop(insts, model, tc)
-        traces.append([(r.step, r.lr, r.loss) for r in trace])
-    assert traces[0] == traces[1]
+    runs = {}
+    for dropout in (0.0, 0.1):
+        traces = []
+        for _ in range(2):
+            model = ModelParams.init(micro_config(dropout=dropout), seed=0, scale=0.1)
+            _, trace, _ = train_loop(insts, model, tc)
+            traces.append([(r.step, r.lr, r.loss) for r in trace])
+        assert traces[0] == traces[1], f"dropout {dropout}"
+        runs[dropout] = traces[0]
+    assert runs[0.0] != runs[0.1]  # the masks are live
 
 
 class RotatingPath:
@@ -161,25 +166,28 @@ class RotatingPath:
 
 
 def test_resume_continues_bitwise(tmp_path):
+    """Also with dropout on, whose masks come from (seed, step)."""
     insts = [micro_instance()]
     tc = TrainConfig(
         batch_size=1, total_steps=12, peak_lr=1e-3, seed=9, checkpoint_every=6
     )
+    for dropout in (0.0, 0.1):
+        rotating = RotatingPath(tmp_path / f"dropout{dropout}")
+        rotating.directory.mkdir()
+        model_full = ModelParams.init(micro_config(dropout=dropout), seed=0, scale=0.1)
+        _, trace_full, _ = train_loop(insts, model_full, tc, checkpoint_path=rotating)
 
-    rotating = RotatingPath(tmp_path)
-    model_full = ModelParams.init(micro_config(), seed=0, scale=0.1)
-    _, trace_full, _ = train_loop(insts, model_full, tc, checkpoint_path=rotating)
+        resumed, extra = ModelParams.load(rotating.written[0])  # the step-6 snapshot
+        state = OptimizerState.from_arrays(resumed.tensors, extra)
+        assert state.step == 6
+        _, trace_tail, _ = train_loop(insts, resumed, tc, opt_state=state)
 
-    resumed, extra = ModelParams.load(rotating.written[0])  # the step-6 snapshot
-    state = OptimizerState.from_arrays(resumed.tensors, extra)
-    assert state.step == 6
-    _, trace_tail, _ = train_loop(insts, resumed, tc, opt_state=state)
-
-    full = [(r.step, r.lr, r.loss) for r in trace_full]
-    tail = [(r.step, r.lr, r.loss) for r in trace_tail]
-    assert full[6:] == tail
-    for name, t in model_full.tensors.items():
-        np.testing.assert_array_equal(t.data, resumed.tensors[name].data)
+        full = [(r.step, r.lr, r.loss) for r in trace_full]
+        tail = [(r.step, r.lr, r.loss) for r in trace_tail]
+        assert full[6:] == tail, f"dropout {dropout}"
+        for name, t in model_full.tensors.items():
+            np.testing.assert_array_equal(t.data, resumed.tensors[name].data,
+                                          err_msg=f"{name}, dropout {dropout}")
 
 
 def test_trace_csv_round_trip(tmp_path):
