@@ -26,9 +26,9 @@ from .encoder import (
     split_qkv,
 )
 from .evaluate import GrainRecord, f1_at_threshold, threshold_sweep
-from .heads import joint_loss, score_nodes
 from .preprocess import AnswerType, TrainingInstance
 from .tensor import Tensor, finite_diff_check, precision
+from .train import instance_loss
 
 
 # ------------------------------------------------------- fixture builders
@@ -52,29 +52,16 @@ def micro_config(**overrides) -> EncoderConfig:
 
 
 def micro_instance() -> TrainingInstance:
-    """20 real tokens, 2 content candidates, a short answer at (5, 6)."""
-    L = 24
+    """20 tokens, 2 content candidates, a short answer at (5, 6)."""
     rng = np.random.default_rng(11)
-    tokens = np.zeros(L, dtype=np.int64)
-    tokens[:20] = rng.integers(4, 16, size=20)
-    mask = np.zeros(L, dtype=bool)
-    mask[:20] = True
-    sentences = np.full(L, -1, dtype=np.int64)
-    sentences[0:4] = 0
-    sentences[4:8] = 1
-    sentences[8:11] = 2
-    sentences[11:15] = 3
-    sentences[15:19] = 4
-    sentences[19] = 0
     return TrainingInstance(
-        tokens=tokens,
-        mask=mask,
+        tokens=rng.integers(4, 16, size=20),
         spans=[(0, 0), (4, 10), (11, 18)],
         long_target=1,
         start=5,
         end=6,
         answer_type=AnswerType.SHORT,
-        sentences=sentences,
+        sentences=np.repeat([0, 1, 2, 3, 4, 0], [4, 4, 3, 4, 4, 1]),
         example_id="micro",
         fragment_index=0,
         fragment_start=0,
@@ -103,15 +90,8 @@ def random_instance(rng: np.random.Generator, vocab_size: int = 32, max_len: int
         cand_doc_idx.append(c)
     tokens.append(3)
     sentences.append(0)
-    n = len(tokens)
-    if n > max_len:
+    if len(tokens) > max_len:
         raise ValueError("random instance exceeded max_len")
-    tok = np.zeros(max_len, dtype=np.int64)
-    tok[:n] = tokens
-    mask = np.zeros(max_len, dtype=bool)
-    mask[:n] = True
-    sents = np.full(max_len, -1, dtype=np.int64)
-    sents[:n] = sentences
 
     t = AnswerType(int(rng.integers(0, 5)))
     l, s, e = 0, 0, 0
@@ -122,14 +102,13 @@ def random_instance(rng: np.random.Generator, vocab_size: int = 32, max_len: int
             s = int(rng.integers(a, b + 1))
             e = int(rng.integers(s, b + 1))
     return TrainingInstance(
-        tokens=tok,
-        mask=mask,
+        tokens=np.asarray(tokens, dtype=np.int64),
         spans=spans,
         long_target=l,
         start=s,
         end=e,
         answer_type=t,
-        sentences=sents,
+        sentences=np.asarray(sentences, dtype=np.int64),
         example_id=f"rand{rng.integers(1 << 30)}",
         fragment_index=0,
         fragment_start=0,
@@ -148,13 +127,7 @@ def micro_loss():
     model = ModelParams.init(cfg, seed=1, scale=0.1)
     inst = micro_instance()
     graph = build_graph(inst, clips=cfg.clips)
-
-    def f():
-        states = encode(inst, graph, model)
-        scores = score_nodes(states, graph, inst, model)
-        return joint_loss(scores, inst.long_target, inst.start, inst.end, inst.answer_type)
-
-    return f, model.tensors
+    return (lambda: instance_loss(inst, graph, model)), model.tensors
 
 
 def micro_gradcheck_by_param(eps: float = 1e-3) -> dict[str, float]:

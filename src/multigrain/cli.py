@@ -18,13 +18,14 @@ from dataclasses import dataclass, field
 
 from . import checks
 from .encoder import EncoderConfig, ModelParams
-from .evaluate import evaluate, read_gold
+from .evaluate import evaluate, read_gold, write_gold
 from .predict import predict_instances
 from .preprocess import (
     PreprocessConfig,
     Vocab,
     preprocess_examples,
     read_instances,
+    read_jsonl,
     read_raw_examples,
     write_instances,
     write_jsonl,
@@ -33,7 +34,6 @@ from .preprocess import (
 from .synthgen import CorpusSpec, build_vocab, generate_corpus
 from .tensor import ContractViolation
 from .train import OptimizerState, TrainConfig, train_loop, write_trace_csv
-from .evaluate import write_gold
 
 
 class ConfigError(Exception):
@@ -115,7 +115,10 @@ def _cmd_train(args) -> int:
     enc_cfg = dataclasses.replace(cfg.encoder, vocab_size=len(vocab))
     if args.resume:
         model, extra = ModelParams.load(args.resume)
-        opt = OptimizerState.from_arrays(model.tensors, extra)
+        try:
+            opt = OptimizerState.from_arrays(model.tensors, extra)
+        except ValueError as exc:
+            raise ValueError(f"{args.resume}: {exc}") from exc
     else:
         model = ModelParams.init(enc_cfg, seed=cfg.train.seed)
         opt = None
@@ -146,10 +149,7 @@ def _cmd_predict(args) -> int:
 
 
 def _cmd_eval(args) -> int:
-    with open(args.predictions, encoding="utf-8") as fh:
-        preds = [json.loads(line) for line in fh if line.strip()]
-    golds = read_gold(args.gold)
-    report = evaluate(preds, golds)
+    report = evaluate(read_jsonl(args.predictions), read_gold(args.gold))
     print(report.format_table())
     if args.out:
         with open(args.out, "w", encoding="utf-8") as fh:

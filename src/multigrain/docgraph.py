@@ -182,34 +182,33 @@ class HierGraph:
 def build_graph(instance: TrainingInstance, clips: ClipConfig | None = None) -> HierGraph:
     """Build the graph for one instance.
 
-    Token nodes are the real (non-[PAD]) positions; [CLS] is sentence 0
+    Token nodes are the instance positions, in order; [CLS] is sentence 0
     and paragraph 0; paragraph nodes follow the candidate list S in order.
     """
-    positions = np.where(instance.mask)[0]
-    sent_of_pos = instance.sentences[positions]
+    sent_of_pos = instance.sentences
     if (sent_of_pos < 0).any():
-        bad = int(positions[np.argmax(sent_of_pos < 0)])
+        bad = int(np.argmax(sent_of_pos < 0))
         raise ValueError(f"token at position {bad} not covered by any sentence")
     n_sents = int(sent_of_pos.max()) + 1
 
     # sentence -> paragraph: the first span S[p], p >= 1, holding the
     # sentence's first position, else 0 ([CLS]'s). A sentence id with no
-    # token takes positions[0], as argmax over an all-false row does.
+    # token takes position 0, as argmax over an all-false row does.
     sents, first = np.unique(sent_of_pos, return_index=True)
-    first_pos = np.full(n_sents, positions[0])
-    first_pos[sents] = positions[first]
+    first_pos = np.zeros(n_sents, dtype=np.int64)
+    first_pos[sents] = first
     spans = np.asarray(instance.spans[1:], dtype=np.int64).reshape(-1, 2)
     sent_par = np.zeros(n_sents, dtype=np.int64)
     if spans.size:
         inside = (spans[:, 0] <= first_pos[1:, None]) & (first_pos[1:, None] <= spans[:, 1])
         sent_par[1:] = np.where(inside.any(axis=1), inside.argmax(axis=1) + 1, 0)
     return HierGraph(
-        n_tokens=len(positions),
+        n_tokens=len(instance.tokens),
         n_sents=n_sents,
         n_pars=len(instance.spans),
         token_sent=sent_of_pos.astype(np.int64),
         sent_par=sent_par,
-        token_positions=positions,
+        token_positions=np.arange(len(instance.tokens)),
         clips=clips or ClipConfig(),
     )
 

@@ -19,7 +19,7 @@ import json
 import os
 import zlib
 from concurrent.futures import Executor, Future
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -228,9 +228,37 @@ def _write_checkpoint(path: str, header: dict, payload: np.ndarray):
         raise
 
 
+def _check_header(path, header) -> None:
+    """Raise ValueError, naming `path` and the key, unless `header` is an
+    object with `config`, `params` and `crc32`, each params entry has a
+    name and a shape of non-negative integers, and the config has exactly
+    EncoderConfig's fields."""
+    if not isinstance(header, dict):
+        raise ValueError(f"{path}: checkpoint header is not a JSON object")
+    for key in ("config", "params", "crc32"):
+        if key not in header:
+            raise ValueError(f"{path}: checkpoint header lacks {key!r}")
+    params = header["params"]
+    if not isinstance(params, list) or not all(
+            isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("shape"), list)
+            and all(isinstance(d, int) and d >= 0 for d in e["shape"]) for e in params):
+        raise ValueError(f"{path}: checkpoint params is not a list of names with integer shapes")
+    config = header["config"]
+    if not isinstance(config, dict):
+        raise ValueError(f"{path}: checkpoint config is not a JSON object")
+    names = {f.name for f in fields(EncoderConfig)}
+    unknown, missing = sorted(set(config) - names), sorted(names - set(config))
+    if unknown:
+        raise ValueError(f"{path}: checkpoint config has unknown key {unknown[0]!r}")
+    if missing:
+        raise ValueError(f"{path}: checkpoint config lacks {missing[0]!r}")
+
+
 def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
-    """Read a version-2 checkpoint. A file of any other version, a
-    truncated file or a payload that fails its checksum raises ValueError."""
+    """Read a version-2 checkpoint. ValueError, naming the path, for a
+    file of any other version, a header that lacks a key or whose config
+    keys differ from EncoderConfig's fields, a truncated file, or a
+    payload that fails its checksum."""
     with open(path, "rb") as fh:
         magic = fh.readline(64)
         if magic != CHECKPOINT_MAGIC:
@@ -241,6 +269,7 @@ def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
             raise ValueError(f"{path}: not a checkpoint file")
         header = json.loads(fh.readline().decode("utf-8"))
         payload = fh.read()
+    _check_header(path, header)
     shapes = [tuple(entry["shape"]) for entry in header["params"]]
     sizes = [8 * int(np.prod(shape)) for shape in shapes]
     if len(payload) != sum(sizes):
@@ -275,14 +304,15 @@ class AttentionTrace:
 
 
 def embed_tokens(instance: TrainingInstance, params: ModelParams) -> Tensor:
-    """Token states: embedding[id] + position[index], real tokens only."""
-    positions = np.where(instance.mask)[0]
-    ids = instance.tokens[positions]
-    if (ids < 0).any() or (ids >= params.config.vocab_size).any():
+    """Token states: embedding[id] + position[index], one row per position."""
+    cfg = params.config
+    ids = instance.tokens
+    n = len(ids)
+    if n > cfg.max_len:
+        raise ValueError(f"instance of {n} tokens exceeds max_len {cfg.max_len}")
+    if (ids < 0).any() or (ids >= cfg.vocab_size).any():
         raise ValueError("token id out of embedding range")
-    tok = T.gather(params["emb.token"], ids)
-    pos = T.gather(params["emb.pos"], positions)
-    return tok + pos
+    return T.gather(params["emb.token"], ids) + T.rows(params["emb.pos"], slice(0, n))
 
 
 def graph_initialize(graph: HierGraph, token_states: Tensor, params: ModelParams) -> Tensor:

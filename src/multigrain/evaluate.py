@@ -8,12 +8,13 @@ whitespace-normalized detokenized text or yes/no equality.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, field
 from typing import Iterable, Optional
 
 import numpy as np
+
+from .preprocess import read_jsonl, write_jsonl
 
 GRAINS = ("long", "short")
 
@@ -243,11 +244,8 @@ def evaluate(predictions: list[dict], golds: list[GoldLabel]) -> EvalReport:
 
 
 def read_gold(path) -> list[GoldLabel]:
-    with open(path, encoding="utf-8") as fh:
-        return [GoldLabel.from_json(json.loads(line)) for line in fh if line.strip()]
+    return [GoldLabel.from_json(obj) for obj in read_jsonl(path)]
 
 
 def write_gold(path, golds: Iterable[GoldLabel]):
-    with open(path, "w", encoding="utf-8") as fh:
-        for g in golds:
-            fh.write(json.dumps(g.to_json(), separators=(",", ":")) + "\n")
+    write_jsonl(path, (g.to_json() for g in golds))

@@ -83,11 +83,9 @@ def score_nodes(
         T.matmul(doc_state, params["head.type.w"]) + params["head.type.b"], (5,)
     )
 
-    q = instance.question_len
-    content_lo = q + 2
-    content_hi = content_lo + (instance.n_real - q - 3)
     pos = graph.token_positions
-    span_valid = (pos == 0) | ((pos >= content_lo) & (pos < content_hi))
+    content = (pos >= instance.content_start) & (pos < len(instance.tokens) - 1)
+    span_valid = (pos == 0) | content
     return ScoreSet(
         start_t=start_t,
         end_t=end_t,
@@ -209,7 +207,7 @@ class DocumentPrediction:
 
 
 def _doc_token(instance: TrainingInstance, pos: int) -> int:
-    return instance.fragment_start + (pos - (instance.question_len + 2))
+    return instance.fragment_start + (pos - instance.content_start)
 
 
 def select_answers(

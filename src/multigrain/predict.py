@@ -37,11 +37,11 @@ def predict_instances(
 
 
 def _span_text(scored, pred: DocumentPrediction, vocab: Vocab) -> str:
-    """Detokenize the predicted span from the fragment that produced it."""
+    """Detokenize the predicted span from the first fragment whose content
+    holds it; the closing [SEP] is not content."""
     for inst, _ in scored:
-        base = inst.question_len + 2
-        lo = pred.short_start - inst.fragment_start + base
-        hi = pred.short_end - inst.fragment_start + base
-        if 0 <= lo <= hi < len(inst.tokens) and inst.mask[lo] and inst.mask[hi]:
+        lo = pred.short_start - inst.fragment_start + inst.content_start
+        hi = pred.short_end - inst.fragment_start + inst.content_start
+        if inst.content_start <= lo <= hi < len(inst.tokens) - 1:
             return detokenize(inst.tokens[lo : hi + 1], vocab)
     return ""

@@ -1,4 +1,4 @@
-"""Corpus fragmentation: raw examples -> fixed-length training instances.
+"""Corpus fragmentation: raw examples -> bounded-length training instances.
 
 Deterministic pipeline: wordpiece tokenization, rule-based sentence
 segmentation, per-kind markup tokens, sliding-window fragmentation and
@@ -51,7 +51,6 @@ class Vocab:
         for special in (PAD, UNK, CLS, SEP):
             if special not in self.token2id:
                 raise ValueError(f"vocab is missing special token {special}")
-        self.pad_id = self.token2id[PAD]
         self.unk_id = self.token2id[UNK]
         self.cls_id = self.token2id[CLS]
         self.sep_id = self.token2id[SEP]
@@ -328,6 +327,8 @@ def fragment_document(
     B = max_len - 3 - question_len. The last fragment is the first whose
     window reaches the document end, so every token is covered.
     """
+    if stride < 1:
+        raise ValueError(f"stride {stride} must be >= 1")
     budget = max_len - 3 - question_len
     if budget < stride:
         # windows advance by the stride, so a budget below it would leave
@@ -336,20 +337,8 @@ def fragment_document(
             f"question length {question_len} leaves a content budget of {budget} "
             f"below the stride {stride}; full document coverage is impossible"
         )
-    if doc_len == 0:
-        return [(0, 0)]
-    frags = []
-    k = 0
-    while True:
-        start = k * stride
-        end = min(start + budget, doc_len)
-        frags.append((start, end))
-        if end >= doc_len:
-            break
-        k += 1
-        if k * stride >= doc_len:
-            break
-    return frags
+    last = max(0, -(-(doc_len - budget) // stride))  # ceil; 0 when one window holds it all
+    return [(k * stride, min(k * stride + budget, doc_len)) for k in range(last + 1)]
 
 
 # ---------------------------------------------------------------- instances
@@ -357,16 +346,21 @@ def fragment_document(
 
 @dataclass
 class TrainingInstance:
-    """The six-tuple (c, S, l, s, e, t) plus mask and provenance."""
+    """The six-tuple (c, S, l, s, e, t) plus provenance.
 
-    tokens: np.ndarray            # [L] int ids, [PAD]-filled tail
-    mask: np.ndarray              # [L] bool, True at real tokens
+    `tokens` holds one window laid out as [CLS] question [SEP] content
+    [SEP], with no padding: every position is a real token and
+    `len(tokens)` is the instance length. `sentences` has one entry per
+    position; [CLS], the question and both [SEP]s are in sentence 0.
+    """
+
+    tokens: np.ndarray            # [n] int ids
     spans: list[tuple[int, int]]  # S: inclusive instance-coordinate spans; spans[0] is [CLS]
     long_target: int              # l: index into spans
     start: int                    # s
     end: int                      # e
     answer_type: AnswerType       # t
-    sentences: np.ndarray         # [L] sentence id per position, -1 at [PAD]
+    sentences: np.ndarray         # [n] sentence id per position
     example_id: str
     fragment_index: int
     fragment_start: int           # doc-token offset of the window
@@ -374,13 +368,13 @@ class TrainingInstance:
     cand_doc_idx: list[int]       # original candidate index per span; -1 for [CLS]
 
     @property
-    def n_real(self) -> int:
-        return int(self.mask.sum())
+    def content_start(self) -> int:
+        """Position of the first content token, after [CLS] question [SEP]."""
+        return self.question_len + 2
 
     def to_json(self) -> dict:
         return {
             "c": self.tokens.tolist(),
-            "mask": self.mask.astype(int).tolist(),
             "S": [list(s) for s in self.spans],
             "l": self.long_target,
             "s": self.start,
@@ -398,10 +392,17 @@ class TrainingInstance:
 
     @classmethod
     def from_json(cls, obj: dict) -> "TrainingInstance":
+        """Parse one instance line. A line with a "mask" field (padded
+        windows, an earlier format) is refused, not converted."""
+        if "mask" in obj:
+            raise ValueError("instance has a 'mask' field: padded instances are no longer "
+                             "read; run preprocess again")
+        if len(obj["c"]) != len(obj["sentences"]):
+            raise ValueError(f"instance has {len(obj['c'])} tokens but "
+                             f"{len(obj['sentences'])} sentence ids")
         prov = obj["provenance"]
         return cls(
             tokens=np.asarray(obj["c"], dtype=np.int64),
-            mask=np.asarray(obj["mask"], dtype=bool),
             spans=[tuple(s) for s in obj["S"]],
             long_target=obj["l"],
             start=obj["s"],
@@ -420,6 +421,8 @@ def _short_span_tokens(
     doc: TokenizedDocument, cand: int, byte_span: tuple[int, int], text: str
 ) -> tuple[int, int]:
     """Map a byte span inside candidate text to [first, last] doc tokens."""
+    if not 0 <= byte_span[0] < byte_span[1] <= len(text.encode("utf-8")):
+        raise ValueError(f"annotation offsets {byte_span} outside candidate text")
     a = _byte_to_char(text, byte_span[0])
     b = _byte_to_char(text, byte_span[1])
     if not (0 <= a < b <= len(text)):
@@ -447,22 +450,15 @@ def build_instance(
     max_len: int = 512,
 ) -> TrainingInstance:
     ws, we = window
-    q = len(question_ids)
-    content = doc.token_ids[ws:we]
-    seq = [vocab.cls_id] + list(question_ids) + [vocab.sep_id] + list(content) + [vocab.sep_id]
+    head = [vocab.cls_id, *question_ids, vocab.sep_id]
+    base = len(head)  # instance position of the first content token
+    seq = head + list(doc.token_ids[ws:we]) + [vocab.sep_id]
     if len(seq) > max_len:
         raise ValueError("fragment does not fit the instance length")
-    tokens = np.full(max_len, vocab.pad_id, dtype=np.int64)
-    tokens[: len(seq)] = seq
-    mask = np.zeros(max_len, dtype=bool)
-    mask[: len(seq)] = True
 
-    base = q + 2  # instance position of the first content token
     # Sentence map: [CLS], question and both [SEP]s live in sentence 0
     # (the [CLS] pseudo-sentence); content sentences are renumbered from 1.
-    sentences = np.full(max_len, -1, dtype=np.int64)
-    sentences[:base] = 0
-    sentences[len(seq) - 1] = 0
+    sentences = np.zeros(len(seq), dtype=np.int64)
     local = {}
     for i in range(ws, we):
         g = int(doc.sent_id[i])
@@ -511,8 +507,7 @@ def build_instance(
         l = s_index_of_cand[gold]
 
     return TrainingInstance(
-        tokens=tokens,
-        mask=mask,
+        tokens=np.asarray(seq, dtype=np.int64),
         spans=spans,
         long_target=l,
         start=s,
@@ -522,7 +517,7 @@ def build_instance(
         example_id=example.example_id,
         fragment_index=fragment_index,
         fragment_start=ws,
-        question_len=q,
+        question_len=len(question_ids),
         cand_doc_idx=cand_doc_idx,
     )
 

@@ -589,17 +589,12 @@ def edge_attention(
     return _make(z.reshape(n, m * dz), (qkv, ak, av), backward, "edge_attention")
 
 
-def tsum(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
-    data = a.data.sum(axis=axis, keepdims=keepdims)
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every element, as a 0-d tensor."""
+    data = a.data.sum()
 
     def backward(g):
-        if axis is None:
-            _accumulate(a, np.broadcast_to(g, a.shape).astype(a.data.dtype))
-        else:
-            gg = g
-            if not keepdims:
-                gg = np.expand_dims(g, axis)
-            _accumulate(a, np.broadcast_to(gg, a.shape).astype(a.data.dtype))
+        _accumulate(a, np.broadcast_to(g, a.shape).astype(a.data.dtype))
 
     return _make(data, (a,), backward, "sum")
 

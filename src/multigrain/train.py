@@ -82,11 +82,15 @@ class OptimizerState:
 
     @classmethod
     def from_arrays(cls, params, arrays: dict[str, np.ndarray]) -> "OptimizerState":
+        """The state `to_arrays` wrote; ValueError names the first missing array."""
         state = cls.init(params)
-        state.step = int(arrays["opt.step"][0])
-        for k in params:
-            state.m[k] = arrays[f"opt.m.{k}"].copy()
-            state.v[k] = arrays[f"opt.v.{k}"].copy()
+        try:
+            state.step = int(arrays["opt.step"][0])
+            for k in params:
+                state.m[k] = arrays[f"opt.m.{k}"].copy()
+                state.v[k] = arrays[f"opt.v.{k}"].copy()
+        except KeyError as exc:
+            raise ValueError(f"no optimizer state: {exc.args[0]!r} is missing") from None
         return state
 
 

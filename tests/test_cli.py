@@ -148,3 +148,41 @@ def test_predict_skips_document_without_paragraphs(tmp_path, capsys):
     assert "skipped document no-paragraphs" in err
     got = [json.loads(line)["example_id"] for line in preds.read_text().splitlines()]
     assert got == [docs[0]["example_id"], docs[1]["example_id"]]
+
+
+def micro_files(tmp_path):
+    """A vocabulary, a micro-model checkpoint without optimizer state and
+    an instance file holding the micro instance."""
+    from multigrain.encoder import ModelParams
+    from multigrain.preprocess import Vocab, write_instances
+
+    vocab = Vocab.build(f"w{i}" for i in range(12))
+    paths = {name: tmp_path / name for name in ("vocab.txt", "model.ckpt", "inst.jsonl")}
+    vocab.save(paths["vocab.txt"])
+    ModelParams.init(checks.micro_config(vocab_size=len(vocab))).save(paths["model.ckpt"])
+    write_instances(paths["inst.jsonl"], [checks.micro_instance()])
+    return {name: str(path) for name, path in paths.items()}
+
+
+def test_predict_refuses_padded_instances(tmp_path, capsys):
+    """An instance file in the padded format (lines with a "mask" field)
+    stops `predict` with exit 1 and a message naming the field."""
+    files = micro_files(tmp_path)
+    obj = checks.micro_instance().to_json()
+    obj["mask"] = [1] * len(obj["c"])
+    (tmp_path / "inst.jsonl").write_text(json.dumps(obj) + "\n")
+    code = main(["predict", "--checkpoint", files["model.ckpt"], "--vocab", files["vocab.txt"],
+                 "--instances", files["inst.jsonl"], "--out", str(tmp_path / "preds.jsonl")])
+    assert code == 1
+    assert "'mask'" in capsys.readouterr().err
+
+
+def test_resume_from_params_only_checkpoint_exits_1(tmp_path, capsys):
+    """--resume needs the optimizer state; a checkpoint without it is
+    named in the error with the first missing array."""
+    files = micro_files(tmp_path)
+    code = main(["train", "--vocab", files["vocab.txt"], "--instances", files["inst.jsonl"],
+                 "--out", str(tmp_path / "next.ckpt"), "--resume", files["model.ckpt"]])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert files["model.ckpt"] in err and "'opt.step' is missing" in err

@@ -19,17 +19,12 @@ from multigrain.preprocess import AnswerType, TrainingInstance
 from multigrain.tensor import EdgeList
 
 
-def make_instance(n_cands=2, sents_per_cand=2, toks_per_sent=3, q=4, L=64):
+def make_instance(n_cands=2, sents_per_cand=2, toks_per_sent=3, q=4):
     """n_cands candidates, fixed shape, [CLS] q... [SEP] content [SEP]."""
     n_content = n_cands * sents_per_cand * toks_per_sent
     seq = 1 + q + 1 + n_content + 1
-    assert seq <= L
-    tokens = np.zeros(L, dtype=np.int64)
-    mask = np.zeros(L, dtype=bool)
-    mask[:seq] = True
-    sentences = np.full(L, -1, dtype=np.int64)
-    sentences[: q + 2] = 0
-    sentences[seq - 1] = 0
+    tokens = np.zeros(seq, dtype=np.int64)
+    sentences = np.zeros(seq, dtype=np.int64)
     spans = [(0, 0)]
     cand_doc_idx = [-1]
     pos = q + 2
@@ -43,7 +38,6 @@ def make_instance(n_cands=2, sents_per_cand=2, toks_per_sent=3, q=4, L=64):
             pos += toks_per_sent
     return TrainingInstance(
         tokens=tokens,
-        mask=mask,
         spans=spans,
         long_target=0,
         start=0,
@@ -106,16 +100,10 @@ def test_node_counts_match_construction():
 
 
 def test_minimal_instance_two_paragraphs():
-    tokens = np.zeros(8, dtype=np.int64)
-    mask = np.zeros(8, dtype=bool)
-    mask[:4] = True  # [CLS] [SEP] tok [SEP]
-    sentences = np.full(8, -1, dtype=np.int64)
-    sentences[:2] = 0
-    sentences[2] = 1
-    sentences[3] = 0
+    tokens = np.zeros(4, dtype=np.int64)  # [CLS] [SEP] tok [SEP]
+    sentences = np.array([0, 0, 1, 0])
     inst = TrainingInstance(
         tokens=tokens,
-        mask=mask,
         spans=[(0, 0), (2, 2)],
         long_target=0,
         start=0,
@@ -234,10 +222,10 @@ def test_two_hop_reachability(seed):
 
 def sent_par_loop(instance):
     """Each sentence's paragraph: the first span S[p], p >= 1, holding the
-    sentence's first real position (positions[0] for a sentence id with no
+    sentence's first position (position 0 for a sentence id with no
     token), else 0."""
-    positions = np.where(instance.mask)[0]
-    sent_of_pos = instance.sentences[positions]
+    positions = np.arange(len(instance.tokens))
+    sent_of_pos = instance.sentences
     sent_par = np.zeros(int(sent_of_pos.max()) + 1, dtype=np.int64)
     for sent in range(1, len(sent_par)):
         first_pos = int(positions[np.argmax(sent_of_pos == sent)])
@@ -259,10 +247,9 @@ def test_sentence_paragraph_map_matches_loop(seed, n_spans):
     and sentence ids with no token: `build_graph` maps each sentence as
     the double loop over sentences and spans does."""
     rng = np.random.default_rng(seed)
-    inst = make_instance(n_cands=3, sents_per_cand=2, toks_per_sent=4, L=64)
-    n = int(inst.mask.sum())
-    real = np.flatnonzero(inst.mask)
-    inst.sentences[real] = rng.integers(0, 12, size=n)  # some ids get no token
+    inst = make_instance(n_cands=3, sents_per_cand=2, toks_per_sent=4)
+    n = len(inst.tokens)
+    inst.sentences[:] = rng.integers(0, 12, size=n)  # some ids get no token
     starts = rng.integers(0, n, size=n_spans)
     ends = np.minimum(starts + rng.integers(0, n // 2, size=n_spans), n - 1)
     inst.spans = [(0, 0)] + [(int(a), int(b)) for a, b in zip(starts, ends)]

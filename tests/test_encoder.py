@@ -38,6 +38,7 @@ from multigrain.encoder import (
     split_qkv,
 )
 from multigrain.tensor import Tensor
+from multigrain.train import OptimizerState
 
 
 @pytest.fixture
@@ -83,7 +84,7 @@ def test_embed_zero_tables(setup):
 def test_embed_shape(setup):
     cfg, inst, _, model = setup
     out = embed_tokens(inst, model)
-    assert out.shape == (inst.n_real, cfg.d_h)
+    assert out.shape == (len(inst.tokens), cfg.d_h)
 
 
 def test_embed_deterministic(setup):
@@ -100,6 +101,13 @@ def test_embed_rejects_out_of_range(setup):
         embed_tokens(inst, model)
 
 
+def test_embed_rejects_instance_longer_than_max_len(setup):
+    cfg, inst, _, model = setup
+    inst.tokens = np.resize(inst.tokens, cfg.max_len + 1)
+    with pytest.raises(ValueError, match=f"{cfg.max_len + 1} tokens exceeds max_len {cfg.max_len}"):
+        embed_tokens(inst, model)
+
+
 # ---------------------------------------------------------------- initializer
 
 
@@ -111,7 +119,7 @@ def one_token_sentence_graph():
     """[CLS] q [SEP] t [SEP]: the content sentence holds a single token."""
     from tests.test_docgraph import make_instance
 
-    inst = make_instance(n_cands=1, sents_per_cand=1, toks_per_sent=1, q=1, L=8)
+    inst = make_instance(n_cands=1, sents_per_cand=1, toks_per_sent=1, q=1)
     return inst, build_graph(inst, clips=micro_config().clips)
 
 
@@ -435,6 +443,58 @@ def test_checkpoint_refuses_other_versions(tmp_path, setup):
         path.write_bytes(magic + rest)
         with pytest.raises(ValueError, match="not a checkpoint file"):
             load_checkpoint(path)
+
+
+def rewrite_header(path, change):
+    """Replace the JSON header line of the checkpoint at `path` by
+    change(header); the payload is kept as it is."""
+    magic, header, payload = path.read_bytes().split(b"\n", 2)
+    header = json.dumps(change(json.loads(header))).encode()
+    path.write_bytes(magic + b"\n" + header + b"\n" + payload)
+
+
+def without(obj, key):
+    return {k: v for k, v in obj.items() if k != key}
+
+
+@pytest.mark.parametrize("change, message", [
+    (lambda h: without(h, "crc32"), "checkpoint header lacks 'crc32'"),
+    (lambda h: without(h, "params"), "checkpoint header lacks 'params'"),
+    (lambda h: without(h, "config"), "checkpoint header lacks 'config'"),
+    (lambda h: [h], "checkpoint header is not a JSON object"),
+    (lambda h: dict(h, params=5), "checkpoint params is not a list"),
+    (lambda h: dict(h, params=[without(h["params"][0], "name")]), "checkpoint params is not a list"),
+    (lambda h: dict(h, params=[dict(h["params"][0], shape=["a"])]), "checkpoint params is not a list"),
+    (lambda h: dict(h, params=[dict(h["params"][0], shape=[-1, 8])]), "checkpoint params is not a list"),
+    (lambda h: dict(h, config=[]), "checkpoint config is not a JSON object"),
+    (lambda h: dict(h, config=dict(h["config"], colour=1)), "unknown key 'colour'"),
+    (lambda h: dict(h, config=without(h["config"], "dropout")), "checkpoint config lacks 'dropout'"),
+    (lambda h: dict(h, config=without(h["config"], "d_h")), "checkpoint config lacks 'd_h'"),
+])
+def test_checkpoint_refuses_malformed_header(tmp_path, setup, change, message):
+    """A version-2 header that lacks a key, is not an object, or whose
+    config keys differ from EncoderConfig's fields is refused with a
+    ValueError naming the file and the key; nothing is filled in."""
+    _, _, _, model = setup
+    path = tmp_path / "m.ckpt"
+    model.save(path)
+    rewrite_header(path, change)
+    with pytest.raises(ValueError) as exc:
+        load_checkpoint(path)
+    assert str(path) in str(exc.value) and message in str(exc.value)
+
+
+def test_optimizer_state_refuses_params_only_checkpoint(tmp_path, setup):
+    _, _, _, model = setup
+    path = tmp_path / "m.ckpt"
+    model.save(path)
+    loaded, extra = ModelParams.load(path)
+    with pytest.raises(ValueError, match="'opt.step' is missing"):
+        OptimizerState.from_arrays(loaded.tensors, extra)
+    state = OptimizerState.init(model.tensors).to_arrays()
+    del state["opt.v.head.type.b"]
+    with pytest.raises(ValueError, match="'opt.v.head.type.b' is missing"):
+        OptimizerState.from_arrays(loaded.tensors, state)
 
 
 def test_checkpoint_extra_arrays_round_trip(tmp_path, setup):

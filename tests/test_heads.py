@@ -11,13 +11,15 @@ from multigrain.checks import micro_config, micro_instance
 from multigrain.docgraph import build_graph
 from multigrain.encoder import ModelParams, encode
 from multigrain.heads import (
+    DocumentPrediction,
     ScoreSet,
     inference_scores,
     joint_loss,
     score_nodes,
     select_answers,
 )
-from multigrain.preprocess import AnswerType, TrainingInstance
+from multigrain.predict import _span_text
+from multigrain.preprocess import AnswerType, TrainingInstance, Vocab
 from multigrain.tensor import ContractViolation, Tensor
 
 
@@ -88,7 +90,7 @@ def test_masked_position_never_wins(forward):
     sc = score_nodes(states, graph, inst, model)
     full = start_logits(sc, len(inst.tokens))
     masked = np.ones(len(inst.tokens), dtype=bool)
-    masked[np.where(inst.mask)[0][sc.span_valid.nonzero()[0]]] = False
+    masked[sc.token_positions[sc.span_valid]] = False
     assert not np.isfinite(full[masked]).any()
     assert np.argmax(full) in np.where(np.isfinite(full))[0]
 
@@ -100,7 +102,7 @@ def test_question_and_separators_masked(forward):
     pos = sc.token_positions
     for p in range(1, q + 2):  # question tokens and first [SEP]
         assert not sc.span_valid[np.where(pos == p)[0][0]]
-    last = inst.n_real - 1  # trailing [SEP]
+    last = len(inst.tokens) - 1  # trailing [SEP]
     assert not sc.span_valid[np.where(pos == last)[0][0]]
     assert sc.span_valid[np.where(pos == 0)[0][0]]
 
@@ -257,15 +259,11 @@ def test_span_search_matches_double_loop(max_answer_tokens):
 # ---------------------------------------------------------------- selection
 
 
-def frag_instance(frag_index=0, frag_start=0, n_spans=1, q=2, L=16):
+def frag_instance(frag_index=0, frag_start=0, n_spans=1, q=2):
     content = 6
     seq = 1 + q + 1 + content + 1
-    tokens = np.zeros(L, dtype=np.int64)
-    mask = np.zeros(L, dtype=bool)
-    mask[:seq] = True
-    sentences = np.full(L, -1, dtype=np.int64)
-    sentences[: q + 2] = 0
-    sentences[seq - 1] = 0
+    tokens = np.zeros(seq, dtype=np.int64)
+    sentences = np.zeros(seq, dtype=np.int64)
     spans = [(0, 0)]
     cand_doc_idx = [-1]
     per = content // n_spans
@@ -278,7 +276,6 @@ def frag_instance(frag_index=0, frag_start=0, n_spans=1, q=2, L=16):
         cand_doc_idx.append(frag_start // 6 * n_spans + c)
     return TrainingInstance(
         tokens=tokens,
-        mask=mask,
         spans=spans,
         long_target=0,
         start=0,
@@ -294,9 +291,9 @@ def frag_instance(frag_index=0, frag_start=0, n_spans=1, q=2, L=16):
 
 
 def scores_for(inst, long=None, typ=None, start=None, end=None):
-    pos = np.where(inst.mask)[0]
-    n = len(pos)
-    valid = (pos == 0) | ((pos >= inst.question_len + 2) & (pos < inst.n_real - 1))
+    n = len(inst.tokens)
+    pos = np.arange(n)
+    valid = (pos == 0) | ((pos >= inst.content_start) & (pos < n - 1))
     return ScoreSet(
         start_t=Tensor(np.asarray(start if start is not None else np.zeros(n)) * 1.0),
         end_t=Tensor(np.asarray(end if end is not None else np.zeros(n)) * 1.0),
@@ -340,8 +337,8 @@ def test_short_span_inside_long_span():
     sc = scores_for(
         inst,
         long=rng.normal(size=3),
-        start=rng.normal(size=inst.n_real) * 3,
-        end=rng.normal(size=inst.n_real) * 3,
+        start=rng.normal(size=len(inst.tokens)) * 3,
+        end=rng.normal(size=len(inst.tokens)) * 3,
     )
     pred = select_answers([(inst, sc)])
     if pred.short_kind == "span":
@@ -363,3 +360,19 @@ def test_prediction_json_shape():
     obj = pred.to_json()
     assert set(obj) == {"example_id", "long", "short", "type"}
     assert set(obj["long"]) == {"start", "end", "score", "index"}
+
+
+def test_span_text_skips_closing_separator():
+    """Fragments cover document tokens 0-5 and 3-8. A span that reaches
+    token 6 is read from fragment 1, not from fragment 0's closing [SEP]
+    at that offset."""
+    vocab = Vocab.build(f"w{i}" for i in range(12))
+    frags = [frag_instance(frag_index=0, frag_start=0), frag_instance(frag_index=1, frag_start=3)]
+    for inst in frags:
+        words = range(inst.fragment_start, inst.fragment_start + 6)
+        inst.tokens[:] = [vocab.cls_id, 4, 4, vocab.sep_id,
+                          *(vocab.token2id[f"w{i}"] for i in words), vocab.sep_id]
+    scored = [(inst, None) for inst in frags]
+    for (s, e), want in (((6, 6), "w6"), ((5, 6), "w5 w6"), ((4, 5), "w4 w5")):
+        pred = DocumentPrediction("sel0", 1, 0, 8, 0.0, int(AnswerType.SHORT), "span", s, e)
+        assert _span_text(scored, pred, vocab) == want

@@ -1,8 +1,12 @@
-"""Tokenization, fragmentation, answer-type tagging, and downsampling."""
+"""Tokenization, fragmentation, answer-type tagging, downsampling, the
+instance format, and a fuzz test over raw examples."""
+
+import functools
+import json
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 from multigrain.preprocess import (
@@ -20,10 +24,16 @@ from multigrain.preprocess import (
     insert_markup_tokens,
     markup_token,
     preprocess_example,
+    read_instances,
     segment_sentences,
     wordpiece_tokenize,
     wordpiece_with_offsets,
+    write_jsonl,
 )
+from multigrain.checks import micro_config
+from multigrain.docgraph import build_graph, validate_graph
+from multigrain.encoder import ModelParams
+from multigrain.train import instance_loss
 
 
 @pytest.fixture
@@ -131,6 +141,32 @@ def test_fragment_question_too_long_rejected():
         fragment_document(600, 512 - 3 - 127)  # budget 127 < stride 128
 
 
+def fragment_loop(doc_len, question_len, max_len, stride):
+    """Windows from k = 0 up, stopping at the first that reaches the end."""
+    budget = max_len - 3 - question_len
+    frags, k = [], 0
+    while True:
+        frags.append((k * stride, min(k * stride + budget, doc_len)))
+        if frags[-1][1] >= doc_len:
+            return frags
+        k += 1
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 3000), st.integers(0, 40), st.integers(8, 600), st.integers(1, 200))
+def test_fragments_match_loop(doc_len, q_len, max_len, stride):
+    assume(max_len - 3 - q_len >= stride)
+    assert fragment_document(doc_len, q_len, max_len, stride) == fragment_loop(
+        doc_len, q_len, max_len, stride)
+
+
+@pytest.mark.parametrize("stride", [0, -1])
+def test_fragment_stride_below_one_rejected(stride):
+    """A window that does not advance would never reach the end."""
+    with pytest.raises(ValueError, match="stride"):
+        fragment_document(600, 10, stride=stride)
+
+
 @settings(max_examples=100, deadline=None)
 @given(st.integers(1, 3000), st.integers(1, 512 - 3 - 128))
 def test_fragment_coverage(doc_len, q_len):
@@ -214,6 +250,16 @@ def test_null_annotation():
     assert (inst.start, inst.end, inst.long_target) == (0, 0, 0)
 
 
+@pytest.mark.parametrize("span", [(-1, 7), (2, 9)])
+def test_annotation_bytes_outside_text_rejected(span):
+    """Offsets are checked in bytes: in non-ASCII text a negative offset or
+    one past the last byte is refused, not mapped to a character."""
+    vocab = Vocab.build(["é", "a", "b"])
+    ex = RawExample("u", "a", [CandidateBlock("paragraph", "é a b.")], Annotations(0, [span]))
+    with pytest.raises(ValueError, match="outside candidate text"):
+        preprocess_example(ex, vocab, PreprocessConfig(max_len=64, stride=32))
+
+
 def test_cls_span_is_first():
     inst, _, _ = run_case(Annotations())
     assert inst.spans[0] == (0, 0) and inst.cand_doc_idx[0] == -1
@@ -226,7 +272,6 @@ def null_inst(i):
     L = 8
     return TrainingInstance(
         tokens=np.zeros(L, dtype=np.int64),
-        mask=np.ones(L, dtype=bool),
         spans=[(0, 0)],
         long_target=0,
         start=0,
@@ -278,6 +323,104 @@ def test_instance_json_round_trip():
     assert back.to_json() == inst.to_json()
 
 
+def test_instance_holds_only_its_real_tokens():
+    """[CLS] question [SEP] content [SEP] and nothing after it, with one
+    sentence id per position; content starts at `content_start`."""
+    inst, doc, vocab = run_case(Annotations(long_index=1, short_spans=[(0, 3)]))
+    q = inst.question_len
+    assert len(inst.tokens) == len(inst.sentences) == q + len(doc) + 3
+    assert inst.content_start == q + 2
+    assert inst.tokens[0] == vocab.cls_id
+    assert inst.tokens[inst.content_start - 1] == inst.tokens[-1] == vocab.sep_id
+    np.testing.assert_array_equal(inst.tokens[inst.content_start : -1], doc.token_ids)
+    assert (inst.sentences[: inst.content_start] == 0).all() and inst.sentences[-1] == 0
+    assert (inst.sentences[inst.content_start : -1] > 0).all()
+    assert "mask" not in inst.to_json()
+
+
+def test_instance_json_refuses_padded_lines(tmp_path):
+    """A line with a "mask" field (the padded format) is refused, not
+    converted, and so is one whose token and sentence arrays differ."""
+    inst, _, _ = run_case(Annotations())
+    obj = inst.to_json()
+    n = len(obj["c"])
+    padded = dict(obj, c=obj["c"] + [0] * 4, sentences=obj["sentences"] + [-1] * 4,
+                  mask=[1] * n + [0] * 4)
+    with pytest.raises(ValueError, match="'mask'"):
+        TrainingInstance.from_json(padded)
+    path = tmp_path / "old.jsonl"
+    write_jsonl(path, [obj, padded])
+    with pytest.raises(ValueError, match="'mask'"):
+        read_instances(path)
+    with pytest.raises(ValueError, match=f"{n} tokens but {n - 1} sentence ids"):
+        TrainingInstance.from_json(dict(obj, sentences=obj["sentences"][:-1]))
+
+
+# ---------------------------------------------------------------- fuzzing
+
+FUZZ_VOCAB = Vocab.build(["a", "b", "##b", "é", "##é", "日本", "x1", "ß"])
+FUZZ_TEXT = st.one_of(st.text(max_size=30), st.text(alphabet="ab é日本ßİ.?! \n", max_size=40))
+
+
+@st.composite
+def raw_examples(draw):
+    """Arbitrary unicode, empty blocks and questions, sentence lists that
+    do or do not match the text, and annotation byte offsets anywhere
+    (mid-codepoint, negative, past the end)."""
+    blocks = []
+    for _ in range(draw(st.integers(0, 4))):
+        text = draw(FUZZ_TEXT)
+        how = draw(st.sampled_from(["segment", "cuts", "segment", "cuts", "any"]))
+        sentences = None
+        if how == "cuts":
+            cuts = sorted(draw(st.lists(st.integers(0, len(text)), max_size=3)))
+            sentences = [text[a:b] for a, b in zip([0] + cuts, cuts + [len(text)])]
+        elif how == "any":
+            sentences = draw(st.lists(FUZZ_TEXT, max_size=2))
+        kind = draw(st.sampled_from(["paragraph", "table", "list"] * 5 + ["figure"]))
+        blocks.append(CandidateBlock(kind, text, sentences))
+    n_bytes = max((len(b.text.encode("utf-8")) for b in blocks), default=0)
+    offset = st.integers(-2, n_bytes + 2)
+    annotations = Annotations(
+        long_index=draw(st.none() | st.integers(-1, len(blocks))),
+        short_spans=draw(st.none() | st.lists(st.tuples(offset, offset), max_size=2)),
+        yes_no=draw(st.sampled_from([None, "yes", "no", "maybe"])),
+    )
+    return RawExample("fuzz", draw(FUZZ_TEXT), blocks, annotations)
+
+
+@functools.lru_cache(maxsize=None)
+def fuzz_model(max_len):
+    cfg = micro_config(vocab_size=len(FUZZ_VOCAB), max_len=max_len)
+    return ModelParams.init(cfg, seed=0, scale=0.1)
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    example=raw_examples(),
+    # edge values last: sampled_from draws its first elements most often
+    max_len=st.sampled_from([*range(16, 97), *range(16)]),
+    stride=st.sampled_from([*range(1, 25), 0, -1]),
+)
+def test_fuzz_raw_examples_end_typed_or_valid(example, max_len, stride):
+    """Every raw example either raises ValueError or gives instances that
+    fit max_len, pass validate_graph, have a finite loss and survive a
+    JSON round trip unchanged."""
+    cfg = PreprocessConfig(max_len=max_len, stride=stride, keep_prob=1.0)
+    try:
+        instances = preprocess_example(example, FUZZ_VOCAB, cfg)
+    except ValueError:
+        return
+    model = fuzz_model(max_len)
+    for inst in instances:
+        assert len(inst.tokens) <= max_len
+        graph = build_graph(inst, clips=model.config.clips)
+        assert validate_graph(graph) is None
+        assert np.isfinite(instance_loss(inst, graph, model).item())
+        line = json.dumps(inst.to_json())
+        assert TrainingInstance.from_json(json.loads(line)).to_json() == inst.to_json()
+
+
 def test_raw_example_json_round_trip():
     ex = make_example(Annotations(long_index=0, short_spans=[(0, 1)], yes_no=None))
     back = RawExample.from_json(ex.to_json())
@@ -288,8 +431,6 @@ def test_pipeline_byte_identical():
     vocab = Vocab.build(["a", "b", "c", "d"])
     ex = make_example(Annotations(long_index=1, short_spans=[(0, 3)]))
     cfg = PreprocessConfig(max_len=64, stride=32, keep_prob=0.5, seed=3)
-    import json
-
     runs = []
     for _ in range(2):
         insts = preprocess_example(ex, vocab, cfg)
