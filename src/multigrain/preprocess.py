@@ -93,12 +93,21 @@ def wordpiece_with_offsets(text: str, vocab: Vocab) -> tuple[list[int], list[tup
 
     Returns ids and per-piece character offsets into `text`. A word with
     no matching prefix becomes a single [UNK] covering the whole word.
+    Lowercasing can lengthen a character ("İ" becomes "i̇"), so a piece's
+    offsets are mapped back to the characters of `text` it came from; a
+    piece that splits one such character shares it with its neighbour.
     """
     ids: list[int] = []
     offsets: list[tuple[int, int]] = []
     for m in _WORD_RE.finditer(text):
         word = m.group().lower()
         base = m.start()
+        # owner[i]: the character of the word that lowercased index i came from
+        owner = (
+            range(len(word))
+            if len(word) == len(m.group())
+            else [j for j, ch in enumerate(m.group()) for _ in ch.lower()]
+        )
         pieces: list[tuple[int, int, int]] = []
         start = 0
         ok = True
@@ -116,7 +125,7 @@ def wordpiece_with_offsets(text: str, vocab: Vocab) -> tuple[list[int], list[tup
             if piece_id is None:
                 ok = False
                 break
-            pieces.append((piece_id, base + start, base + end))
+            pieces.append((piece_id, base + owner[start], base + owner[end - 1] + 1))
             start = end
         if ok:
             for pid, a, b in pieces:

@@ -13,6 +13,12 @@ a hard error rather than a silent corruption of the run. The attention
 scores, which are not an op output, are covered either by a bound on
 their size, known before they are computed, or by a scan of their own.
 
+Ops record onto the tape of the innermost `record_tape` block. A taped
+node refers to its tape only weakly, so a graph forms no reference cycle:
+the tape, and with it every node it lists, lives until its block ends and
+then goes by reference counting. `backward` drops each node's closure once
+the replay has passed it, so a replayed tape holds only node outputs.
+
 Two precision modes exist: "standard" (float64) for training and
 "extended" (longdouble) used only by the finite-difference harness.
 """
@@ -20,6 +26,7 @@ Two precision modes exist: "standard" (float64) for training and
 from __future__ import annotations
 
 import math
+import weakref
 from contextlib import contextmanager
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Sequence
@@ -75,13 +82,17 @@ def no_grad():
 
 
 class Tape:
-    """Ordered record of executed ops; reverse replay drives backward()."""
+    """Ordered record of executed ops; reverse replay drives backward().
+
+    The tape holds its nodes; each node holds only `ref`, a weak reference
+    to the tape. The tape lives until its `record_tape` block ends. Once
+    replayed, its nodes hold only their outputs, not the arrays their
+    backward closures saved.
+    """
 
     def __init__(self):
         self.nodes: list[Tensor] = []
-
-    def record(self, t: "Tensor"):
-        self.nodes.append(t)
+        self.ref = weakref.ref(self)
 
     def __len__(self):
         return len(self.nodes)
@@ -89,6 +100,12 @@ class Tape:
 
 @contextmanager
 def record_tape():
+    """Record differentiable ops on a fresh tape for the block's duration.
+
+    The tape ends with the block: `backward` refuses a loss whose block
+    has ended, and with no cycle between nodes and tape, the graph is
+    freed by reference counting as soon as nothing else holds it.
+    """
     t = Tape()
     _tape_stack.append(t)
     try:
@@ -103,7 +120,7 @@ def _check_finite(data: np.ndarray, op: str):
 
 
 class Tensor:
-    __slots__ = ("data", "requires_grad", "grad", "_backward", "_tape")
+    __slots__ = ("data", "requires_grad", "grad", "_backward", "_tape_ref")
 
     def __init__(self, data, requires_grad: bool = False, dtype=None):
         arr = np.asarray(data, dtype=dtype or current_dtype())
@@ -113,7 +130,12 @@ class Tensor:
         self.requires_grad = requires_grad
         self.grad: np.ndarray | None = None
         self._backward: Callable[[np.ndarray], None] | None = None
-        self._tape: Tape | None = None
+        self._tape_ref: weakref.ref | None = None
+
+    @property
+    def _tape(self) -> Tape | None:
+        """The tape this node was recorded on, while that tape lives."""
+        return self._tape_ref() if self._tape_ref is not None else None
 
     @property
     def shape(self):
@@ -176,12 +198,13 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Ten
     out.data = data
     out.grad = None
     out._backward = None
-    out._tape = None
+    out._tape_ref = None
     out.requires_grad = _grad_enabled[-1] and any(p.requires_grad for p in parents)
     if out.requires_grad and _tape_stack:
+        tape = _tape_stack[-1]
         out._backward = backward
-        out._tape = _tape_stack[-1]
-        _tape_stack[-1].record(out)
+        out._tape_ref = tape.ref
+        tape.nodes.append(out)
     return out
 
 
@@ -700,16 +723,28 @@ def backward(loss: Tensor, params: Dict[str, Tensor]) -> Dict[str, np.ndarray]:
     Parameters not connected to the loss get a zero gradient of matching
     shape. Existing .grad fields on parameters are accumulated into, which
     is how per-instance gradients merge within a batch.
+
+    Call it inside the loss's `record_tape` block, once per tape. The
+    replay drops each node's backward closure as it passes the node, so
+    the arrays the forward saved are freed during the replay and the
+    tape then holds only node outputs; a second replay would find no
+    closures, so it is refused, as is a loss whose block has ended.
     """
     if loss.data.shape != ():
         raise ContractViolation(f"backward requires a scalar loss, got shape {loss.data.shape}")
-    if loss._tape is None:
+    if loss._tape_ref is None:
         raise ContractViolation("loss is not recorded on any tape (no grad path)")
+    tape = loss._tape
+    if tape not in _tape_stack:
+        raise ContractViolation("the record_tape block of this loss has ended")
+    if loss._backward is None:
+        raise ContractViolation("the tape of this loss was already replayed")
     loss.grad = np.ones((), dtype=loss.data.dtype)
-    for node in reversed(loss._tape.nodes):
-        if node.grad is None or node._backward is None:
+    for node in reversed(tape.nodes):
+        step, node._backward = node._backward, None
+        if node.grad is None or step is None:
             continue
-        node._backward(node.grad)
+        step(node.grad)
         if node is not loss:
             node.grad = None  # free intermediate storage
     return {

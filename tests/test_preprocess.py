@@ -3,10 +3,11 @@ instance format, and a fuzz test over raw examples."""
 
 import functools
 import json
+import re
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, example, given, settings
 from hypothesis import strategies as st
 
 from multigrain.preprocess import (
@@ -358,8 +359,29 @@ def test_instance_json_refuses_padded_lines(tmp_path):
 
 # ---------------------------------------------------------------- fuzzing
 
-FUZZ_VOCAB = Vocab.build(["a", "b", "##b", "é", "##é", "日本", "x1", "ß"])
-FUZZ_TEXT = st.one_of(st.text(max_size=30), st.text(alphabet="ab é日本ßİ.?! \n", max_size=40))
+# "İ" lowercases to two characters, "i" and U+0307; the pieces "i", "##i"
+# and "##\u0307" split it in two, at the start of a word or inside one.
+FUZZ_VOCAB = Vocab.build(["a", "b", "##b", "é", "##é", "日本", "x1", "ß", "i", "##i", "##\u0307", "##x"])
+FUZZ_TEXT = st.one_of(st.text(max_size=30), st.text(alphabet="ab é日本ßİx.?! \n", max_size=40))
+
+
+def assert_pieces_tile_words(text):
+    """Each word's pieces lie inside it, with offsets that do not decrease,
+    from the word's first character to its last."""
+    _, offsets = wordpiece_with_offsets(text, FUZZ_VOCAB)
+    starts, ends = [a for a, _ in offsets], [b for _, b in offsets]
+    assert starts == sorted(starts) and ends == sorted(ends)
+    k = 0
+    for word in re.finditer(r"\w+|[^\w\s]", text):
+        start, end = word.span()
+        pieces = []
+        while k < len(offsets) and offsets[k][0] < end:
+            pieces.append(offsets[k])
+            k += 1
+        assert pieces, f"no piece for {word.group()!r}"
+        assert all(start <= a < b <= end for a, b in pieces), (word.group(), pieces)
+        assert pieces[0][0] == start and pieces[-1][1] == end, (word.group(), pieces)
+    assert k == len(offsets)
 
 
 @st.composite
@@ -402,10 +424,18 @@ def fuzz_model(max_len):
     max_len=st.sampled_from([*range(16, 97), *range(16)]),
     stride=st.sampled_from([*range(1, 25), 0, -1]),
 )
+@example(
+    example=RawExample("fuzz", "İx ab", [CandidateBlock("paragraph", "İx ab", None)], Annotations(0, [(0, 3)], None)),
+    max_len=32,
+    stride=8,
+)
 def test_fuzz_raw_examples_end_typed_or_valid(example, max_len, stride):
     """Every raw example either raises ValueError or gives instances that
     fit max_len, pass validate_graph, have a finite loss and survive a
-    JSON round trip unchanged."""
+    JSON round trip unchanged; in its question and every block, the
+    wordpiece offsets tile each word in order."""
+    for text in [example.question, *(b.text for b in example.blocks)]:
+        assert_pieces_tile_words(text)
     cfg = PreprocessConfig(max_len=max_len, stride=stride, keep_prob=1.0)
     try:
         instances = preprocess_example(example, FUZZ_VOCAB, cfg)

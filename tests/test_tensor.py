@@ -182,6 +182,45 @@ def test_backward_disconnected_param_zero():
     np.testing.assert_array_equal(grads["q"], np.zeros(3))
 
 
+def test_backward_refuses_a_replayed_tape():
+    """The replay drops the closures, so a second one would return zero
+    gradients without an error."""
+    p = tensor(np.ones(3))
+    with T.record_tape():
+        loss = T.tsum(T.mul(p, p))
+        T.backward(loss, {"p": p})
+        with pytest.raises(T.ContractViolation, match="already replayed"):
+            T.backward(loss, {"p": p})
+
+
+@pytest.mark.parametrize("keep_tape", [False, True])
+def test_backward_refuses_a_loss_whose_block_ended(keep_tape):
+    p = tensor(np.ones(3))
+    with T.record_tape() as tape:
+        loss = T.tsum(T.mul(p, p))
+    if keep_tape:
+        assert loss._tape is tape
+    else:
+        del tape
+        assert loss._tape is None  # nothing held the tape once its block ended
+    with pytest.raises(T.ContractViolation, match="block of this loss has ended"):
+        T.backward(loss, {"p": p})
+
+
+def test_tape_nodes_readable_after_backward_in_the_block():
+    """Until the block ends, a replayed tape still lists its nodes and
+    their outputs; only the backward closures are gone."""
+    p = tensor(np.arange(3.0))
+    with T.record_tape() as tape:
+        sq = T.mul(p, p)
+        loss = T.tsum(sq)
+        T.backward(loss, {"p": p})
+        nodes = loss._tape.nodes
+        assert len(nodes) == 2 and nodes[0] is sq and nodes[1] is loss
+        np.testing.assert_array_equal(nodes[0].data, [0.0, 1.0, 4.0])
+        assert all(n._backward is None for n in tape.nodes)
+
+
 # ---------------------------------------------------------------- finite differences
 
 

@@ -1,5 +1,6 @@
 """Optimizer, schedule, and training-loop determinism."""
 
+import gc
 import time
 from pathlib import Path
 
@@ -10,7 +11,7 @@ from multigrain import encoder as E
 from multigrain import train as train_module
 from multigrain.checks import micro_config, micro_instance
 from multigrain.encoder import ModelParams
-from multigrain.tensor import Tensor
+from multigrain.tensor import Tape, Tensor
 from multigrain.train import (
     OptimizerState,
     TrainConfig,
@@ -147,6 +148,29 @@ def test_same_seed_identical_traces():
         assert traces[0] == traces[1], f"dropout {dropout}"
         runs[dropout] = traces[0]
     assert runs[0.0] != runs[0.1]  # the masks are live
+
+
+def test_training_graphs_free_without_the_cyclic_collector(tiny):
+    """No graph a step records is part of a reference cycle: with the
+    cyclic collector off, a collection afterwards finds no Tensor or Tape
+    that reference counting left behind."""
+    insts, model = tiny
+    tc = TrainConfig(batch_size=1, total_steps=3, peak_lr=1e-3, seed=0)
+    enabled, flags = gc.isenabled(), gc.get_debug()
+    gc.collect()
+    before = len(gc.garbage)
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        train_loop(insts, model, tc)
+        gc.collect()
+        left = [type(o).__name__ for o in gc.garbage[before:] if isinstance(o, (Tensor, Tape))]
+    finally:
+        gc.set_debug(flags)
+        del gc.garbage[before:]
+        if enabled:
+            gc.enable()
+    assert left == []
 
 
 class RotatingPath:
