@@ -19,6 +19,20 @@ the tape, and with it every node it lists, lives until its block ends and
 then goes by reference counting. `backward` drops each node's closure once
 the replay has passed it, so a replayed tape holds only node outputs.
 
+Two ops split a large call across the CPUs the process may run on
+(`os.sched_getaffinity`; on one CPU nothing splits). `relative_attention`
+runs min(m, CPUs) contiguous groups of heads side by side, forward and
+backward, once its m n^2 score cells reach SPLIT_WORK, and only on its
+bound-shifted route; `gelu` takes erf in as many row blocks once its input
+has SPLIT_WORK elements. Heads are independent until their outputs are
+concatenated, and erf works elementwise, so each part does the same
+arithmetic as in one call, and the results are bit-identical to it. The
+first part runs on the calling thread and the rest on a pool of CPUs - 1
+threads, which the first split call of a process starts; only numpy runs
+there, no op is recorded there, and whatever mixes parts runs after the
+join. Below SPLIT_WORK (every level of a few hundred nodes or fewer) a
+call makes no more numpy calls than one that never splits.
+
 Two precision modes exist: "standard" (float64) for training and
 "extended" (longdouble) used only by the finite-difference harness.
 """
@@ -26,7 +40,11 @@ Two precision modes exist: "standard" (float64) for training and
 from __future__ import annotations
 
 import math
+import os
+import threading
+import time
 import weakref
+from concurrent.futures import ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Sequence
@@ -235,8 +253,10 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data * b.data
 
     def backward(g):
-        _accumulate(a, _unbroadcast(g * b.data, a.shape))
-        _accumulate(b, _unbroadcast(g * a.data, b.shape))
+        if a.requires_grad:
+            _accumulate(a, _unbroadcast(g * b.data, a.shape))
+        if b.requires_grad:
+            _accumulate(b, _unbroadcast(g * a.data, b.shape))
 
     return _make(data, (a, b), backward, "mul")
 
@@ -249,8 +269,10 @@ def matmul(a: Tensor, b: Tensor) -> Tensor:
     data = a.data @ b.data
 
     def backward(g):
-        _accumulate(a, g @ b.data.T)
-        _accumulate(b, a.data.T @ g)
+        if a.requires_grad:
+            _accumulate(a, g @ b.data.T)
+        if b.requires_grad:
+            _accumulate(b, a.data.T @ g)
 
     return _make(data, (a, b), backward, "matmul")
 
@@ -451,6 +473,83 @@ def band_plan(n: int, clip: int) -> BandPlan:
     return BandPlan(n, clip)
 
 
+# ---------------------------------------------------------------- side by side
+
+# The work, in cells of a level's (m, n, n) scores or elements of a gelu
+# input, from which an op runs independent parts side by side. Handing a
+# part to the pool costs up to a few hundred microseconds on a 2-vCPU VM:
+# there, over three probes, two groups of a 4-head level (d_z = 16) took
+# 1.9-2.9x the time of one at n = 32 and 64, 0.86-1.28x at n = 128,
+# 0.85-1.13x at n = 256 and 0.59-0.94x at n = 512 (forward alone, and
+# forward plus backward), and gelu's two halves took 0.68-0.81x of one erf
+# call at the paper's FFN size (561 or 576, 256) but 0.95-1.16x at
+# (64, 256).
+SPLIT_WORK = 1 << 17
+
+_pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid of the process that made it, pool)
+_pool_lock = threading.Lock()
+
+
+def _cpus() -> int:
+    """The CPUs this process may run on (one where that is not known)."""
+    return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
+
+
+def _group_count(parts: int, work: int) -> int:
+    """Into how many side-by-side groups a call of `parts` independent
+    parts and `work` cells in all splits: one per CPU, at most `parts`; one
+    below SPLIT_WORK."""
+    return min(parts, _cpus()) if work >= SPLIT_WORK else 1
+
+
+def _executor() -> ThreadPoolExecutor:
+    """This process's pool, made on first use. A child forked from a
+    process with a pool inherits the pool but none of its threads, so it
+    makes its own."""
+    global _pool
+    with _pool_lock:
+        if _pool is None or _pool[0] != os.getpid():
+            workers = max(1, _cpus() - 1)
+            _pool = (os.getpid(), ThreadPoolExecutor(workers, thread_name_prefix="tensor"))
+        return _pool[1]
+
+
+def _side_by_side(fn: Callable, count: int, *args) -> list:
+    """fn once per group, for `count` groups side by side: group i gets the
+    i-th of `count` contiguous blocks (views along axis 0) of each array in
+    `args`, or the i-th item of each tuple, which holds a block per group
+    already (as an earlier call returned them). Group 0 runs on this thread
+    and the others on the pool at once; with one group, fn runs here on the
+    whole arrays.
+
+    Returns the results in group order, only after every group has
+    finished, then raises the first error any group raised. `fn` runs
+    numpy on its own blocks and touches no tape, dtype or grad-mode state,
+    so each block's arithmetic, and with it every bit of the result, is the
+    same as in one call.
+    """
+    if count == 1:
+        return [fn(*[a[0] if type(a) is tuple else a for a in args])]
+    calls = list(zip(*(a if type(a) is tuple else np.array_split(a, count) for a in args)))
+    futures = [_executor().submit(fn, *call) for call in calls[1:]]
+    try:
+        first = fn(*calls[0])
+    finally:
+        # Poll rather than block: on a 2-vCPU VM, after joins that blocked
+        # (and so left this thread's CPU idle) the single-threaded work of
+        # a paper predict ran 10% slower, and a fixed numpy kernel 13%;
+        # after polled joins neither moved. sleep(0) lets the pool's
+        # threads take the GIL.
+        while not all(f.done() for f in futures):
+            time.sleep(0)
+    return [first] + [f.result() for f in futures]
+
+
+def _joined(parts: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
+    """The parts concatenated along `axis`; a single part as it is."""
+    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
+
+
 def _head_width(qkv: Tensor, m: int, ak: Tensor, av: Tensor, n_buckets: int) -> tuple[int, int]:
     """Check the operand shapes of a fused attention op; return (n, d_z)."""
     n, d3 = qkv.shape
@@ -495,6 +594,12 @@ def relative_attention(
     finite) the scores are scanned and shifted by their row max.
     If `weights` is a list, the call takes that second route and appends
     the dense (m, n, n) scores e and weights alpha to it.
+
+    On the first route, a call of m n^2 >= SPLIT_WORK score cells runs
+    contiguous groups of heads side by side (see `_side_by_side`): each
+    group's passes over its (n, n) scores, forward and backward. What
+    mixes heads (U, 1/s, the av term and the ak and av gradients) runs
+    after the join on the whole arrays.
     """
     n, dz = _head_width(qkv, m, ak, av, 2 * clip + 1)
     band = band_plan(n, clip)
@@ -505,40 +610,56 @@ def relative_attention(
     shifted = weights is None and bound <= SHIFT_LIMIT
     scale = 1.0 / math.sqrt(dz)
     q *= scale
-    p = q @ k.swapaxes(1, 2)
-    r = q @ ak.data.T
-    if shifted:
-        r -= bound
-    band.add_expanded(p, r)
-    if not shifted:
-        _check_finite(p, "relative_attention")
-        scores = p.copy() if weights is not None else None
-        p -= p.max(axis=-1, keepdims=True)  # the softmax runs in place
-    np.exp(p, out=p)
-    folded = band.fold(p)  # its runs partition each row
+    count = _group_count(m, m * n * n if shifted else 0)
+    scores = None
+
+    def forward(qh, kh, vh):
+        nonlocal scores
+        p = qh @ kh.swapaxes(1, 2)
+        r = qh @ ak.data.T
+        if shifted:
+            r -= bound
+        band.add_expanded(p, r)
+        if not shifted:
+            _check_finite(p, "relative_attention")
+            if weights is not None:
+                scores = p.copy()
+            p -= p.max(axis=-1, keepdims=True)  # the softmax runs in place
+        np.exp(p, out=p)
+        return p, band.fold(p), p @ vh  # the fold's runs partition each row
+
+    ps, folds, zs = zip(*_side_by_side(forward, count, q, k, v))
+    folded = _joined(folds)
     inv_s = 1.0 / folded.sum(axis=-1, keepdims=True)  # (m, n, 1)
-    z = p @ v
+    z = _joined(zs)
     z += folded @ av.data
     z *= inv_s
     if weights is not None:
-        weights.append((scores, p * inv_s))
+        weights.append((scores, ps[0] * inv_s))
 
     def backward(g):
         # de_ij = alpha_ij (gz_i . (v_j + av[b_ij]) - gz_i . z_i); 1/s_i
         # rides on gz_i, the one per-row factor
         gzs = g.reshape(n, m, dz).transpose(1, 0, 2) * inv_s
-        gs = gzs @ v.swapaxes(1, 2)
-        band.add_expanded(gs, gzs @ av.data.T - np.einsum("hid,hid->hi", gzs, z)[..., None])
-        gs *= p
-        gfold = band.fold(gs)
-        if qkv.requires_grad:
-            gq = gs @ k
+
+        def group(gz, vh, zh, kh, qh, p):
+            gs = gz @ vh.swapaxes(1, 2)
+            band.add_expanded(gs, gz @ av.data.T - np.einsum("hid,hid->hi", gz, zh)[..., None])
+            gs *= p
+            gfold = band.fold(gs)
+            if not qkv.requires_grad:
+                return gfold, None
+            gq = gs @ kh
             gq += gfold @ ak.data
             gq *= scale
-            grad = np.stack([gq, gs.swapaxes(1, 2) @ q, p.swapaxes(1, 2) @ gzs])
+            return gfold, np.stack([gq, gs.swapaxes(1, 2) @ qh, p.swapaxes(1, 2) @ gz])
+
+        gfolds, grads = zip(*_side_by_side(group, count, gzs, v, z, k, q, ps))
+        if qkv.requires_grad:
+            grad = _joined(grads, axis=1)
             _accumulate(qkv, grad.transpose(2, 0, 1, 3).reshape(n, 3 * m * dz))
         if ak.requires_grad:
-            _accumulate(ak, gfold.reshape(-1, 2 * clip + 1).T @ q.reshape(-1, dz))
+            _accumulate(ak, _joined(gfolds).reshape(-1, 2 * clip + 1).T @ q.reshape(-1, dz))
         if av.requires_grad:
             _accumulate(av, folded.reshape(-1, 2 * clip + 1).T @ gzs.reshape(-1, dz))
 
@@ -623,13 +744,18 @@ def tsum(a: Tensor) -> Tensor:
 
 
 def gelu(a: Tensor) -> Tensor:
-    """x * Phi(x) with the exact-erf normal CDF (not the tanh form)."""
+    """x * Phi(x) with the exact-erf normal CDF (not the tanh form).
+
+    An input of SPLIT_WORK elements or more takes its erf in row blocks
+    side by side (see `_side_by_side`).
+    """
     x = a.data
     # erf is evaluated in float64; the cast costs ~1e-16 relative noise,
     # well under the finite-difference tolerance.
     x64 = x if x.dtype == np.float64 else x.astype(np.float64)
     phi = x64 / math.sqrt(2.0)
-    _erf64(phi, out=phi)
+    rows = len(phi) if phi.ndim else 1
+    _side_by_side(lambda b: _erf64(b, out=b), _group_count(rows, phi.size), phi)
     phi += 1.0
     phi *= 0.5
     phi = phi.astype(x.dtype, copy=False)

@@ -101,7 +101,18 @@ def adam_step(
     lr: float,
     grad_clip: float = 0.0,
 ):
-    """Standard bias-corrected Adam update, in place."""
+    """Standard bias-corrected Adam update, in place.
+
+    Every gradient is checked before anything changes, so a refused step
+    (a shape mismatch or a non-finite gradient) leaves the parameters and
+    `state` as they were.
+    """
+    for name, p in params.items():
+        g = grads[name]
+        if g.shape != p.data.shape:
+            raise ValueError(f"gradient shape mismatch for {name}")
+        if not np.isfinite(g).all():
+            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
     t = state.step
     b1, b2 = state.beta1, state.beta2
@@ -112,10 +123,6 @@ def adam_step(
             grads = {k: g * scale for k, g in grads.items()}
     for name, p in params.items():
         g = grads[name]
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
         state.m[name] = b1 * state.m[name] + (1 - b1) * g
         state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
         mhat = state.m[name] / (1 - b1**t)

@@ -111,14 +111,21 @@ def test_gelu_normal_cdf_oracle():
     np.testing.assert_allclose(T.gelu(tensor([1.0])).data[0], phi1, atol=1e-12)
 
 
-@pytest.mark.parametrize("mode", ["standard", "extended"])
-def test_gelu_bit_identical_to_closed_form(mode):
+@pytest.mark.parametrize("mode, shape", [
+    pytest.param("standard", (37, 11), id="standard"),
+    pytest.param("extended", (37, 11), id="extended"),
+    pytest.param("standard", (576, 256), id="standard-ffn"),
+])
+def test_gelu_bit_identical_to_closed_form(mode, shape, monkeypatch):
     """gelu and its gradient equal x Phi(x) and g (Phi(x) + x phi(x)), with
-    erf and exp taken in float64 and cast to the working dtype, bit for bit."""
+    erf and exp taken in float64 and cast to the working dtype, bit for bit;
+    also at the size of the paper's FFN, whose erf runs in two row blocks
+    side by side, against one erf call over the whole array."""
+    monkeypatch.setattr(T, "_cpus", lambda: 2)
     rng = np.random.default_rng(0)
     with T.precision(mode):
         dtype = T.current_dtype()
-        x = (rng.normal(size=(37, 11)) * 3).astype(dtype)
+        x = (rng.normal(size=shape) * 3).astype(dtype)
         g = rng.normal(size=x.shape).astype(dtype)
         a = T.Tensor(x, requires_grad=True)
         with T.record_tape():
@@ -488,6 +495,154 @@ def test_relative_attention_leaves_its_input_alone(n):
     first = T.relative_attention(qkv, ak, av, m, clip)
     np.testing.assert_array_equal(qkv.data, before)
     np.testing.assert_array_equal(T.relative_attention(qkv, ak, av, m, clip).data, first.data)
+
+
+def split_attention_inputs(seed, n=300, m=4, dz=8, clip=5, scale=0.3):
+    """Inputs of a 4-head level of n = 300 nodes: 360 000 score cells, over
+    SPLIT_WORK, so the heads run in groups side by side."""
+    rng = np.random.default_rng(seed)
+    assert m * n * n >= T.SPLIT_WORK
+    qkv = rng.normal(size=(n, 3 * m * dz)) * scale
+    ak, av = (rng.normal(size=(2 * clip + 1, dz)) * scale for _ in range(2))
+    return qkv, ak, av, m, clip
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_relative_attention_head_groups_equal_one_group(mode, taped, cpus, monkeypatch):
+    """Above SPLIT_WORK the heads run in min(m, CPUs) groups side by side
+    (here 2 + 2 and 2 + 1 + 1 of 4); the output and the qkv, ak and av
+    gradients equal, bit for bit, those of the same call in one group,
+    and a taped call records one node."""
+    qkv, ak, av, m, clip = split_attention_inputs(7)
+    g = np.random.default_rng(8).normal(size=(len(qkv), qkv.shape[1] // 3))
+    submitted = []
+    executor = T._executor
+
+    def run(cpus):
+        monkeypatch.setattr(T, "_cpus", lambda: cpus)
+        monkeypatch.setattr(T, "_executor", lambda: submitted.append(cpus) or executor())
+        with T.precision(mode):
+            args = [T.Tensor(a, requires_grad=True) for a in (qkv, ak, av)]
+            if not taped:
+                with T.no_grad():
+                    return T.relative_attention(*args, m, clip).data, []
+            with T.record_tape() as tape:
+                out = T.relative_attention(*args, m, clip)
+                assert len(tape) == 1
+                grads = T.backward(T.tsum(T.mul(out, T.Tensor(g))), dict(enumerate(args)))
+            return out.data, [grads[i] for i in range(3)]
+
+    whole, whole_grads = run(1)
+    assert not submitted
+    split, split_grads = run(cpus)
+    # the forward, and for a taped call the backward, handed groups to the pool
+    assert len(submitted) == (2 if taped else 1) * (cpus - 1)
+    assert split.dtype == T._DTYPES[mode]
+    np.testing.assert_array_equal(split, whole)
+    for got, want in zip(split_grads, whole_grads, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+def test_relative_attention_exact_route_is_not_split(monkeypatch):
+    """Above SPLIT_WORK, a call whose bound U exceeds SHIFT_LIMIT stays one
+    group: one finiteness scan of its scores besides the output's, and a
+    score of -inf raises, naming the op."""
+    qkv, ak, av, m, clip = split_attention_inputs(9, scale=3.0)
+    checks = []
+    check_finite = T._check_finite
+    monkeypatch.setattr(T, "_cpus", lambda: 2)
+    monkeypatch.setattr(T, "_executor", lambda: pytest.fail("the exact route was split"))
+    monkeypatch.setattr(T, "_check_finite", lambda data, op: checks.append(op) or check_finite(data, op))
+    T.relative_attention(T.Tensor(qkv), T.Tensor(ak), T.Tensor(av), m, clip)
+    assert checks == ["relative_attention"] * 2
+    dz = ak.shape[1]
+    qkv[0, 0], qkv[0, m * dz] = 1e200, -1e200  # e_00 = q_0 k_0 = -inf in head 0
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="relative_attention"):
+        T.relative_attention(T.Tensor(qkv), T.Tensor(ak), T.Tensor(av), m, clip)
+
+
+@pytest.mark.parametrize("fail_on", ["pool", "caller"])
+def test_relative_attention_group_error_comes_out_after_the_join(fail_on, monkeypatch):
+    """An error in either group comes out of the call, and only once every
+    group has finished: the pool's group, slowed down, has ended by then."""
+    import threading
+    import time
+
+    qkv, ak, av, m, clip = split_attention_inputs(10)
+    plan = T.band_plan(len(qkv), clip)
+    caller = threading.get_ident()
+    finished = []
+
+    class SlowPlan:
+        def add_expanded(self, out, r):
+            plan.add_expanded(out, r)
+
+        def fold(self, g):
+            on_pool = threading.get_ident() != caller
+            if on_pool:
+                time.sleep(0.3)
+            if on_pool == (fail_on == "pool"):
+                raise RuntimeError(f"fold failed on the {fail_on}")
+            finished.append(on_pool)
+            return plan.fold(g)
+
+    monkeypatch.setattr(T, "_cpus", lambda: 2)
+    monkeypatch.setattr(T, "band_plan", lambda n, c: SlowPlan())
+    with pytest.raises(RuntimeError, match=fail_on):
+        T.relative_attention(T.Tensor(qkv), T.Tensor(ak), T.Tensor(av), m, clip)
+    assert finished == [fail_on == "caller"]
+
+
+POOL_SCRIPT = """
+import hashlib, os, select, signal, sys, threading
+import numpy as np
+from multigrain import tensor as T
+
+def call(n):
+    rng = np.random.default_rng(n)
+    qkv, ak, av = rng.normal(size=(n, 48)) * 0.3, rng.normal(size=(3, 4)), rng.normal(size=(3, 4))
+    out = T.relative_attention(T.Tensor(qkv), T.Tensor(ak), T.Tensor(av), 4, 1)
+    return hashlib.sha256(out.data.tobytes()).hexdigest()
+
+T._cpus = lambda: 2
+assert threading.active_count() == 1, "a thread at import"
+call(100)  # 40 000 cells, under SPLIT_WORK
+assert threading.active_count() == 1, "a thread below SPLIT_WORK"
+digest = call(300)
+assert threading.active_count() == 2, threading.enumerate()
+read, write = os.pipe()
+pid = os.fork()
+if pid == 0:
+    signal.alarm(60)
+    os.write(write, call(300).encode())
+    os._exit(0)
+ready, _, _ = select.select([read], [], [], 60)
+if not ready:
+    os.kill(pid, signal.SIGKILL)
+    sys.exit("the forked child's split call did not finish")
+assert os.read(read, 64).decode() == digest, "the child's bytes differ"
+assert os.waitpid(pid, 0)[1] == 0
+print("ok")
+"""
+
+
+def test_pool_belongs_to_the_process_that_made_it():
+    """The pool starts with the first split call, not at import or below
+    SPLIT_WORK; a child forked after a split call makes its own pool and
+    gets the same bytes; a process with a pool exits promptly."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = str(Path(T.__file__).resolve().parents[1])
+    env = dict(os.environ, PYTHONPATH=src + os.pathsep + os.environ.get("PYTHONPATH", ""))
+    done = subprocess.run([sys.executable, "-c", POOL_SCRIPT], env=env, capture_output=True,
+                          text=True, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert done.stdout.strip() == "ok"
 
 
 def op_oracle(qkv, ak, av, m, mask, buckets):

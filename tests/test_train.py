@@ -91,12 +91,23 @@ def test_adam_constant_grad_fixed_point():
 
 
 def test_adam_rejects_nonfinite():
+    """A NaN in the last parameter's gradient refuses the whole step: no
+    parameter, moment or step count has moved when the error comes out."""
     from multigrain.tensor import NonFiniteError
 
-    params = make_params({"w": [0.0]})
+    params = make_params({"a": [1.0], "w": [0.0]})
     state = OptimizerState.init(params)
+    adam_step(params, {"a": np.ones(1), "w": np.ones(1)}, state, lr=0.1)
+    before = {k: p.data.copy() for k, p in params.items()}
+    arrays = {k: v.copy() for k, v in state.to_arrays().items()}
     with pytest.raises(NonFiniteError, match="w"):
-        adam_step(params, {"w": np.array([np.nan])}, state, lr=0.1)
+        adam_step(params, {"a": np.ones(1), "w": np.array([np.nan])}, state, lr=0.1)
+    for k, p in params.items():
+        np.testing.assert_array_equal(p.data, before[k])
+    after = state.to_arrays()
+    assert after.keys() == arrays.keys() and state.step == 1
+    for k, v in arrays.items():
+        np.testing.assert_array_equal(after[k], v, err_msg=k)
 
 
 def test_grad_clip_scales_update():
