@@ -1,33 +1,18 @@
-"""Self-contained verification suites: finite-difference gradient checks
-on a micro model, attention-row properties on random graphs, the dense
-attention oracle (for both fused attention ops, Toeplitz-level and
-edge-list), initializer exactness, two-hop reachability via BFS,
-and sweep-vs-grid agreement. Reused by the CLI (`gradcheck` prints
-`micro_gradcheck_by_param`, `selftest` runs `selftest`) and by the
-acceptance tests.
+"""The micro model and its finite-difference gradient audit: the joint
+loss of a 20-token instance under a one-layer, two-head encoder, checked
+parameter by parameter in extended precision. `multigrain gradcheck`
+prints `micro_gradcheck_by_param`; acceptance criterion 1 bounds its
+worst error. The property suites live with the tests (`tests/oracles.py`).
 """
 
 from __future__ import annotations
 
-import math
-from collections import deque
-
 import numpy as np
 
-from . import tensor as T
-from .docgraph import NodeType, build_graph, validate_graph
-from .encoder import (
-    AttentionTrace,
-    EncoderConfig,
-    ModelParams,
-    encode,
-    gat_attention,
-    graph_initialize,
-    split_qkv,
-)
-from .evaluate import GrainRecord, f1_at_threshold, threshold_sweep
+from .docgraph import build_graph
+from .encoder import EncoderConfig, ModelParams
 from .preprocess import AnswerType, TrainingInstance
-from .tensor import Tensor, finite_diff_check, precision
+from .tensor import finite_diff_check, precision
 from .train import instance_loss
 
 
@@ -70,54 +55,7 @@ def micro_instance() -> TrainingInstance:
     )
 
 
-def random_instance(rng: np.random.Generator, vocab_size: int = 32, max_len: int = 64) -> TrainingInstance:
-    """A structurally valid random instance for property checks."""
-    q = int(rng.integers(1, 4))
-    n_cands = int(rng.integers(1, 4))
-    tokens = [2] + list(rng.integers(4, vocab_size, size=q)) + [3]
-    sentences = [0] * (q + 2)
-    spans = [(0, 0)]
-    cand_doc_idx = [-1]
-    sent = 0
-    for c in range(n_cands):
-        start = len(tokens)
-        for _ in range(int(rng.integers(1, 3))):
-            sent += 1
-            for _ in range(int(rng.integers(1, 5))):
-                tokens.append(int(rng.integers(4, vocab_size)))
-                sentences.append(sent)
-        spans.append((start, len(tokens) - 1))
-        cand_doc_idx.append(c)
-    tokens.append(3)
-    sentences.append(0)
-    if len(tokens) > max_len:
-        raise ValueError("random instance exceeded max_len")
-
-    t = AnswerType(int(rng.integers(0, 5)))
-    l, s, e = 0, 0, 0
-    if t != AnswerType.NO_ANSWER:
-        l = int(rng.integers(1, len(spans)))
-        if t == AnswerType.SHORT:
-            a, b = spans[l]
-            s = int(rng.integers(a, b + 1))
-            e = int(rng.integers(s, b + 1))
-    return TrainingInstance(
-        tokens=np.asarray(tokens, dtype=np.int64),
-        spans=spans,
-        long_target=l,
-        start=s,
-        end=e,
-        answer_type=t,
-        sentences=np.asarray(sentences, dtype=np.int64),
-        example_id=f"rand{rng.integers(1 << 30)}",
-        fragment_index=0,
-        fragment_start=0,
-        question_len=q,
-        cand_doc_idx=cand_doc_idx,
-    )
-
-
-# ------------------------------------------------------------ check suites
+# ------------------------------------------------------- gradient audit
 
 
 def micro_loss():
@@ -142,225 +80,3 @@ def micro_gradcheck_by_param(eps: float = 1e-3) -> dict[str, float]:
     with precision("extended"):
         f, params = micro_loss()
         return {name: finite_diff_check(f, {name: p}, eps=eps) for name, p in params.items()}
-
-
-def micro_gradcheck(eps: float = 1e-3) -> float:
-    """The worst error of `micro_gradcheck_by_param` over all parameters."""
-    return max(micro_gradcheck_by_param(eps).values())
-
-
-def attention_rows_check(trials: int = 100, seed: int = 0, tol: float = 1e-6) -> bool:
-    """Every attention row in every sublayer is a probability vector over
-    its neighbor set; masked entries are exactly zero."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        inst = random_instance(rng)
-        m = int(rng.choice([1, 2, 4]))
-        cfg = micro_config(
-            d_h=4 * m,
-            m=m,
-            d_ff=max(8, 4 * m),
-            vocab_size=32,
-            max_len=64,
-            n_layers=int(rng.integers(1, 3)),
-        )
-        model = ModelParams.init(cfg, seed=int(rng.integers(1 << 30)))
-        graph = build_graph(inst, clips=cfg.clips)
-        trace = AttentionTrace()
-        encode(inst, graph, model, trace=trace)
-        off_edge = ~graph.integ_mask
-        integ_rows = 0
-        for rec in trace.records:
-            alpha = rec["alpha"]
-            if not np.allclose(alpha.sum(axis=1), 1.0, atol=tol):
-                return False
-            if rec["sublayer"].endswith("integ"):
-                integ_rows += 1
-                if (alpha[off_edge] != 0.0).any():
-                    return False
-        if integ_rows == 0:
-            return False
-    return True
-
-
-def dense_attention_oracle(
-    states: np.ndarray, wq, wk, wv, wo, d_z: int,
-    mask: np.ndarray | None = None,
-    buckets: np.ndarray | None = None,
-    ak: np.ndarray | None = None,
-    av: np.ndarray | None = None,
-) -> np.ndarray:
-    """Independent dense multi-head attention (numpy, no tape).
-
-    Row i attends to the j with mask[i, j] (all j without a mask). With
-    `buckets` and the relational tables, pair (i, j) uses the key
-    k_j + ak[b_ij] and the value v_j + av[b_ij], built per pair. Only
-    analytic numpy functions are used, so complex inputs give
-    complex-step derivatives.
-    """
-    n = states.shape[0]
-    if mask is None:
-        mask = np.ones((n, n), dtype=bool)
-    heads = []
-    for q_w, k_w, v_w in zip(wq, wk, wv):
-        q = states @ q_w
-        k = np.broadcast_to(states @ k_w, (n, n, d_z))
-        v = np.broadcast_to(states @ v_w, (n, n, d_z))
-        if buckets is not None:
-            k = k + ak[buckets]
-            v = v + av[buckets]
-        e = np.einsum("id,ijd->ij", q, k) / math.sqrt(d_z)
-        e = np.where(mask, e, -np.inf)
-        a = np.exp(e - e.max(axis=1, keepdims=True))
-        a = a / a.sum(axis=1, keepdims=True)
-        heads.append(np.einsum("ij,ijd->id", a, v))
-    return np.concatenate(heads, axis=1) @ wo
-
-
-def dense_oracle_check(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> float:
-    """gat_attention vs the dense oracle on random graphs with random
-    relational tables. Every other graph is a fully connected token level
-    with Toeplitz relative-distance buckets (the same-level case), run both
-    as a level (`relative_attention`) and as the edge list of all its
-    pairs; the rest are random masks with self-loops and random buckets
-    run as edge lists (the integration case). Returns the max abs
-    deviation."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for trial in range(trials):
-        cfg = micro_config(n_layers=1)
-        model = ModelParams.init(cfg, seed=int(rng.integers(1 << 30)))
-        n = int(rng.integers(2, 9))
-        states = rng.normal(size=(n, cfg.d_h))
-        if trial % 2 == 0:
-            prefix = "layer0.tok"
-            n_buckets = cfg.clips.level_buckets(NodeType.TOKEN)
-            mask = np.ones((n, n), dtype=bool)
-            idx = np.arange(n)
-            buckets = np.clip(idx[None, :] - idx[:, None], -cfg.token_clip, cfg.token_clip) + cfg.token_clip
-            relations = [cfg.token_clip]
-        else:
-            prefix = "layer0.integ"
-            n_buckets = cfg.clips.integration_buckets()
-            mask = rng.random((n, n)) < 0.4
-            np.fill_diagonal(mask, True)
-            buckets = rng.integers(0, n_buckets, size=(n, n))
-            relations = []
-        ak, av = model.tensors[f"{prefix}.ak"].data, model.tensors[f"{prefix}.av"].data
-        ak[:] = rng.normal(scale=0.5, size=ak.shape)
-        av[:] = rng.normal(scale=0.5, size=av.shape)
-        dst, src = np.nonzero(mask)
-        relations.append(T.EdgeList(dst, src, buckets[dst, src], n, n_buckets))
-        wq, wk, wv = split_qkv(model.tensors[f"{prefix}.wqkv"].data, cfg.m).swapaxes(0, 1)
-        oracle = dense_attention_oracle(
-            states, wq, wk, wv, model.tensors[f"{prefix}.wo"].data, cfg.d_z,
-            mask, buckets, ak, av,
-        )
-        for relation in relations:
-            out = gat_attention(Tensor(states), mask, relation, model, prefix)
-            worst = max(worst, float(np.abs(out.data - oracle).max()))
-    return worst
-
-
-def initializer_check(trials: int = 50, seed: int = 0) -> float:
-    """With zero relational/type embeddings every parent state must equal
-    the mean of its children. Returns the max abs deviation."""
-    rng = np.random.default_rng(seed)
-    worst = 0.0
-    for _ in range(trials):
-        cfg = micro_config()
-        model = ModelParams.init(cfg, seed=int(rng.integers(1 << 30)))
-        for nm in ("init.rel.sentence", "init.rel.paragraph", "init.rel.document", "init.type"):
-            model.tensors[nm].data[:] = 0.0
-        inst = random_instance(rng, vocab_size=16, max_len=cfg.max_len)
-        graph = build_graph(inst, clips=cfg.clips)
-        tok = rng.normal(size=(graph.n_tokens, cfg.d_h))
-        states = graph_initialize(graph, Tensor(tok), model).data
-        t, s, p = graph.n_tokens, graph.n_sents, graph.n_pars
-        for sent in range(s):
-            children = tok[graph.token_sent == sent]
-            worst = max(worst, float(np.abs(states[t + sent] - children.mean(axis=0)).max()))
-        sent_states = states[t : t + s]
-        for par in range(p):
-            children = sent_states[graph.sent_par == par]
-            worst = max(worst, float(np.abs(states[t + s + par] - children.mean(axis=0)).max()))
-        worst = max(
-            worst, float(np.abs(states[-1] - states[t + s : t + s + p].mean(axis=0)).max())
-        )
-    return worst
-
-
-def bfs_distances(adj: np.ndarray, source: int) -> np.ndarray:
-    n = adj.shape[0]
-    dist = np.full(n, -1)
-    dist[source] = 0
-    queue = deque([source])
-    while queue:
-        u = queue.popleft()
-        for v in np.where(adj[u])[0]:
-            if dist[v] < 0:
-                dist[v] = dist[u] + 1
-                queue.append(v)
-    return dist
-
-
-def reachability_check(trials: int = 50, seed: int = 0) -> bool:
-    """Exhaustive BFS: every node pair within two hops on random graphs."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        inst = random_instance(rng)
-        graph = build_graph(inst)
-        if validate_graph(graph) is not None:
-            return False
-        adj = graph.integ_mask & ~np.eye(graph.n_nodes, dtype=bool)
-        for src in range(graph.n_nodes):
-            dist = bfs_distances(adj, src)
-            if (dist < 0).any() or dist.max() > 2:
-                return False
-    return True
-
-
-def sweep_grid_check(trials: int = 200, seed: int = 0, grid_step: float = 1e-4) -> bool:
-    """Sweep best-F1 must equal brute force over a dense threshold grid."""
-    rng = np.random.default_rng(seed)
-    for _ in range(trials):
-        n = int(rng.integers(2, 20))
-        records = [
-            GrainRecord(
-                example_id=str(i),
-                gold_has=bool(rng.random() < 0.7),
-                correct=bool(rng.random() < 0.6),
-                score=float(np.round(rng.normal(), 3)),
-            )
-            for i in range(n)
-        ]
-        for r in records:
-            r.correct = r.correct and r.gold_has
-        sweep = threshold_sweep(records)
-        scores = [r.score for r in records]
-        lo, hi = min(scores) - 2 * grid_step, max(scores) + 2 * grid_step
-        grid = np.arange(lo, hi, grid_step)
-        grid_best = max(f1_at_threshold(records, float(tau))[2] for tau in grid)
-        if abs(sweep.f1 - grid_best) > 1e-12:
-            return False
-    return True
-
-
-def selftest() -> bool:
-    """Run every property suite; print one line per suite."""
-    results = []
-    err = dense_oracle_check()
-    results.append(("dense attention oracle (<= 1e-6)", err <= 1e-6, f"max dev {err:.2e}"))
-    err = initializer_check()
-    results.append(("initializer mean exactness (<= 1e-7)", err <= 1e-7, f"max dev {err:.2e}"))
-    ok = attention_rows_check(trials=25)
-    results.append(("attention rows are probability vectors", ok, ""))
-    ok = reachability_check(trials=20)
-    results.append(("two-hop reachability", ok, ""))
-    ok = sweep_grid_check(trials=50)
-    results.append(("threshold sweep equals grid search", ok, ""))
-    all_ok = True
-    for name, ok, detail in results:
-        all_ok &= ok
-        print(f"[{'PASS' if ok else 'FAIL'}] {name} {detail}".rstrip())
-    return all_ok

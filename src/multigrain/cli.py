@@ -1,11 +1,10 @@
 """Command line entry point wiring the pipeline end to end.
 
-Subcommands: synth, preprocess, train, predict, eval, gradcheck,
-selftest. `gradcheck` prints each micro-model parameter's worst
-finite-difference error, then the overall worst against 1e-4. Exit
-codes: 0 success, 1 runtime failure, 2 config/usage error. Settings
-come from one flat JSON config file, with --seed and per-subcommand
-path flags on top.
+Subcommands: synth, preprocess, train, predict, eval, gradcheck.
+`gradcheck` prints each micro-model parameter's worst finite-difference
+error, then the overall worst against 1e-4. Exit codes: 0 success,
+1 runtime failure, 2 config/usage error. Settings come from one flat
+JSON config file, with --seed and per-subcommand path flags on top.
 """
 
 from __future__ import annotations
@@ -167,10 +166,6 @@ def _cmd_gradcheck(args) -> int:
     return 0 if ok else 1
 
 
-def _cmd_selftest(args) -> int:
-    return 0 if checks.selftest() else 1
-
-
 def build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(
         prog="multigrain",
@@ -216,9 +211,6 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("gradcheck", help="finite-difference check on the micro model")
     p.add_argument("--eps", type=float, default=1e-3)
     p.set_defaults(func=_cmd_gradcheck)
-
-    p = sub.add_parser("selftest", help="run the property suites")
-    p.set_defaults(func=_cmd_selftest)
     return parser
 
 

@@ -50,12 +50,23 @@ class EncoderConfig:
     max_answer_tokens: int = 30
 
     def __post_init__(self):
+        if self.m < 1:
+            raise ValueError("m must be >= 1")
         if self.d_h % self.m != 0:
             raise ValueError(f"d_h {self.d_h} not divisible by head count {self.m}")
         if self.n_layers < 0:
             raise ValueError("n_layers must be >= 0")
         if self.d_ff < self.d_h:
             raise ValueError("d_ff must be >= d_h")
+        for name in ("token_clip", "sent_clip", "par_clip", "cross_clip"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
+        if not 0.0 <= self.dropout < 1.0:
+            raise ValueError("dropout must be in [0, 1)")
+        if self.type_score_agg not in ("lse", "max"):
+            raise ValueError(f"type_score_agg must be 'lse' or 'max', not {self.type_score_agg!r}")
+        if self.max_answer_tokens < 1:
+            raise ValueError("max_answer_tokens must be >= 1")
 
     @property
     def d_z(self) -> int:
@@ -122,11 +133,6 @@ def fuse_qkv(per_head: np.ndarray) -> np.ndarray:
     k d_z..(k + 1) d_z of each block."""
     m, three, d, dz = per_head.shape
     return per_head.transpose(2, 1, 0, 3).reshape(d, three * m * dz)
-
-
-def split_qkv(wqkv: np.ndarray, m: int) -> np.ndarray:
-    """Inverse of `fuse_qkv`: (d, 3d) -> (m, 3, d, d_z)."""
-    return wqkv.reshape(wqkv.shape[0], 3, m, -1).transpose(2, 1, 0, 3)
 
 
 @dataclass

@@ -42,6 +42,9 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.warmup_prop < 1.0:
             raise ValueError("warmup_prop must be in [0, 1)")
+        for name in ("total_steps", "checkpoint_every", "grad_clip"):
+            if getattr(self, name) < 0:
+                raise ValueError(f"{name} must be >= 0")
 
 
 def lr_schedule(step: int, total_steps: int, peak: float, warmup_prop: float) -> float:

@@ -1,11 +1,14 @@
 """Command line interface: exit codes and the end-to-end pipeline."""
 
+import argparse
 import json
+import re
+from pathlib import Path
 
 import pytest
 
-from multigrain import checks
-from multigrain.cli import RunConfig, ConfigError, main
+from multigrain import checks, cli
+from multigrain.cli import RunConfig, ConfigError, build_parser, main
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -67,6 +70,45 @@ def test_bad_config_value_raises_config_error():
         RunConfig.from_flat({"answerable_frac": 2.0})
 
 
+@pytest.mark.parametrize("flat", [
+    {"m": 0},
+    {"token_clip": -1},
+    {"cross_clip": -1},
+    {"dropout": 1.5},
+    {"dropout": 1.0},
+    {"max_answer_tokens": 0},
+    {"type_score_agg": "mean"},
+    {"total_steps": -1},
+    {"checkpoint_every": -1},
+    {"grad_clip": -0.5},
+], ids=lambda flat: "{}={}".format(*next(iter(flat.items()))))
+def test_out_of_range_config_value_exits_2(flat, tmp_path, capsys):
+    """An out-of-range value is refused when the config is built, before
+    any work starts: `from_flat` raises ConfigError naming the key and
+    the CLI exits 2."""
+    key = next(iter(flat))
+    with pytest.raises(ConfigError, match=key):
+        RunConfig.from_flat(flat)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(flat))
+    out, gold = tmp_path / "raw.jsonl", tmp_path / "gold.jsonl"
+    assert main(["--config", str(cfg), "synth", "--out", str(out), "--gold", str(gold)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+def test_subcommand_lists_agree():
+    """The subcommands named in the module docstring and in README's
+    command block are exactly the parser's."""
+    (sub,) = [a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction)]
+    parsed = set(sub.choices)
+    named = re.search(r"Subcommands: ([^.]+)\.", cli.__doc__).group(1)
+    assert {w.strip() for w in named.split(",")} == parsed
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    block = re.search(r"## Command line.*?```sh\n(.*?)```", readme, re.S).group(1)
+    assert set(re.findall(r"^multigrain (?:--config \S+ )?(\w+)", block, re.M)) == parsed
+
+
 def test_end_to_end_pipeline(tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(
@@ -120,10 +162,6 @@ def test_gradcheck_reports_each_parameter(monkeypatch, capsys):
         assert lines[1].endswith(f"worst rel err {worst:.3e}")
         assert lines[-1] == f"max relative gradient error: {worst:.3e} ({verdict} at 1e-4)"
     assert calls == [2e-3, 2e-3]
-
-
-def test_selftest_subcommand():
-    assert main(["selftest"]) == 0
 
 
 def test_predict_skips_document_without_paragraphs(tmp_path, capsys):

@@ -5,7 +5,6 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from multigrain.checks import bfs_distances, random_instance
 from multigrain.docgraph import (
     EDGE_FAMILIES,
     SELF_BUCKET,
@@ -17,6 +16,7 @@ from multigrain.docgraph import (
 )
 from multigrain.preprocess import AnswerType, TrainingInstance
 from multigrain.tensor import EdgeList
+from oracles import bfs_distances, random_instance
 
 
 def make_instance(n_cands=2, sents_per_cand=2, toks_per_sent=3, q=4):

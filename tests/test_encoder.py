@@ -12,13 +12,7 @@ import pytest
 
 from multigrain import encoder as E
 from multigrain import tensor as T
-from multigrain.checks import (
-    attention_rows_check,
-    dense_oracle_check,
-    initializer_check,
-    micro_config,
-    micro_instance,
-)
+from multigrain.checks import micro_config, micro_instance
 from multigrain.docgraph import NodeType, build_graph
 from multigrain.encoder import (
     CHECKPOINT_MAGIC,
@@ -35,10 +29,10 @@ from multigrain.encoder import (
     param_shapes,
     save_checkpoint,
     self_attention_level,
-    split_qkv,
 )
 from multigrain.tensor import Tensor
 from multigrain.train import OptimizerState
+from oracles import split_qkv
 
 
 @pytest.fixture
@@ -162,10 +156,6 @@ def test_document_built_from_paragraphs_bottom_up(setup):
     np.testing.assert_allclose(states.data[-1], want, atol=1e-12)
 
 
-def test_initializer_mean_exactness_suite():
-    assert initializer_check(trials=10) < 1e-7
-
-
 # ---------------------------------------------------------------- attention
 
 
@@ -201,14 +191,6 @@ def test_identical_neighbors_convexity(setup):
     out = gat_attention(h, edges.adjacency(), edges, model, prefix)
     want = value_heads(model, prefix, u) @ model.tensors[f"{prefix}.wo"].data
     np.testing.assert_allclose(out.data[0], want, atol=1e-12)
-
-
-def test_attention_rows_suite():
-    assert attention_rows_check(trials=10)
-
-
-def test_dense_oracle_suite():
-    assert dense_oracle_check(trials=5) <= 1e-6
 
 
 def test_single_node_level_function_of_itself(setup):

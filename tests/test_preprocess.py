@@ -18,6 +18,7 @@ from multigrain.preprocess import (
     RawExample,
     TrainingInstance,
     Vocab,
+    _short_span_tokens,
     build_instance,
     detokenize,
     downsample_null,
@@ -449,6 +450,48 @@ def test_fuzz_raw_examples_end_typed_or_valid(example, max_len, stride):
         assert np.isfinite(instance_loss(inst, graph, model).item())
         line = json.dumps(inst.to_json())
         assert TrainingInstance.from_json(json.loads(line)).to_json() == inst.to_json()
+
+
+@st.composite
+def annotated_spans(draw):
+    """(text, a, b): a candidate text and a character span [a, b) of it
+    that holds a non-space character; half the time it runs from a word's
+    first character to a word's last, otherwise it may cut words."""
+    text = draw(FUZZ_TEXT)
+    words = [m.span() for m in re.finditer(r"\w+|[^\w\s]", text)]
+    assume(words)
+    if draw(st.booleans()):
+        i = draw(st.integers(0, len(words) - 1))
+        j = draw(st.integers(i, len(words) - 1))
+        return text, words[i][0], words[j][1]
+    a = draw(st.integers(0, len(text) - 1))
+    b = draw(st.integers(a + 1, len(text)))
+    assume(not text[a:b].isspace())
+    return text, a, b
+
+
+@settings(max_examples=300, deadline=None)
+@given(annotated_spans())
+@example(("İx ab", 0, 2))  # "İ" lowercases to two characters
+@example(("İx ab", 1, 2))  # the "##x" piece alone
+@example(("bé İb", 1, 5))  # cuts both words
+def test_short_span_tokens_cover_the_annotated_characters(case):
+    """For a span given as UTF-8 byte offsets, the tokens from the first
+    to the last that `_short_span_tokens` returns hold every non-space
+    character of the span, the first and the last overlap it, and on word
+    boundaries they hold exactly its non-space characters."""
+    text, a, b = case
+    doc = insert_markup_tokens([CandidateBlock("paragraph", text, None)], FUZZ_VOCAB)
+    byte_span = (len(text[:a].encode("utf-8")), len(text[:b].encode("utf-8")))
+    first, last = _short_span_tokens(doc, 0, byte_span, text)
+    covered = {i for s, e in doc.char_spans[first : last + 1] for i in range(s, e)}
+    wanted = {i for i in range(a, b) if not text[i].isspace()}
+    assert wanted <= covered
+    for s, e in (doc.char_spans[first], doc.char_spans[last]):
+        assert s < b and e > a
+    words = [m.span() for m in re.finditer(r"\w+|[^\w\s]", text)]
+    if a in {s for s, _ in words} and b in {e for _, e in words}:
+        assert covered == wanted
 
 
 def test_raw_example_json_round_trip():

@@ -7,8 +7,9 @@ from hypothesis import strategies as st
 from scipy.special import erf
 
 from multigrain import tensor as T
-from multigrain.checks import dense_attention_oracle, micro_config
-from multigrain.encoder import ModelParams, gat_attention, split_qkv
+from multigrain.checks import micro_config
+from multigrain.encoder import ModelParams, gat_attention
+from oracles import dense_attention_oracle, split_qkv
 
 
 def tensor(a, grad=True):
