@@ -115,7 +115,7 @@ def _cmd_train(args) -> int:
     if args.resume:
         model, extra = ModelParams.load(args.resume)
         try:
-            opt = OptimizerState.from_arrays(model.tensors, extra)
+            opt = OptimizerState.from_arrays(model, extra)
         except ValueError as exc:
             raise ValueError(f"{args.resume}: {exc}") from exc
     else:

@@ -16,8 +16,10 @@ output matmul.
 from __future__ import annotations
 
 import json
+import math
 import os
 import zlib
+from collections import Counter
 from concurrent.futures import Executor, Future
 from dataclasses import asdict, dataclass, fields
 from typing import Optional
@@ -135,10 +137,29 @@ def fuse_qkv(per_head: np.ndarray) -> np.ndarray:
     return per_head.transpose(2, 1, 0, 3).reshape(d, three * m * dz)
 
 
+def split(buffer: np.ndarray, layout) -> dict[str, np.ndarray]:
+    """Views of `buffer` by name, one per (name, shape) of `layout`, in order."""
+    ends = np.cumsum([math.prod(shape) for _, shape in layout])
+    return {name: part.reshape(shape)
+            for (name, shape), part in zip(layout, np.split(buffer, ends[:-1]))}
+
+
 @dataclass
 class ModelParams:
+    """The tensors by name. The constructor copies their values into one
+    buffer, `flat`, and makes each `.data` and `.grad` a view of `flat` and
+    of one gradient buffer, `grad`, back to back in `layout` order."""
+
     config: EncoderConfig
     tensors: dict[str, Tensor]
+
+    def __post_init__(self):
+        self.layout = tuple((name, t.shape) for name, t in self.tensors.items())
+        self.flat = np.concatenate([t.data.ravel() for t in self.tensors.values()])
+        self.grad = np.zeros(self.flat.shape, self.flat.dtype)  # calloc: pages fault on first use
+        views = zip(split(self.flat, self.layout).values(), split(self.grad, self.layout).values())
+        for t, (data, grad) in zip(self.tensors.values(), views):
+            t.data, t.grad = data, grad
 
     @classmethod
     def init(cls, cfg: EncoderConfig, seed: int = 0, scale: float = 0.02) -> "ModelParams":
@@ -160,10 +181,15 @@ class ModelParams:
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
 
+    def stray_view(self) -> Optional[str]:
+        """The first tensor whose `.data` or `.grad` no longer views the buffers."""
+        return next((name for name, t in self.tensors.items()
+                     if getattr(t.data, "base", None) is not self.flat
+                     or getattr(t.grad, "base", None) is not self.grad), None)
+
     def save(self, path, extra: Optional[dict[str, np.ndarray]] = None,
              executor: Optional[Executor] = None) -> Optional[Future]:
-        return save_checkpoint(path, self.config, {k: v.data for k, v in self.tensors.items()},
-                               extra, executor)
+        return save_checkpoint(path, self.config, split(self.flat, self.layout), extra, executor)
 
     @classmethod
     def load(cls, path) -> tuple["ModelParams", dict[str, np.ndarray]]:
@@ -191,19 +217,16 @@ def save_checkpoint(path, cfg: EncoderConfig, arrays: dict[str, np.ndarray],
     target under a temporary name, synced to disk and renamed over the
     target, so a write that fails part-way leaves the previous file whole.
 
-    The arrays are copied into one buffer here, so later in-place changes
-    do not reach the file. Without an `executor` the write runs here too
-    and None is returned; with one, the CRC, write, sync and rename run on
-    it and its future is returned, which raises what the write raised.
+    The arrays are concatenated into one buffer here, so later in-place
+    changes do not reach the file. Without an `executor` the write runs
+    here too and None is returned; with one, the CRC, write, sync and
+    rename run on it and its future is returned, which raises what the
+    write raised.
     """
     entries = dict(arrays)
     if extra:
         entries.update(extra)
-    payload = np.empty(sum(np.size(v) for v in entries.values()), dtype="<f8")
-    offset = 0
-    for v in entries.values():
-        payload[offset : offset + np.size(v)] = np.ravel(v)
-        offset += np.size(v)
+    payload = np.concatenate([np.ravel(v) for v in entries.values()], dtype="<f8")
     header = {
         "version": 2,
         "config": asdict(cfg),
@@ -237,8 +260,8 @@ def _write_checkpoint(path: str, header: dict, payload: np.ndarray):
 def _check_header(path, header) -> None:
     """Raise ValueError, naming `path` and the key, unless `header` is an
     object with `config`, `params` and `crc32`, each params entry has a
-    name and a shape of non-negative integers, and the config has exactly
-    EncoderConfig's fields."""
+    name of its own and a shape of non-negative integers, and the config
+    has exactly EncoderConfig's fields."""
     if not isinstance(header, dict):
         raise ValueError(f"{path}: checkpoint header is not a JSON object")
     for key in ("config", "params", "crc32"):
@@ -249,6 +272,9 @@ def _check_header(path, header) -> None:
             isinstance(e, dict) and isinstance(e.get("name"), str) and isinstance(e.get("shape"), list)
             and all(isinstance(d, int) and d >= 0 for d in e["shape"]) for e in params):
         raise ValueError(f"{path}: checkpoint params is not a list of names with integer shapes")
+    twice = [name for name, n in Counter(e["name"] for e in params).items() if n > 1]
+    if twice:
+        raise ValueError(f"{path}: checkpoint params list {twice[0]!r} more than once")
     config = header["config"]
     if not isinstance(config, dict):
         raise ValueError(f"{path}: checkpoint config is not a JSON object")
@@ -261,10 +287,10 @@ def _check_header(path, header) -> None:
 
 
 def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
-    """Read a version-2 checkpoint. ValueError, naming the path, for a
-    file of any other version, a header that lacks a key or whose config
-    keys differ from EncoderConfig's fields, a truncated file, or a
-    payload that fails its checksum."""
+    """Read a version-2 checkpoint; its arrays view one copy of the payload.
+    ValueError, naming the path, for a file of any other version, a header
+    that lacks a key, lists a name twice or whose config keys differ from
+    EncoderConfig's fields, a truncated file, or a failed checksum."""
     with open(path, "rb") as fh:
         magic = fh.readline(64)
         if magic != CHECKPOINT_MAGIC:
@@ -276,19 +302,13 @@ def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
         header = json.loads(fh.readline().decode("utf-8"))
         payload = fh.read()
     _check_header(path, header)
-    shapes = [tuple(entry["shape"]) for entry in header["params"]]
-    sizes = [8 * int(np.prod(shape)) for shape in shapes]
-    if len(payload) != sum(sizes):
-        raise ValueError(f"{path}: payload is {len(payload)} bytes, the header lists {sum(sizes)}")
+    layout = [(entry["name"], tuple(entry["shape"])) for entry in header["params"]]
+    size = 8 * sum(math.prod(shape) for _, shape in layout)
+    if len(payload) != size:
+        raise ValueError(f"{path}: payload is {len(payload)} bytes, the header lists {size}")
     if zlib.crc32(payload) != header["crc32"]:
         raise ValueError(f"{path}: payload checksum mismatch")
-    arrays = {}
-    offset = 0
-    for entry, shape, size in zip(header["params"], shapes, sizes):
-        arr = np.frombuffer(payload, dtype="<f8", count=size // 8, offset=offset)
-        arrays[entry["name"]] = arr.reshape(shape).copy()
-        offset += size
-    return EncoderConfig(**header["config"]), arrays
+    return EncoderConfig(**header["config"]), split(np.frombuffer(payload, "<f8").copy(), layout)
 
 
 # ------------------------------------------------------------------ traces

@@ -207,7 +207,7 @@ def _accumulate(t: Tensor, g: np.ndarray):
     if t.grad is None:
         t.grad = g.copy()
     else:
-        t.grad = t.grad + g
+        t.grad += g  # in place: same bits as t.grad + g, and a view stays a view
 
 
 def _make(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Tensor:
@@ -847,8 +847,9 @@ def backward(loss: Tensor, params: Dict[str, Tensor]) -> Dict[str, np.ndarray]:
     """Reverse-replay the tape of `loss`; return a gradient per parameter.
 
     Parameters not connected to the loss get a zero gradient of matching
-    shape. Existing .grad fields on parameters are accumulated into, which
-    is how per-instance gradients merge within a batch.
+    shape. A parameter's existing .grad is added into in place, which is
+    how per-instance gradients merge within a batch, and the dict holds
+    those arrays: a model's tensors add straight into `ModelParams.grad`.
 
     Call it inside the loss's `record_tape` block, once per tape. The
     replay drops each node's backward closure as it passes the node, so

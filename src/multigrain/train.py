@@ -3,28 +3,32 @@ checkpointing. A run is a pure function of (instances, seed, config):
 loss traces are bit-identical across repeats, and resuming from a
 checkpoint continues exactly where an uninterrupted run would be.
 
-A checkpoint is snapshotted on the training thread and written (CRC32,
-write, fsync, rename) on one background thread while the next steps run.
-At most one write is in flight: each save first waits for the previous
-one. `train_loop` returns only once the last file is durable, and raises
-any error a write raised.
+All training state has one layout: the parameters are one buffer
+(`ModelParams.flat`), their gradients another (`ModelParams.grad`, which
+`backward` adds into), and Adam's moments two more in the same order, so
+a step is a few in-place ops over whole buffers, and a checkpoint is the
+buffers written back to back. It is snapshotted on the training thread
+and written (CRC32, write, fsync, rename) on one background thread while
+the next steps run. At most one write is in flight: each save first
+waits for the previous one. `train_loop` returns only once the last file
+is durable, and raises any error a write raised.
 """
 
 from __future__ import annotations
 
 import math
 from concurrent.futures import Future, ThreadPoolExecutor
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from . import tensor as T
 from .docgraph import build_graph
-from .encoder import ModelParams, encode
+from .encoder import ModelParams, encode, split
 from .heads import joint_loss, score_nodes
 from .preprocess import TrainingInstance
-from .tensor import NonFiniteError, record_tape
+from .tensor import ContractViolation, NonFiniteError, record_tape
 
 
 @dataclass
@@ -59,78 +63,71 @@ def lr_schedule(step: int, total_steps: int, peak: float, warmup_prop: float) ->
     return peak * (1.0 - (step - warmup) / (total_steps - warmup))
 
 
+# Adam's moment decay rates and denominator floor.
+BETA1, BETA2, EPS = 0.9, 0.999, 1e-8
+
+
 @dataclass
 class OptimizerState:
-    m: dict[str, np.ndarray]
-    v: dict[str, np.ndarray]
+    """Adam's step count and moments, `m` and `v`, flat in a model's `layout`."""
+
+    m: np.ndarray
+    v: np.ndarray
+    layout: tuple
     step: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
 
     @classmethod
-    def init(cls, params: dict[str, T.Tensor]) -> "OptimizerState":
-        return cls(
-            m={k: np.zeros_like(p.data) for k, p in params.items()},
-            v={k: np.zeros_like(p.data) for k, p in params.items()},
-        )
+    def init(cls, model: ModelParams) -> "OptimizerState":
+        return cls(np.zeros_like(model.flat), np.zeros_like(model.flat), model.layout)
 
     def to_arrays(self) -> dict[str, np.ndarray]:
-        out = {"opt.step": np.array([float(self.step)])}
-        for k, v in self.m.items():
-            out[f"opt.m.{k}"] = v
-        for k, v in self.v.items():
-            out[f"opt.v.{k}"] = v
-        return out
+        """`opt.step`, then every `opt.m.<name>` and every `opt.v.<name>`, as views."""
+        return {"opt.step": np.array([float(self.step)]),
+                **{f"opt.m.{k}": a for k, a in split(self.m, self.layout).items()},
+                **{f"opt.v.{k}": a for k, a in split(self.v, self.layout).items()}}
 
     @classmethod
-    def from_arrays(cls, params, arrays: dict[str, np.ndarray]) -> "OptimizerState":
-        """The state `to_arrays` wrote; ValueError names the first missing array."""
-        state = cls.init(params)
+    def from_arrays(cls, model: ModelParams, arrays: dict[str, np.ndarray]) -> "OptimizerState":
+        """The state `to_arrays` wrote for `model`. ValueError names the
+        first array that is missing or whose shape is not its parameter's,
+        or an `opt.step` that is not one non-negative integer."""
+        keys = [f"opt.{k}.{name}" for k in "mv" for name, _ in model.layout]
         try:
-            state.step = int(arrays["opt.step"][0])
-            for k in params:
-                state.m[k] = arrays[f"opt.m.{k}"].copy()
-                state.v[k] = arrays[f"opt.v.{k}"].copy()
+            step, moments = arrays["opt.step"], [arrays[key] for key in keys]
         except KeyError as exc:
             raise ValueError(f"no optimizer state: {exc.args[0]!r} is missing") from None
-        return state
+        if step.shape != (1,) or not (step[0] >= 0 and float(step[0]).is_integer()):
+            raise ValueError(f"'opt.step' is {step.tolist()}, not one non-negative integer")
+        for key, a, (_, shape) in zip(keys, moments, 2 * model.layout):
+            if a.shape != shape:
+                raise ValueError(f"{key!r} has shape {a.shape}, its parameter {shape}")
+        m, v = np.split(np.concatenate([a.ravel() for a in moments]), 2)
+        return cls(m, v, model.layout, int(step[0]))
 
 
-def adam_step(
-    params: dict[str, T.Tensor],
-    grads: dict[str, np.ndarray],
-    state: OptimizerState,
-    lr: float,
-    grad_clip: float = 0.0,
-):
-    """Standard bias-corrected Adam update, in place.
-
-    Every gradient is checked before anything changes, so a refused step
-    (a shape mismatch or a non-finite gradient) leaves the parameters and
-    `state` as they were.
-    """
-    for name, p in params.items():
-        g = grads[name]
-        if g.shape != p.data.shape:
-            raise ValueError(f"gradient shape mismatch for {name}")
-        if not np.isfinite(g).all():
-            raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
+def adam_step(model: ModelParams, state: OptimizerState, lr: float, grad_clip: float = 0.0):
+    """Standard bias-corrected Adam, in place over `model.flat`. A refused
+    step leaves the parameters and `state` as they were: ContractViolation
+    if a tensor's `.data` or `.grad` no longer views the model's buffers,
+    NonFiniteError, naming the parameter, for a non-finite gradient."""
+    if (stray := model.stray_view()) is not None:
+        raise ContractViolation(f"parameter {stray!r} no longer views the model's buffers")
+    g = model.grad
+    if not np.isfinite(g).all():
+        name = next(k for k, t in model.tensors.items() if not np.isfinite(t.grad).all())
+        raise NonFiniteError(f"non-finite gradient for parameter {name!r}")
     state.step += 1
-    t = state.step
-    b1, b2 = state.beta1, state.beta2
-    if grad_clip > 0.0:
-        norm = math.sqrt(sum(float((g * g).sum()) for g in grads.values()))
-        if norm > grad_clip:
-            scale = grad_clip / norm
-            grads = {k: g * scale for k, g in grads.items()}
-    for name, p in params.items():
-        g = grads[name]
-        state.m[name] = b1 * state.m[name] + (1 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1 - b2) * g * g
-        mhat = state.m[name] / (1 - b1**t)
-        vhat = state.v[name] / (1 - b2**t)
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + state.eps)
+    norm = math.sqrt(float(g @ g)) if grad_clip > 0.0 else 0.0
+    if norm > grad_clip:
+        g = g * (grad_clip / norm)
+    state.m *= BETA1
+    state.m += (1 - BETA1) * g
+    state.v *= BETA2
+    state.v += (1 - BETA2) * g * g
+    update = state.m / (1 - BETA1**state.step)
+    update *= lr
+    update /= np.sqrt(state.v / (1 - BETA2**state.step)) + EPS
+    model.flat -= update
 
 
 @dataclass
@@ -173,8 +170,7 @@ def train_loop(
     if not instances:
         raise ValueError("train_loop requires at least one instance")
     graphs = [build_graph(inst, clips=model.config.clips) for inst in instances]
-    params = model.tensors
-    state = opt_state or OptimizerState.init(params)
+    state = opt_state or OptimizerState.init(model)
     n = len(instances)
     steps_per_epoch = math.ceil(n / cfg.batch_size)
     trace: list[TraceRow] = []
@@ -198,7 +194,7 @@ def train_loop(
                 perm = np.random.default_rng([cfg.seed, epoch]).permutation(n)
                 perm_epoch = epoch
             batch = perm[bidx * cfg.batch_size : (bidx + 1) * cfg.batch_size]
-            T.zero_grads(params)
+            model.grad[...] = 0.0
             total = 0.0
             drop_rng = (
                 np.random.default_rng([cfg.seed, 7, step]) if model.config.dropout > 0 else None
@@ -207,12 +203,9 @@ def train_loop(
                 with record_tape():
                     loss = instance_loss(instances[idx], graphs[idx], model, rng=drop_rng)
                     total += loss.item()
-                    scaled = loss * (1.0 / len(batch))
-                    # gradients accumulate in p.grad: the last call's dict holds the batch sum
-                    grads = T.backward(scaled, params)
+                    T.backward(loss * (1.0 / len(batch)), model.tensors)
             lr = lr_schedule(step + 1, cfg.total_steps, cfg.peak_lr, cfg.warmup_prop)
-            adam_step(params, grads, state, lr, cfg.grad_clip)
-            T.zero_grads(params)
+            adam_step(model, state, lr, cfg.grad_clip)
             trace.append(TraceRow(step=step, lr=lr, loss=total / len(batch)))
             saved = bool(
                 checkpoint_path

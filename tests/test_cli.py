@@ -224,3 +224,37 @@ def test_resume_from_params_only_checkpoint_exits_1(tmp_path, capsys):
     assert code == 1
     err = capsys.readouterr().err
     assert files["model.ckpt"] in err and "'opt.step' is missing" in err
+
+
+def duplicate_first_name(header):
+    header["params"][1]["name"] = header["params"][0]["name"]
+    return header
+
+
+@pytest.mark.parametrize("extra, change_header, named", [
+    ({"opt.step": [-1.0]}, None, "'opt.step'"),
+    ({"opt.m.layer0.ffn.w1": [0.0]}, None, "'opt.m.layer0.ffn.w1'"),
+    ({}, duplicate_first_name, "'emb.token' more than once"),
+])
+def test_resume_refuses_malformed_state_exits_1(tmp_path, capsys, extra, change_header, named):
+    """--resume refuses a checkpoint whose header lists a name twice, or
+    whose Adam state has a moment of the wrong shape or a bad step count:
+    exit 1, with the file and the array named."""
+    import numpy as np
+    from multigrain.encoder import ModelParams
+    from multigrain.train import OptimizerState
+
+    files = micro_files(tmp_path)
+    path = Path(files["model.ckpt"])
+    model, _ = ModelParams.load(path)
+    arrays = OptimizerState.init(model).to_arrays()
+    model.save(path, extra={**arrays, **{k: np.array(v) for k, v in extra.items()}})
+    if change_header:
+        magic, header, payload = path.read_bytes().split(b"\n", 2)
+        header = json.dumps(change_header(json.loads(header))).encode()
+        path.write_bytes(magic + b"\n" + header + b"\n" + payload)
+    code = main(["train", "--vocab", files["vocab.txt"], "--instances", files["inst.jsonl"],
+                 "--out", str(tmp_path / "next.ckpt"), "--resume", str(path)])
+    assert code == 1
+    err = capsys.readouterr().err
+    assert str(path) in err and named in err

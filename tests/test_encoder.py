@@ -2,6 +2,7 @@
 sublayers, integration, FFN, and checkpointing."""
 
 import json
+import re
 import threading
 import zlib
 from concurrent.futures import ThreadPoolExecutor
@@ -452,11 +453,14 @@ def without(obj, key):
     (lambda h: dict(h, config=dict(h["config"], colour=1)), "unknown key 'colour'"),
     (lambda h: dict(h, config=without(h["config"], "dropout")), "checkpoint config lacks 'dropout'"),
     (lambda h: dict(h, config=without(h["config"], "d_h")), "checkpoint config lacks 'd_h'"),
+    (lambda h: dict(h, params=[h["params"][0], dict(h["params"][1], name=h["params"][0]["name"])]
+                    + h["params"][2:]), "checkpoint params list 'emb.token' more than once"),
 ])
 def test_checkpoint_refuses_malformed_header(tmp_path, setup, change, message):
-    """A version-2 header that lacks a key, is not an object, or whose
-    config keys differ from EncoderConfig's fields is refused with a
-    ValueError naming the file and the key; nothing is filled in."""
+    """A version-2 header that lacks a key, is not an object, lists a
+    name twice, or whose config keys differ from EncoderConfig's fields is
+    refused with a ValueError naming the file and the key; nothing is
+    filled in."""
     _, _, _, model = setup
     path = tmp_path / "m.ckpt"
     model.save(path)
@@ -472,11 +476,31 @@ def test_optimizer_state_refuses_params_only_checkpoint(tmp_path, setup):
     model.save(path)
     loaded, extra = ModelParams.load(path)
     with pytest.raises(ValueError, match="'opt.step' is missing"):
-        OptimizerState.from_arrays(loaded.tensors, extra)
-    state = OptimizerState.init(model.tensors).to_arrays()
+        OptimizerState.from_arrays(loaded, extra)
+    state = OptimizerState.init(model).to_arrays()
     del state["opt.v.head.type.b"]
     with pytest.raises(ValueError, match="'opt.v.head.type.b' is missing"):
-        OptimizerState.from_arrays(loaded.tensors, state)
+        OptimizerState.from_arrays(loaded, state)
+
+
+@pytest.mark.parametrize("key, value", [
+    ("opt.m.layer0.ffn.w1", np.zeros(1)),
+    ("opt.v.emb.token", np.zeros((16, 7))),
+    ("opt.step", np.array([-1.0])),
+    ("opt.step", np.array([2.5])),
+    ("opt.step", np.array([np.nan])),
+    ("opt.step", np.array([np.inf])),
+    ("opt.step", np.array([1.0, 2.0])),
+    ("opt.step", np.array(3.0)),
+])
+def test_optimizer_state_refuses_malformed_arrays(setup, key, value):
+    """A moment whose shape is not its parameter's (Adam would broadcast
+    it), or an `opt.step` that is not one non-negative integer, is refused
+    with a ValueError naming the array."""
+    _, _, _, model = setup
+    arrays = dict(OptimizerState.init(model).to_arrays(), **{key: value})
+    with pytest.raises(ValueError, match=re.escape(repr(key))):
+        OptimizerState.from_arrays(model, arrays)
 
 
 def test_checkpoint_extra_arrays_round_trip(tmp_path, setup):

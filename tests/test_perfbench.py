@@ -1,0 +1,27 @@
+"""The benchmark still runs against the package.
+
+`perfbench` patches `adam_step`, `backward` and `save_checkpoint` where
+the package looks them up, builds models with `ModelParams(config,
+tensors)` and checks the reloaded optimizer state against
+`OptimizerState.to_arrays()`. A change to the package that breaks one of
+these fails here rather than in the next benchmark run.
+"""
+
+import json
+import subprocess
+import sys
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parent.parent
+
+
+def test_traced_desk_run_passes_its_output_checks():
+    """One short traced desk run (about 12 s on one core) exits 0 with
+    correct=true and no failed document. It writes only to the git-ignored
+    perfbench/out/."""
+    cmd = [sys.executable, "perfbench/run.py", "--workload", "desk", "--seed", "1",
+           "--seconds", "1", "--trace", "1"]
+    proc = subprocess.run(cmd, cwd=ROOT, capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout[-2000:] + proc.stderr[-2000:]
+    result = json.loads(proc.stdout.strip().splitlines()[-1])
+    assert result["correct"] is True and result["failed"] == 0, proc.stdout[-2000:]

@@ -190,6 +190,28 @@ def test_backward_disconnected_param_zero():
     np.testing.assert_array_equal(grads["q"], np.zeros(3))
 
 
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_accumulate_adds_in_place_in_the_working_dtype(mode):
+    """A gradient that already exists is added into in place: a model's
+    `.grad` stays its view of `ModelParams.grad`, keeps the working dtype,
+    and holds the same values as a + b; an owned first gradient does too."""
+    rng = np.random.default_rng(8)
+    with T.precision(mode):
+        dtype = T.current_dtype()
+        a, b = (rng.normal(size=(2, 3)).astype(dtype) for _ in range(2))
+        model = ModelParams(micro_config(), {"w": tensor(np.zeros((2, 3)))})
+        plain = tensor(np.zeros((2, 3)))
+        for t in (model["w"], plain):
+            T._accumulate(t, a)
+            first = t.grad
+            T._accumulate(t, b)
+            assert t.grad is first and t.grad.dtype == dtype
+            np.testing.assert_array_equal(t.grad, a + b)
+        assert model.flat.dtype == model.grad.dtype == dtype
+        assert model.stray_view() is None
+        np.testing.assert_array_equal(model.grad, (a + b).ravel())
+
+
 def test_backward_refuses_a_replayed_tape():
     """The replay drops the closures, so a second one would return zero
     gradients without an error."""

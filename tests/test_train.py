@@ -11,7 +11,7 @@ from multigrain import encoder as E
 from multigrain import train as train_module
 from multigrain.checks import micro_config, micro_instance
 from multigrain.encoder import ModelParams
-from multigrain.tensor import Tape, Tensor
+from multigrain.tensor import ContractViolation, Tape, Tensor
 from multigrain.train import (
     OptimizerState,
     TrainConfig,
@@ -50,44 +50,64 @@ def test_schedule_rejects_out_of_range():
 # ---------------------------------------------------------------- adam
 
 
-def make_params(values):
-    return {k: Tensor(np.asarray(v, dtype=float), requires_grad=True) for k, v in values.items()}
+def make_model(values):
+    """A model over the given parameters, in their order."""
+    tensors = {k: Tensor(np.asarray(v, dtype=float), requires_grad=True) for k, v in values.items()}
+    return ModelParams(micro_config(), tensors)
+
+
+def step_with(model, state, grads, lr, grad_clip=0.0):
+    """adam_step once the model's gradient buffer holds `grads`, by name."""
+    for k, g in grads.items():
+        model[k].grad[...] = g
+    adam_step(model, state, lr, grad_clip)
 
 
 def test_adam_zero_grad_keeps_params():
-    params = make_params({"w": [1.0, -2.0]})
-    state = OptimizerState.init(params)
-    adam_step(params, {"w": np.zeros(2)}, state, lr=0.1)
-    np.testing.assert_array_equal(params["w"].data, [1.0, -2.0])
+    model = make_model({"w": [1.0, -2.0]})
+    state = OptimizerState.init(model)
+    step_with(model, state, {"w": np.zeros(2)}, lr=0.1)
+    np.testing.assert_array_equal(model["w"].data, [1.0, -2.0])
 
 
 def test_adam_moments_decay():
-    params = make_params({"w": [0.0]})
-    state = OptimizerState.init(params)
-    state.m["w"][:] = 1.0
-    state.v["w"][:] = 1.0
-    adam_step(params, {"w": np.zeros(1)}, state, lr=0.1)
-    assert (state.m["w"] == 0.9).all() and (state.v["w"] == 0.999).all()
+    model = make_model({"w": [0.0]})
+    state = OptimizerState.init(model)
+    state.to_arrays()["opt.m.w"][:] = 1.0
+    state.to_arrays()["opt.v.w"][:] = 1.0
+    step_with(model, state, {"w": np.zeros(1)}, lr=0.1)
+    arrays = state.to_arrays()
+    assert (arrays["opt.m.w"] == 0.9).all() and (arrays["opt.v.w"] == 0.999).all()
 
 
 def test_adam_single_step_unit_grad():
-    params = make_params({"w": [0.0]})
-    state = OptimizerState.init(params)
-    adam_step(params, {"w": np.ones(1)}, state, lr=0.01)
+    model = make_model({"w": [0.0]})
+    state = OptimizerState.init(model)
+    step_with(model, state, {"w": np.ones(1)}, lr=0.01)
     # bias correction makes mhat = 1, vhat = 1 on the first step
-    np.testing.assert_allclose(params["w"].data, [-0.01 / (1 + 1e-8)], rtol=1e-12)
+    np.testing.assert_allclose(model["w"].data, [-0.01 / (1 + 1e-8)], rtol=1e-12)
 
 
 def test_adam_constant_grad_fixed_point():
-    params = make_params({"w": [0.0]})
-    state = OptimizerState.init(params)
+    model = make_model({"w": [0.0]})
+    state = OptimizerState.init(model)
     lr = 0.003
     last = 0.0
     for _ in range(500):
-        before = params["w"].data.copy()
-        adam_step(params, {"w": np.ones(1)}, state, lr=lr)
-        last = abs(float(params["w"].data[0] - before[0]))
+        before = model["w"].data.copy()
+        step_with(model, state, {"w": np.ones(1)}, lr=lr)
+        last = abs(float(model["w"].data[0] - before[0]))
     np.testing.assert_allclose(last, lr, rtol=1e-3)
+
+
+def assert_unchanged(model, state, before, arrays, steps):
+    """The parameters equal `before`, and the Adam state `arrays` and `steps`."""
+    for k, p in model.tensors.items():
+        np.testing.assert_array_equal(p.data, before[k])
+    after = state.to_arrays()
+    assert after.keys() == arrays.keys() and state.step == steps
+    for k, v in arrays.items():
+        np.testing.assert_array_equal(after[k], v, err_msg=k)
 
 
 def test_adam_rejects_nonfinite():
@@ -95,38 +115,76 @@ def test_adam_rejects_nonfinite():
     parameter, moment or step count has moved when the error comes out."""
     from multigrain.tensor import NonFiniteError
 
-    params = make_params({"a": [1.0], "w": [0.0]})
-    state = OptimizerState.init(params)
-    adam_step(params, {"a": np.ones(1), "w": np.ones(1)}, state, lr=0.1)
-    before = {k: p.data.copy() for k, p in params.items()}
+    model = make_model({"a": [1.0], "w": [0.0]})
+    state = OptimizerState.init(model)
+    step_with(model, state, {"a": np.ones(1), "w": np.ones(1)}, lr=0.1)
+    before = {k: p.data.copy() for k, p in model.tensors.items()}
     arrays = {k: v.copy() for k, v in state.to_arrays().items()}
     with pytest.raises(NonFiniteError, match="w"):
-        adam_step(params, {"a": np.ones(1), "w": np.array([np.nan])}, state, lr=0.1)
-    for k, p in params.items():
-        np.testing.assert_array_equal(p.data, before[k])
-    after = state.to_arrays()
-    assert after.keys() == arrays.keys() and state.step == 1
-    for k, v in arrays.items():
-        np.testing.assert_array_equal(after[k], v, err_msg=k)
+        step_with(model, state, {"a": np.ones(1), "w": np.array([np.nan])}, lr=0.1)
+    assert_unchanged(model, state, before, arrays, steps=1)
+
+
+@pytest.mark.parametrize("rebind", [
+    lambda t: setattr(t, "data", t.data + 0.0),
+    lambda t: setattr(t, "grad", t.grad.copy()),
+    lambda t: setattr(t, "grad", None),
+], ids=["data", "grad", "grad-none"])
+def test_adam_refuses_rebound_tensor(rebind):
+    """A parameter whose `.data` or `.grad` is rebound to an array of its
+    own no longer views the model's buffers: adam_step names it in a
+    ContractViolation, and no parameter, moment or step count moves."""
+    model = make_model({"a": [1.0], "w": [0.0, 2.0]})
+    state = OptimizerState.init(model)
+    step_with(model, state, {"a": np.ones(1), "w": np.ones(2)}, lr=0.1)
+    rebind(model["w"])
+    before = {k: p.data.copy() for k, p in model.tensors.items()}
+    arrays = {k: v.copy() for k, v in state.to_arrays().items()}
+    with pytest.raises(ContractViolation, match="'w'"):
+        adam_step(model, state, lr=0.1)
+    assert_unchanged(model, state, before, arrays, steps=1)
+
+
+def test_model_params_views_its_buffers():
+    """ModelParams(config, tensors) copies the values into `flat`, then
+    each tensor's `.data` and `.grad` view `flat` and `grad`, back to back
+    in the order of the tensors."""
+    given = {k: t.data.copy() for k, t in ModelParams.init(micro_config(), seed=3).tensors.items()}
+    model = ModelParams(micro_config(), {k: Tensor(v, requires_grad=True) for k, v in given.items()})
+    np.testing.assert_array_equal(model.flat, np.concatenate([v.ravel() for v in given.values()]))
+    assert model.grad.shape == model.flat.shape and not model.grad.any()
+    assert model.stray_view() is None
+    offset = 0
+    for name, t in model.tensors.items():
+        size = given[name].size
+        assert t.data.base is model.flat and t.grad.base is model.grad, name
+        assert np.shares_memory(t.data, model.flat[offset : offset + size]), name
+        assert np.shares_memory(t.grad, model.grad[offset : offset + size]), name
+        np.testing.assert_array_equal(t.data, given[name], err_msg=name)
+        offset += size
+    assert offset == model.flat.size
+    model.flat += 1.0
+    assert not any(np.shares_memory(v, model.flat) for v in given.values())
+    np.testing.assert_array_equal(model["head.type.b"].data, given["head.type.b"] + 1.0)
 
 
 def test_grad_clip_scales_update():
-    p1 = make_params({"w": [0.0]})
-    p2 = make_params({"w": [0.0]})
+    p1 = make_model({"w": [0.0]})
+    p2 = make_model({"w": [0.0]})
     g = np.array([100.0])
-    adam_step(p1, {"w": g}, OptimizerState.init(p1), lr=0.1, grad_clip=1.0)
-    adam_step(p2, {"w": g / 100.0}, OptimizerState.init(p2), lr=0.1)
+    step_with(p1, OptimizerState.init(p1), {"w": g}, lr=0.1, grad_clip=1.0)
+    step_with(p2, OptimizerState.init(p2), {"w": g / 100.0}, lr=0.1)
     np.testing.assert_allclose(p1["w"].data, p2["w"].data, rtol=1e-9)
 
 
 def test_optimizer_state_array_round_trip():
-    params = make_params({"w": [1.0, 2.0], "b": [3.0]})
-    state = OptimizerState.init(params)
+    model = make_model({"w": [1.0, 2.0], "b": [3.0]})
+    state = OptimizerState.init(model)
     state.step = 17
-    state.m["w"][:] = 0.5
-    back = OptimizerState.from_arrays(params, state.to_arrays())
+    state.to_arrays()["opt.m.w"][:] = 0.5
+    back = OptimizerState.from_arrays(model, state.to_arrays())
     assert back.step == 17
-    np.testing.assert_array_equal(back.m["w"], state.m["w"])
+    np.testing.assert_array_equal(back.to_arrays()["opt.m.w"], state.to_arrays()["opt.m.w"])
 
 
 # ---------------------------------------------------------------- train loop
@@ -213,7 +271,7 @@ def test_resume_continues_bitwise(tmp_path):
         _, trace_full, _ = train_loop(insts, model_full, tc, checkpoint_path=rotating)
 
         resumed, extra = ModelParams.load(rotating.written[0])  # the step-6 snapshot
-        state = OptimizerState.from_arrays(resumed.tensors, extra)
+        state = OptimizerState.from_arrays(resumed, extra)
         assert state.step == 6
         _, trace_tail, _ = train_loop(insts, resumed, tc, opt_state=state)
 
