@@ -1,7 +1,8 @@
 """Four-granularity document graph with typed, position-bucketed edges.
 
 Node layout is one contiguous block per level: tokens, then sentences,
-then paragraphs, then the single document node. The [CLS] token doubles
+then paragraphs, then the single document node. Token node i is instance
+position i. The [CLS] token doubles
 as sentence 0 and paragraph 0 (the null pseudo-candidate). Cross-level
 edges make the document node a hub, so any two nodes are within two hops,
 and the integration graph has O(n) edges. It is held as an `EdgeList`
@@ -82,7 +83,6 @@ class HierGraph:
     n_pars: int
     token_sent: np.ndarray        # [T] containing sentence per token
     sent_par: np.ndarray          # [S] containing paragraph per sentence
-    token_positions: np.ndarray   # [T] instance position per token node
     clips: ClipConfig = field(default_factory=ClipConfig)
 
     # populated by _finalize
@@ -208,7 +208,6 @@ def build_graph(instance: TrainingInstance, clips: ClipConfig | None = None) -> 
         n_pars=len(instance.spans),
         token_sent=sent_of_pos.astype(np.int64),
         sent_par=sent_par,
-        token_positions=np.arange(len(instance.tokens)),
         clips=clips or ClipConfig(),
     )
 

@@ -4,8 +4,8 @@ pipelined answer selection used at inference time.
 Long answers are scored from paragraph-node states, short answers from
 token-node states, the answer type from the document node. Inference
 subtracts the [CLS] null scores so every score is a margin against
-abstention, then picks the long candidate first and the short span
-inside it second.
+abstention, then picks the long candidate first and searches the short
+span inside that candidate only.
 """
 
 from __future__ import annotations
@@ -17,7 +17,7 @@ import numpy as np
 
 from . import tensor as T
 from .docgraph import HierGraph, NodeType
-from .preprocess import AnswerType, TrainingInstance
+from .preprocess import AnswerType, TrainingInstance, Vocab, detokenize
 from .tensor import ContractViolation, Tensor
 
 NEG_INF = float("-inf")
@@ -26,17 +26,16 @@ NEG_INF = float("-inf")
 @dataclass
 class ScoreSet:
     """Logits from one instance forward pass, one entry per token node
-    (span scores), candidate span or answer type. Tensor fields are kept
-    for the loss; the *_logits properties are their float64 numpy views.
+    (span scores; token node i is instance position i), candidate span or
+    answer type. Tensor fields are kept for the loss; the *_logits
+    properties are their float64 numpy views.
     """
 
-    start_t: Tensor              # [n_token_nodes]
+    start_t: Tensor              # [n_tokens]
     end_t: Tensor
     long_t: Tensor               # [|S|]
     type_t: Tensor               # [5]
-    token_positions: np.ndarray  # instance position per token node, ascending
-    span_valid: np.ndarray       # [n_token_nodes] bool; True where a span may start/end
-    spans: list[tuple[int, int]]
+    span_valid: np.ndarray       # [n_tokens] bool; True where a span may start/end
 
     @property
     def long_logits(self) -> np.ndarray:
@@ -46,11 +45,12 @@ class ScoreSet:
     def type_logits(self) -> np.ndarray:
         return np.asarray(self.type_t.data, dtype=np.float64)
 
-    def node_of_position(self, pos: int) -> int:
-        idx = np.where(self.token_positions == pos)[0]
-        if len(idx) == 0:
-            raise ContractViolation(f"position {pos} has no token node")
-        return int(idx[0])
+    @property
+    def token_positions(self) -> np.ndarray:
+        """The instance position of each token node: arange(n). Nothing in
+        the package reads it; `perfbench`'s span-pair count reads it with
+        `span_valid`."""
+        return np.arange(len(self.span_valid))
 
 
 def _project(states: Tensor, w: Tensor, b: Tensor) -> Tensor:
@@ -83,22 +83,11 @@ def score_nodes(
         T.matmul(doc_state, params["head.type.w"]) + params["head.type.b"], (5,)
     )
 
-    pos = graph.token_positions
-    content = (pos >= instance.content_start) & (pos < len(instance.tokens) - 1)
-    span_valid = (pos == 0) | content
-    return ScoreSet(
-        start_t=start_t,
-        end_t=end_t,
-        long_t=long_t,
-        type_t=type_t,
-        token_positions=pos,
-        span_valid=span_valid,
-        spans=list(instance.spans),
-    )
-
-
-def _pick(logp: Tensor, idx: int) -> Tensor:
-    return T.tsum(T.rows(logp, slice(idx, idx + 1)))
+    span_valid = np.zeros(len(instance.tokens), dtype=bool)
+    span_valid[0] = True
+    span_valid[instance.content_start : -1] = True
+    return ScoreSet(start_t=start_t, end_t=end_t, long_t=long_t, type_t=type_t,
+                    span_valid=span_valid)
 
 
 def joint_loss(scores: ScoreSet, l: int, s: int, e: int, t: AnswerType) -> Tensor:
@@ -107,64 +96,52 @@ def joint_loss(scores: ScoreSet, l: int, s: int, e: int, t: AnswerType) -> Tenso
     For long-only instances the start/end terms are dropped: forcing the
     span heads toward the null target would only add noise.
     """
-    if not 0 <= l < len(scores.spans):
+    if not 0 <= l < scores.long_t.shape[0]:
         raise ContractViolation(f"long target {l} outside candidate set")
-    lp_l = T.masked_log_softmax(scores.long_t, np.ones(len(scores.spans), dtype=bool))
-    lp_t = T.masked_log_softmax(scores.type_t, np.ones(5, dtype=bool))
-    total = _pick(lp_t, int(t)) + _pick(lp_l, l)
+    total = T.log_softmax_at(scores.type_t, int(t)) + T.log_softmax_at(scores.long_t, l)
     if t != AnswerType.LONG:
-        s_node = scores.node_of_position(s)
-        e_node = scores.node_of_position(e)
-        if not scores.span_valid[s_node] or not scores.span_valid[e_node]:
-            raise ContractViolation(f"span target ({s}, {e}) at a masked position")
-        lp_s = T.masked_log_softmax(scores.start_t, scores.span_valid)
-        lp_e = T.masked_log_softmax(scores.end_t, scores.span_valid)
-        total = total + _pick(lp_s, s_node) + _pick(lp_e, e_node)
+        valid, n = scores.span_valid, len(scores.span_valid)
+        if not (0 <= s < n and 0 <= e < n and valid[s] and valid[e]):
+            raise ContractViolation(f"span target ({s}, {e}) outside the instance or masked")
+        lp_s = T.log_softmax_at(scores.start_t, s, valid)
+        lp_e = T.log_softmax_at(scores.end_t, e, valid)
+        total = total + lp_s + lp_e
     return total * -1.0
 
 
-@dataclass
-class InferenceScores:
-    g_frag: float
-    g_long: np.ndarray  # per candidate in S; entry 0 ([CLS]) is 0 by definition
-    best_short: list[Optional[tuple[int, int, float]]]  # per candidate: (s, e, score)
-
-
-def inference_scores(
-    scores: ScoreSet, max_answer_tokens: int = 30, type_score_agg: str = "lse"
-) -> InferenceScores:
+def fragment_score(scores: ScoreSet, agg: str = "lse") -> float:
+    """g_frag: the answer types' score over the no-answer type, by
+    log-sum-exp ("lse") or max over the four answer types."""
     ft = scores.type_logits
-    if type_score_agg == "lse":
-        g_frag = float(np.logaddexp.reduce(ft[1:]) - ft[0])
-    elif type_score_agg == "max":
-        g_frag = float(ft[1:].max() - ft[0])
-    else:
-        raise ValueError(f"unknown type_score_agg {type_score_agg!r}")
-    fl = scores.long_logits
-    g_long = fl - fl[0]
+    if agg == "lse":
+        return float(np.logaddexp.reduce(ft[1:]) - ft[0])
+    if agg == "max":
+        return float(ft[1:].max() - ft[0])
+    raise ValueError(f"unknown type_score_agg {agg!r}")
 
+
+def best_span(
+    scores: ScoreSet, a: int, b: int, max_answer_tokens: int = 30
+) -> Optional[tuple[int, int, float]]:
+    """The best short span (s, e, g_short) inside the candidate span
+    (a, b), with e at most max_answer_tokens valid positions past s,
+    scored as a margin over the [CLS] null; None when (a, b) has no valid
+    position. Instances refuse spans outside them, so the slice is direct.
+    """
     fs = np.asarray(scores.start_t.data, dtype=np.float64)
     fe = np.asarray(scores.end_t.data, dtype=np.float64)
-    cls_node = scores.node_of_position(0)
-    null = fs[cls_node] + fe[cls_node]
-    best_short: list[Optional[tuple[int, int, float]]] = [None]
-    pos = scores.token_positions
-    for a, b in scores.spans[1:]:
-        lo, hi = np.searchsorted(pos, (a, b + 1))
-        nodes = lo + np.flatnonzero(scores.span_valid[lo:hi])
-        width = min(max_answer_tokens, len(nodes))
-        if width < 1:
-            best_short.append(None)
-            continue
-        # row i, column t scores the span from nodes[i] to nodes[i + t];
-        # -inf past the last node. The first argmax in row-major order is
-        # the first maximum of the (start, end) scan.
-        fe_pad = np.concatenate([fe[nodes], np.full(width - 1, NEG_INF)])
-        ends = np.arange(len(nodes))[:, None] + np.arange(width)
-        band = fs[nodes][:, None] + fe_pad[ends] - null
-        i, t = np.unravel_index(int(np.argmax(band)), band.shape)
-        best_short.append((int(pos[nodes[i]]), int(pos[nodes[i + t]]), float(band[i, t])))
-    return InferenceScores(g_frag=g_frag, g_long=g_long, best_short=best_short)
+    nodes = a + np.flatnonzero(scores.span_valid[a : b + 1])
+    width = min(max_answer_tokens, len(nodes))
+    if width < 1:
+        return None
+    # row i, column t scores the span from nodes[i] to nodes[i + t]; -inf
+    # past the last node. The first argmax in row-major order is the first
+    # maximum of the (start, end) scan.
+    fe_pad = np.concatenate([fe[nodes], np.full(width - 1, NEG_INF)])
+    ends = np.arange(len(nodes))[:, None] + np.arange(width)
+    band = fs[nodes][:, None] + fe_pad[ends] - (fs[0] + fe[0])
+    i, t = np.unravel_index(int(np.argmax(band)), band.shape)
+    return int(nodes[i]), int(nodes[i + t]), float(band[i, t])
 
 
 @dataclass
@@ -214,48 +191,50 @@ def select_answers(
     fragments: list[tuple[TrainingInstance, ScoreSet]],
     max_answer_tokens: int = 30,
     type_score_agg: str = "lse",
+    vocab: Optional[Vocab] = None,
 ) -> DocumentPrediction:
     """Pipeline selection over all fragments of one document.
 
     Long candidate: argmax of g_long + g_frag over non-[CLS] candidates,
-    ties broken by earliest document position. Short answer: best span
-    inside the chosen candidate within the same fragment, or the literal
-    yes/no when the predicted answer type says so.
+    ties broken by earliest document position. Short answer: the best
+    span inside the chosen candidate, searched in that fragment only, or
+    the literal yes/no when the predicted answer type says so. With a
+    `vocab`, the span's text is read from the same fragment.
     """
     if not fragments:
         raise ContractViolation("select_answers requires at least one fragment")
-    example_id = fragments[0][0].example_id
-    best = None  # (sort key, instance, scores, iscores, s_idx)
+    best = None  # (sort key, instance, scores, s_idx, g_frag)
     for instance, scores in fragments:
-        isc = inference_scores(scores, max_answer_tokens, type_score_agg)
+        g_frag = fragment_score(scores, type_score_agg)
+        fl = scores.long_logits
+        g_long = fl - fl[0]  # entry 0 ([CLS]) is 0 by definition
         for s_idx in range(1, len(instance.spans)):
-            total = float(isc.g_long[s_idx]) + isc.g_frag
+            total = float(g_long[s_idx]) + g_frag
             doc_start = _doc_token(instance, instance.spans[s_idx][0])
             key = (-total, doc_start, instance.fragment_index)
             if best is None or key < best[0]:
-                best = (key, instance, scores, isc, s_idx)
+                best = (key, instance, scores, s_idx, g_frag)
     if best is None:
         raise ContractViolation("document has no long answer candidates")
-    _, instance, scores, isc, s_idx = best
+    key, instance, scores, s_idx, g_frag = best
     a, b = instance.spans[s_idx]
     pred = DocumentPrediction(
-        example_id=example_id,
+        example_id=fragments[0][0].example_id,
         long_index=instance.cand_doc_idx[s_idx],
         long_start=_doc_token(instance, a),
         long_end=_doc_token(instance, b),
-        long_score=float(isc.g_long[s_idx]) + isc.g_frag,
+        long_score=-key[0],  # g_long + g_frag
         answer_type=int(np.argmax(scores.type_logits)),
         short_kind=None,
     )
     if pred.answer_type in (int(AnswerType.YES), int(AnswerType.NO)):
         pred.short_kind = "yes" if pred.answer_type == int(AnswerType.YES) else "no"
-        pred.short_score = isc.g_frag
-    else:
-        span = isc.best_short[s_idx]
-        if span is not None:
-            s, e, sc = span
-            pred.short_kind = "span"
-            pred.short_start = _doc_token(instance, s)
-            pred.short_end = _doc_token(instance, e)
-            pred.short_score = sc
+        pred.short_score = g_frag
+    elif (span := best_span(scores, a, b, max_answer_tokens)) is not None:
+        s, e, pred.short_score = span
+        pred.short_kind = "span"
+        pred.short_start = _doc_token(instance, s)
+        pred.short_end = _doc_token(instance, e)
+        if vocab is not None:
+            pred.short_text = detokenize(instance.tokens[s : e + 1], vocab)
     return pred

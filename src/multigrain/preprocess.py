@@ -248,7 +248,6 @@ class TokenizedDocument:
 
     token_ids: np.ndarray          # [n] int
     sent_id: np.ndarray            # [n] global sentence index (0-based)
-    cand_id: np.ndarray            # [n] candidate index per token
     char_spans: list[tuple[int, int]]  # candidate-local char offsets; markup (-1, -1)
     cand_token_spans: list[tuple[int, int]]  # [start, end) in doc tokens
     n_sentences: int
@@ -283,18 +282,16 @@ def insert_markup_tokens(blocks: list[CandidateBlock], vocab: Vocab) -> Tokenize
     kind_counters = {k: 0 for k in MARKUP_KINDS}
     token_ids: list[int] = []
     sent_id: list[int] = []
-    cand_id: list[int] = []
     char_spans: list[tuple[int, int]] = []
     cand_token_spans: list[tuple[int, int]] = []
     next_sentence = 0
-    for ci, block in enumerate(blocks):
+    for block in blocks:
         if block.kind not in MARKUP_KINDS:
             raise ValueError(f"unknown candidate kind {block.kind!r}")
         n = kind_counters[block.kind]
         kind_counters[block.kind] += 1
         start = len(token_ids)
         token_ids.append(vocab.markup_id(block.kind, n))
-        cand_id.append(ci)
         char_spans.append((-1, -1))
         sent_id.append(next_sentence)  # patched below if the block is empty
 
@@ -310,7 +307,6 @@ def insert_markup_tokens(blocks: list[CandidateBlock], vocab: Vocab) -> Tokenize
 
         for tid, (a, b) in zip(ids, offs):
             token_ids.append(tid)
-            cand_id.append(ci)
             char_spans.append((a, b))
             sent_id.append(next_sentence + sent_of(a))
         next_sentence += local_sents
@@ -318,7 +314,6 @@ def insert_markup_tokens(blocks: list[CandidateBlock], vocab: Vocab) -> Tokenize
     return TokenizedDocument(
         token_ids=np.asarray(token_ids, dtype=np.int64),
         sent_id=np.asarray(sent_id, dtype=np.int64),
-        cand_id=np.asarray(cand_id, dtype=np.int64),
         char_spans=char_spans,
         cand_token_spans=cand_token_spans,
         n_sentences=next_sentence,
@@ -402,14 +397,27 @@ class TrainingInstance:
     @classmethod
     def from_json(cls, obj: dict) -> "TrainingInstance":
         """Parse one instance line. A line with a "mask" field (padded
-        windows, an earlier format) is refused, not converted."""
+        windows, an earlier format) is refused, not converted, and so is
+        one with a span in S reversed or outside it, a first span other
+        than [CLS]'s (0, 0), a `cand_doc_idx` of another length or an `l`
+        outside S."""
         if "mask" in obj:
             raise ValueError("instance has a 'mask' field: padded instances are no longer "
                              "read; run preprocess again")
-        if len(obj["c"]) != len(obj["sentences"]):
-            raise ValueError(f"instance has {len(obj['c'])} tokens but "
-                             f"{len(obj['sentences'])} sentence ids")
+        n = len(obj["c"])
+        if n != len(obj["sentences"]):
+            raise ValueError(f"instance has {n} tokens but {len(obj['sentences'])} sentence ids")
         prov = obj["provenance"]
+        bad = [(a, b) for a, b in obj["S"] if not 0 <= a <= b < n]
+        if bad:
+            raise ValueError(f"instance span S {bad[0]} is reversed or outside its {n} tokens")
+        if not obj["S"] or tuple(obj["S"][0]) != (0, 0):
+            raise ValueError("instance spans S must start with the [CLS] span (0, 0)")
+        if len(prov["cand_doc_idx"]) != len(obj["S"]):
+            raise ValueError(f"instance has {len(obj['S'])} spans S but "
+                             f"{len(prov['cand_doc_idx'])} cand_doc_idx entries")
+        if not 0 <= obj["l"] < len(obj["S"]):
+            raise ValueError(f"instance long target l {obj['l']} outside its {len(obj['S'])} spans S")
         return cls(
             tokens=np.asarray(obj["c"], dtype=np.int64),
             spans=[tuple(s) for s in obj["S"]],

@@ -2,12 +2,12 @@
 
 The op set is intentionally small: exactly what the graph encoder and the
 output heads need (matmul, broadcast add/mul, concat, row slices, gathers,
-two fused multi-head attention ops, gelu, layer norm, masked log-softmax,
-reductions, dropout). Every scatter-add goes through `ScatterPlan`, a
-0/1 CSR matrix applied as one sparse product, which keeps the working
-dtype; the relative-position buckets of a fully connected level go
-through its cached `BandPlan`, which expands and folds them without an
-index gather or scatter.
+two fused multi-head attention ops, gelu, layer norm, one log-probability
+of a masked softmax per loss term, reductions, dropout). Every
+scatter-add goes through `ScatterPlan`, a 0/1 CSR matrix applied as one
+sparse product, which keeps the working dtype; the relative-position
+buckets of a fully connected level go through its cached `BandPlan`,
+which expands and folds them without an index gather or scatter.
 Every forward op validates that its output is finite; NaN/Inf anywhere is
 a hard error rather than a silent corruption of the run. The attention
 scores, which are not an op output, are covered either by a bound on
@@ -70,8 +70,6 @@ _DTYPES = {"standard": np.float64, "extended": np.longdouble}
 _dtype_stack = [np.float64]
 _grad_enabled = [True]
 _tape_stack: list["Tape"] = []
-
-LOGP_MASKED = -1e30  # finite sentinel for masked log-probabilities
 
 
 def current_dtype():
@@ -803,25 +801,26 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
     return _make(data, (a, gain, bias), backward, "layer_norm")
 
 
-def masked_log_softmax(logits: Tensor, mask, axis: int = -1) -> Tensor:
-    """Log-softmax over unmasked entries; masked entries get a finite
-    sentinel (LOGP_MASKED) and zero gradient — callers must not read them."""
-    m = np.broadcast_to(np.asarray(mask, dtype=bool), logits.shape)
-    if not m.any(axis=axis).all():
-        raise ContractViolation("masked_log_softmax: a row has every position masked")
+def log_softmax_at(logits: Tensor, index: int, mask=None) -> Tensor:
+    """log softmax(logits)[index] as a 0-d tensor, for 1-d `logits`: the
+    softmax runs over the entries where `mask` is True, or over all of
+    them when it is None. Masked entries get zero gradient."""
     x = logits.data
-    xmax = np.where(m, x, -np.inf).max(axis=axis, keepdims=True)
+    m = np.ones(x.shape, dtype=bool) if mask is None else np.asarray(mask, dtype=bool)
+    if not m.any():
+        raise ContractViolation("log_softmax_at: every position is masked")
+    xmax = np.where(m, x, -np.inf).max(axis=-1, keepdims=True)
     ex = np.where(m, np.exp(x - xmax), 0.0)
-    lse = np.log(ex.sum(axis=axis, keepdims=True)) + xmax
-    data = np.where(m, x - lse, LOGP_MASKED)
-    p = ex / ex.sum(axis=axis, keepdims=True)
+    lse = np.log(ex.sum(axis=-1, keepdims=True)) + xmax
+    p = ex / ex.sum(axis=-1, keepdims=True)
 
     def backward(g):
         if logits.requires_grad:
-            gm = np.where(m, g, 0.0)
-            _accumulate(logits, gm - p * gm.sum(axis=axis, keepdims=True))
+            gm = np.zeros_like(x)
+            gm[index] = g
+            _accumulate(logits, gm - p * g)
 
-    return _make(data, (logits,), backward, "masked_log_softmax")
+    return _make((x[index] - lse).reshape(()), (logits,), backward, "log_softmax_at")
 
 
 def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
@@ -897,15 +896,19 @@ def finite_diff_check(
     near zero, where the relative error is most sensitive.
 
     Returns the maximum relative error |a - b| / max(1e-8, |a| + |b|)
-    over every coordinate of every parameter.
+    over every coordinate of every parameter. Each checked `.grad` ends
+    bound to the array it was found bound to, its values untouched, so a
+    model's tensors still view `ModelParams.grad`.
     """
     if eps <= 0:
         raise ContractViolation("finite_diff_check requires eps > 0")
+    found = [p.grad for p in params.values()]
     zero_grads(params)
     with record_tape():
         loss = f()
         grads = backward(loss, params)
-    zero_grads(params)
+    for p, grad in zip(params.values(), found):
+        p.grad = grad
     worst = 0.0
     for name, p in params.items():
         flat = p.data.reshape(-1)

@@ -1,47 +1,38 @@
-"""Answer scoring heads, joint loss, inference scores, and pipelined
-answer selection."""
+"""Answer scoring heads, joint loss, fragment and span scores, and
+pipelined answer selection."""
 
 import math
 
 import numpy as np
 import pytest
 
+from multigrain import heads
 from multigrain import tensor as T
 from multigrain.checks import micro_config, micro_instance
 from multigrain.docgraph import build_graph
 from multigrain.encoder import ModelParams, encode
 from multigrain.heads import (
-    DocumentPrediction,
     ScoreSet,
-    inference_scores,
+    best_span,
+    fragment_score,
     joint_loss,
     score_nodes,
     select_answers,
 )
-from multigrain.predict import _span_text
 from multigrain.preprocess import AnswerType, TrainingInstance, Vocab
 from multigrain.tensor import ContractViolation, Tensor
 
 
-def make_scores(
-    start=None, end=None, long=None, typ=None, positions=None, valid=None, spans=None
-):
-    """ScoreSet over 6 token nodes: [CLS] q q [SEP] c c c [SEP] collapsed
-    to positions [0..5] with content at 3, 4, 5 by default."""
-    positions = np.asarray(positions if positions is not None else [0, 1, 2, 3, 4, 5])
-    n = len(positions)
-    if valid is None:
-        valid = (positions == 0) | (positions >= 3)
-    spans = spans or [(0, 0), (3, 5)]
-    z = np.zeros(n)
+def make_scores(start=None, end=None, long=None, typ=None):
+    """ScoreSet over 6 token nodes, [CLS] q q then content at positions
+    3, 4, 5, with the candidate spans (0, 0) and (3, 5)."""
+    z = np.zeros(6)
     return ScoreSet(
         start_t=Tensor(np.asarray(start if start is not None else z, dtype=float)),
         end_t=Tensor(np.asarray(end if end is not None else z, dtype=float)),
-        long_t=Tensor(np.asarray(long if long is not None else np.zeros(len(spans)), dtype=float)),
+        long_t=Tensor(np.asarray(long if long is not None else np.zeros(2), dtype=float)),
         type_t=Tensor(np.asarray(typ if typ is not None else np.zeros(5), dtype=float)),
-        token_positions=positions,
-        span_valid=np.asarray(valid, dtype=bool),
-        spans=spans,
+        span_valid=np.array([True, False, False, True, True, True]),
     )
 
 
@@ -78,10 +69,10 @@ def test_long_logits_cover_cls_pseudo_candidate(forward):
 
 
 def start_logits(sc: ScoreSet, seq_len: int) -> np.ndarray:
-    """Start logits over all `seq_len` instance positions, -inf wherever
-    no valid token node sits."""
+    """Start logits over all `seq_len` instance positions (token node i
+    is position i), -inf wherever a span may not start."""
     out = np.full(seq_len, -np.inf)
-    out[sc.token_positions[sc.span_valid]] = sc.start_t.data[sc.span_valid]
+    out[sc.span_valid] = sc.start_t.data[sc.span_valid]
     return out
 
 
@@ -89,8 +80,8 @@ def test_masked_position_never_wins(forward):
     cfg, inst, graph, model, states = forward
     sc = score_nodes(states, graph, inst, model)
     full = start_logits(sc, len(inst.tokens))
-    masked = np.ones(len(inst.tokens), dtype=bool)
-    masked[sc.token_positions[sc.span_valid]] = False
+    masked = ~sc.span_valid
+    assert len(masked) == len(inst.tokens) == graph.n_tokens
     assert not np.isfinite(full[masked]).any()
     assert np.argmax(full) in np.where(np.isfinite(full))[0]
 
@@ -99,12 +90,9 @@ def test_question_and_separators_masked(forward):
     cfg, inst, graph, model, states = forward
     sc = score_nodes(states, graph, inst, model)
     q = inst.question_len
-    pos = sc.token_positions
-    for p in range(1, q + 2):  # question tokens and first [SEP]
-        assert not sc.span_valid[np.where(pos == p)[0][0]]
-    last = len(inst.tokens) - 1  # trailing [SEP]
-    assert not sc.span_valid[np.where(pos == last)[0][0]]
-    assert sc.span_valid[np.where(pos == 0)[0][0]]
+    assert not sc.span_valid[1 : q + 2].any()  # question tokens and first [SEP]
+    assert not sc.span_valid[-1]  # trailing [SEP]
+    assert sc.span_valid[0]
 
 
 # ---------------------------------------------------------------- joint loss
@@ -143,8 +131,11 @@ def test_bad_long_target_rejected():
 
 
 def test_masked_span_target_rejected():
-    with pytest.raises(ContractViolation):
-        joint_loss(make_scores(), 1, 1, 4, AnswerType.SHORT)  # position 1 is a question token
+    """A question token (1), a position past the end (6) and a negative
+    one are each refused, not wrapped around or read past the end."""
+    for s, e in [(1, 4), (3, 6), (-1, 4)]:
+        with pytest.raises(ContractViolation):
+            joint_loss(make_scores(), 1, s, e, AnswerType.SHORT)
 
 
 def test_loss_differentiable_end_to_end(forward):
@@ -162,31 +153,31 @@ def test_loss_differentiable_end_to_end(forward):
 
 
 def test_g_long_zero_when_equal_to_cls():
-    sc = make_scores(long=[1.7, 1.7])
-    isc = inference_scores(sc)
-    assert isc.g_long[1] == 0.0 and isc.g_long[0] == 0.0
+    """A candidate scored like [CLS] has g_long 0: its long score is g_frag."""
+    inst = frag_instance()
+    sc = scores_for(inst, long=[1.7, 1.7])
+    assert select_answers([(inst, sc)]).long_score == fragment_score(sc)
 
 
 def test_g_short_shift_invariant():
     rng = np.random.default_rng(0)
     start = rng.normal(size=6)
     end = rng.normal(size=6)
-    a = inference_scores(make_scores(start=start, end=end))
-    b = inference_scores(make_scores(start=start + 10.0, end=end - 3.0))
-    sa = a.best_short[1]
-    sb = b.best_short[1]
+    sa = best_span(make_scores(start=start, end=end), 3, 5)
+    sb = best_span(make_scores(start=start + 10.0, end=end - 3.0), 3, 5)
     assert sa[:2] == sb[:2]
     np.testing.assert_allclose(sa[2], sb[2], atol=1e-9)
 
 
 def test_g_frag_uniform_types():
-    isc = inference_scores(make_scores(typ=np.zeros(5)))
-    np.testing.assert_allclose(isc.g_frag, math.log(4), atol=1e-12)
+    np.testing.assert_allclose(fragment_score(make_scores(typ=np.zeros(5))), math.log(4), atol=1e-12)
 
 
 def test_g_frag_max_aggregation():
-    isc = inference_scores(make_scores(typ=[1.0, 3.0, 2.0, 0.0, -1.0]), type_score_agg="max")
-    np.testing.assert_allclose(isc.g_frag, 2.0, atol=1e-12)
+    sc = make_scores(typ=[1.0, 3.0, 2.0, 0.0, -1.0])
+    np.testing.assert_allclose(fragment_score(sc, "max"), 2.0, atol=1e-12)
+    with pytest.raises(ValueError, match="type_score_agg"):
+        fragment_score(sc, "mean")
 
 
 def test_max_answer_tokens_cap():
@@ -194,66 +185,53 @@ def test_max_answer_tokens_cap():
     end = np.zeros(6)
     start[3] = 5.0
     end[5] = 5.0  # best unconstrained span is 3..5 (3 tokens)
-    isc = inference_scores(make_scores(start=start, end=end), max_answer_tokens=2)
-    s, e, _ = isc.best_short[1]
+    s, e, _ = best_span(make_scores(start=start, end=end), 3, 5, max_answer_tokens=2)
     assert e - s + 1 <= 2
 
 
-def double_loop_short(scores, max_answer_tokens):
-    """Each candidate's best (start, end) by scanning its valid nodes in
-    position order, ends at most max_answer_tokens nodes on, keeping the
-    first maximum."""
-    fs, fe, pos = scores.start_t.data, scores.end_t.data, scores.token_positions
-    cls = scores.node_of_position(0)
-    null = fs[cls] + fe[cls]
-    node_at = {int(p): i for i, p in enumerate(pos)}
-    out = [None]
-    for a, b in scores.spans[1:]:
-        nodes = [node_at[p] for p in range(a, b + 1) if p in node_at and scores.span_valid[node_at[p]]]
-        best = None
-        for k, i in enumerate(nodes):
-            for j in nodes[k : k + max_answer_tokens]:
-                sc = fs[i] + fe[j] - null
-                if best is None or sc > best[2]:
-                    best = (int(pos[i]), int(pos[j]), float(sc))
-        out.append(best)
-    return out
+def double_loop_short(scores, a, b, max_answer_tokens):
+    """The best (start, end) of candidate (a, b) by scanning its valid
+    positions in order, ends at most max_answer_tokens valid positions
+    on, keeping the first maximum."""
+    fs, fe = scores.start_t.data, scores.end_t.data
+    null = fs[0] + fe[0]
+    nodes = [p for p in range(a, b + 1) if scores.span_valid[p]]
+    best = None
+    for k, i in enumerate(nodes):
+        for j in nodes[k : k + max_answer_tokens]:
+            sc = fs[i] + fe[j] - null
+            if best is None or sc > best[2]:
+                best = (i, j, float(sc))
+    return best
 
 
 @pytest.mark.parametrize("max_answer_tokens", [0, 1, 30])
 def test_span_search_matches_double_loop(max_answer_tokens):
     """Integer logits, so equal scores are common and the tie order
-    shows. Positions have gaps (no node) and masked nodes; candidate
-    (5, 8) has no valid node, (10, 12) has one, and (1, 79) has more
-    than 30."""
+    shows. Masked positions are scattered; candidate (5, 8) has no valid
+    position, (10, 12) has one, and (1, 79) has more than 30."""
     rng = np.random.default_rng(11)
     L = 80
     for _ in range(25):
-        present = rng.random(L) < 0.85
-        present[[0, 11]] = True
-        valid_at = rng.random(L) < 0.7
-        valid_at[[0, 11]] = True
-        valid_at[5:9] = False
-        valid_at[[10, 12]] = False
-        positions = np.flatnonzero(present)
-        n = len(positions)
+        valid = rng.random(L) < 0.7
+        valid[[0, 11]] = True
+        valid[5:9] = False
+        valid[[10, 12]] = False
         starts = rng.integers(1, L, size=6)
         random_spans = [(int(a), int(min(a + rng.integers(0, 40), L - 1))) for a in starts]
         sc = ScoreSet(
-            start_t=Tensor(rng.integers(-3, 4, size=n).astype(float)),
-            end_t=Tensor(rng.integers(-3, 4, size=n).astype(float)),
+            start_t=Tensor(rng.integers(-3, 4, size=L).astype(float)),
+            end_t=Tensor(rng.integers(-3, 4, size=L).astype(float)),
             long_t=Tensor(np.zeros(4 + len(random_spans))),
             type_t=Tensor(np.zeros(5)),
-            token_positions=positions,
-            span_valid=valid_at[positions],
-            spans=[(0, 0), (5, 8), (10, 12), (1, L - 1)] + random_spans,
+            span_valid=valid,
         )
-        got = inference_scores(sc, max_answer_tokens=max_answer_tokens).best_short
-        want = double_loop_short(sc, max_answer_tokens)
-        assert got == want
-        assert got[1] is None
+        for a, b in [(5, 8), (10, 12), (1, L - 1)] + random_spans:
+            got = best_span(sc, a, b, max_answer_tokens)
+            assert got == double_loop_short(sc, a, b, max_answer_tokens), (a, b)
+        assert best_span(sc, 5, 8, max_answer_tokens) is None
         if max_answer_tokens >= 1:
-            assert got[2][:2] == (11, 11)
+            assert best_span(sc, 10, 12, max_answer_tokens)[:2] == (11, 11)
 
 
 # ---------------------------------------------------------------- selection
@@ -299,9 +277,7 @@ def scores_for(inst, long=None, typ=None, start=None, end=None):
         end_t=Tensor(np.asarray(end if end is not None else np.zeros(n)) * 1.0),
         long_t=Tensor(np.asarray(long if long is not None else np.zeros(len(inst.spans))) * 1.0),
         type_t=Tensor(np.asarray(typ if typ is not None else np.zeros(5)) * 1.0),
-        token_positions=pos,
         span_valid=valid,
-        spans=list(inst.spans),
     )
 
 
@@ -362,17 +338,54 @@ def test_prediction_json_shape():
     assert set(obj["long"]) == {"start", "end", "score", "index"}
 
 
+def test_best_span_runs_once_per_document(monkeypatch):
+    """select_answers searches a short span in the chosen candidate only:
+    once over three fragments of three candidates each, never for a
+    yes/no answer."""
+    calls = []
+
+    def counting(*args, **kwargs):
+        calls.append(args[1:3])
+        return best_span(*args, **kwargs)
+
+    monkeypatch.setattr(heads, "best_span", counting)
+    rng = np.random.default_rng(5)
+    frags = [frag_instance(frag_index=k, frag_start=6 * k, n_spans=3) for k in range(3)]
+    scored = [(inst, scores_for(inst, long=rng.normal(size=4), start=rng.normal(size=11),
+                                end=rng.normal(size=11))) for inst in frags]
+    pred = select_answers(scored)
+    assert len(calls) == 1 and pred.short_kind == "span"
+    typ = np.zeros(5)
+    typ[int(AnswerType.NO)] = 9.0
+    scored = [(inst, scores_for(inst, typ=typ)) for inst in frags]
+    assert select_answers(scored).short_kind == "no" and len(calls) == 1
+
+
 def test_span_text_skips_closing_separator():
-    """Fragments cover document tokens 0-5 and 3-8. A span that reaches
-    token 6 is read from fragment 1, not from fragment 0's closing [SEP]
-    at that offset."""
+    """Fragments cover document tokens 0-5 and 3-8. The text of a span is
+    read from the fragment that scored it: one that reaches token 6 comes
+    from fragment 1, and fragment 0's closing [SEP] at that offset is
+    never part of a span."""
     vocab = Vocab.build(f"w{i}" for i in range(12))
     frags = [frag_instance(frag_index=0, frag_start=0), frag_instance(frag_index=1, frag_start=3)]
     for inst in frags:
         words = range(inst.fragment_start, inst.fragment_start + 6)
         inst.tokens[:] = [vocab.cls_id, 4, 4, vocab.sep_id,
                           *(vocab.token2id[f"w{i}"] for i in words), vocab.sep_id]
-    scored = [(inst, None) for inst in frags]
+
+    def pick(inst, s, e, long):
+        """Scores for `inst` whose best span is doc tokens s..e."""
+        start, end = np.zeros(len(inst.tokens)), np.zeros(len(inst.tokens))
+        start[s - inst.fragment_start + inst.content_start] = 5.0
+        end[e - inst.fragment_start + inst.content_start] = 5.0
+        return scores_for(inst, long=[0.0, long], start=start, end=end)
+
     for (s, e), want in (((6, 6), "w6"), ((5, 6), "w5 w6"), ((4, 5), "w4 w5")):
-        pred = DocumentPrediction("sel0", 1, 0, 8, 0.0, int(AnswerType.SHORT), "span", s, e)
-        assert _span_text(scored, pred, vocab) == want
+        scored = [(frags[0], scores_for(frags[0])), (frags[1], pick(frags[1], s, e, 1.0))]
+        pred = select_answers(scored, vocab=vocab)
+        assert (pred.short_start, pred.short_end, pred.short_text) == (s, e, want)
+        assert select_answers(scored).short_text == ""
+    # fragment 0 wins; its best end logit sits on the closing [SEP]
+    scored = [(frags[0], pick(frags[0], 2, 6, 1.0)), (frags[1], scores_for(frags[1]))]
+    pred = select_answers(scored, vocab=vocab)
+    assert pred.short_end <= 5 and "[SEP]" not in pred.short_text

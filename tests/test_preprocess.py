@@ -358,6 +358,34 @@ def test_instance_json_refuses_padded_lines(tmp_path):
         TrainingInstance.from_json(dict(obj, sentences=obj["sentences"][:-1]))
 
 
+def add_span(obj, a, b):
+    obj["S"].append([a, b])
+    obj["provenance"]["cand_doc_idx"].append(0)
+
+
+@pytest.mark.parametrize("change, field", [
+    (lambda o: add_span(o, -3, 18), "S"),
+    (lambda o: add_span(o, 11, len(o["c"]) + 20), "S"),
+    (lambda o: add_span(o, 10, 4), "S"),
+    (lambda o: o["S"].__setitem__(0, [0, 1]), "S must start"),
+    (lambda o: o["provenance"]["cand_doc_idx"].append(7), "cand_doc_idx"),
+    (lambda o: o.__setitem__("l", len(o["S"])), "long target l"),
+    (lambda o: o.__setitem__("l", -1), "long target l"),
+], ids=["negative-start", "end-past-tokens", "reversed", "first-not-cls", "cand-doc-idx",
+        "l-past-S", "l-negative"])
+def test_instance_json_refuses_spans_outside_it(change, field):
+    """Spans reversed or outside the instance, a first span other than the
+    [CLS] (0, 0), a cand_doc_idx of another length and a long target
+    outside S are refused with a ValueError naming the field, before
+    they can reach the span search or the graph."""
+    inst, _, _ = run_case(Annotations(long_index=1))
+    obj = inst.to_json()
+    assert TrainingInstance.from_json(obj).to_json() == obj
+    change(obj)
+    with pytest.raises(ValueError, match=field):
+        TrainingInstance.from_json(obj)
+
+
 # ---------------------------------------------------------------- fuzzing
 
 # "İ" lowercases to two characters, "i" and U+0307; the pieces "i", "##i"

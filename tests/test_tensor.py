@@ -86,14 +86,64 @@ def test_masked_softmax_exp_normalize_oracle():
 
 def test_masked_softmax_all_masked_rejected():
     with pytest.raises(T.ContractViolation):
-        T.masked_log_softmax(tensor([[1.0, 2.0], [0.0, 1.0]]), np.array([[True, False], [False, False]]))
+        T.log_softmax_at(tensor([1.0, 2.0]), 0, np.array([False, False]))
 
 
-def test_masked_log_softmax_masked_entries_sentinel():
-    mask = np.array([[True, False, True]])
-    out = T.masked_log_softmax(tensor([[0.0, 0.0, 0.0]]), mask)
-    assert out.data[0, 1] == T.LOGP_MASKED
-    np.testing.assert_allclose(np.exp(out.data[0, [0, 2]]).sum(), 1.0, atol=1e-12)
+def test_log_softmax_at_skips_masked_entries():
+    """The softmax runs over the unmasked entries only, and a masked entry
+    gets no gradient."""
+    mask = np.array([True, False, True])
+    x = tensor([0.0, 7.0, 0.0])
+    with T.record_tape():
+        out = T.log_softmax_at(x, 0, mask)
+        grads = T.backward(out, {"x": x})
+    assert out.shape == ()
+    np.testing.assert_allclose(out.data, np.log(0.5), atol=1e-15)
+    np.testing.assert_array_equal(grads["x"], [0.5, 0.0, -0.5])
+
+
+def composite_log_softmax_at(logits, index, mask):
+    """The loss term as three ops: a masked log-softmax whose masked cells
+    hold a -1e30 sentinel, the row at `index`, then its sum."""
+    m = np.ones(logits.shape, dtype=bool) if mask is None else mask
+    x = logits.data
+    xmax = np.where(m, x, -np.inf).max(axis=-1, keepdims=True)
+    ex = np.where(m, np.exp(x - xmax), 0.0)
+    lse = np.log(ex.sum(axis=-1, keepdims=True)) + xmax
+    p = ex / ex.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gm = np.where(m, g, 0.0)
+        T._accumulate(logits, gm - p * gm.sum(axis=-1, keepdims=True))
+
+    logp = T._make(np.where(m, x - lse, -1e30), (logits,), backward, "masked_log_softmax")
+    return T.tsum(T.rows(logp, slice(index, index + 1)))
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+def test_log_softmax_at_matches_composite_bitwise(mode):
+    """log_softmax_at gives the composite's value and gradient bit for
+    bit, masked and unmasked, times a constant as in the joint loss."""
+    rng = np.random.default_rng(4)
+    with T.precision(mode):
+        for trial in range(60):
+            n = int(rng.integers(1, 40))
+            mask = None if trial % 3 == 0 else rng.random(n) < 0.6
+            index = int(rng.integers(n))
+            if mask is not None:
+                mask[index] = True
+            values = rng.normal(size=n) * rng.choice([0.1, 3.0, 50.0])
+            scale = rng.choice([-1.0, 0.125, -3.7])
+            out = {}
+            for name, op in (("fused", T.log_softmax_at), ("composite", composite_log_softmax_at)):
+                x = T.Tensor(values, requires_grad=True)
+                with T.record_tape():
+                    loss = op(x, index, mask) * scale
+                    out[name] = (loss.data, T.backward(loss, {"x": x})["x"])
+            (got, ggot), (want, gwant) = out["fused"], out["composite"]
+            assert got.dtype == want.dtype == T.current_dtype() == ggot.dtype
+            np.testing.assert_array_equal(got, want)
+            np.testing.assert_array_equal(ggot, gwant)
 
 
 # ---------------------------------------------------------------- gelu

@@ -10,13 +10,15 @@ import pytest
 from multigrain import encoder as E
 from multigrain import train as train_module
 from multigrain.checks import micro_config, micro_instance
+from multigrain.docgraph import build_graph
 from multigrain.encoder import ModelParams
-from multigrain.tensor import ContractViolation, Tape, Tensor
+from multigrain.tensor import ContractViolation, Tape, Tensor, finite_diff_check
 from multigrain.train import (
     OptimizerState,
     TrainConfig,
     TraceRow,
     adam_step,
+    instance_loss,
     lr_schedule,
     train_loop,
     write_trace_csv,
@@ -143,6 +145,24 @@ def test_adam_refuses_rebound_tensor(rebind):
     with pytest.raises(ContractViolation, match="'w'"):
         adam_step(model, state, lr=0.1)
     assert_unchanged(model, state, before, arrays, steps=1)
+
+
+def test_finite_diff_check_keeps_the_model_trainable():
+    """A gradient check leaves the checked `.grad` bound to its view of
+    ModelParams.grad with its values, so Adam still takes a step."""
+    model = ModelParams.init(micro_config(), seed=1, scale=0.1)
+    inst = micro_instance()
+    graph = build_graph(inst, clips=model.config.clips)
+    checked = model["head.type.b"]
+    view = checked.grad
+    view[...] = 0.25
+    err = finite_diff_check(lambda: instance_loss(inst, graph, model), {"head.type.b": checked})
+    assert err < 1e-4
+    assert checked.grad is view and (view == 0.25).all()
+    assert model.stray_view() is None
+    state = OptimizerState.init(model)
+    adam_step(model, state, lr=1e-3)
+    assert state.step == 1
 
 
 def test_model_params_views_its_buffers():
