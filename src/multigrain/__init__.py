@@ -6,7 +6,7 @@ short answers are trained jointly and selected by a pipelined scorer
 with thresholded evaluation.
 """
 
-from .docgraph import ClipConfig, HierGraph, build_graph, validate_graph
+from .docgraph import HierGraph, build_graph, validate_graph
 from .encoder import EncoderConfig, ModelParams, encode
 from .evaluate import EvalReport, GoldLabel, evaluate, threshold_sweep
 from .heads import joint_loss, score_nodes, select_answers
@@ -17,7 +17,6 @@ from .tensor import Tensor, backward, finite_diff_check, precision
 from .train import TrainConfig, train_loop
 
 __all__ = [
-    "ClipConfig",
     "CorpusSpec",
     "EncoderConfig",
     "EvalReport",

@@ -64,7 +64,7 @@ def micro_loss():
     cfg = micro_config()
     model = ModelParams.init(cfg, seed=1, scale=0.1)
     inst = micro_instance()
-    graph = build_graph(inst, clips=cfg.clips)
+    graph = build_graph(inst, cfg.cross_clip)
     return (lambda: instance_loss(inst, graph, model)), model.tensors
 
 

@@ -48,27 +48,10 @@ EDGE_FAMILIES: list[tuple[NodeType, NodeType, bool]] = [
 SELF_BUCKET = 0  # integration-pass bucket reserved for self-loops
 
 
-@dataclass
-class ClipConfig:
-    """Relative-position clipping constants (bucket table sizes)."""
-
-    token_clip: int = 16    # same-level token offsets in [-k, k]
-    sent_clip: int = 8
-    par_clip: int = 8
-    cross_clip: int = 32    # ordinal of the finer node inside its container
-
-    def integration_buckets(self) -> int:
-        return 1 + len(EDGE_FAMILIES) * (self.cross_clip + 1)
-
-    def level_clip(self, level: NodeType) -> int:
-        return {
-            NodeType.TOKEN: self.token_clip,
-            NodeType.SENTENCE: self.sent_clip,
-            NodeType.PARAGRAPH: self.par_clip,
-        }[level]
-
-    def level_buckets(self, level: NodeType) -> int:
-        return 2 * self.level_clip(level) + 1
+def integration_buckets(cross_clip: int) -> int:
+    """Bucket table size of the integration pass: the self-loop bucket,
+    then cross_clip + 1 ordinals per edge family."""
+    return 1 + len(EDGE_FAMILIES) * (cross_clip + 1)
 
 
 def family_bucket(family: int, ordinal, cross_clip: int):
@@ -83,7 +66,7 @@ class HierGraph:
     n_pars: int
     token_sent: np.ndarray        # [T] containing sentence per token
     sent_par: np.ndarray          # [S] containing paragraph per sentence
-    clips: ClipConfig = field(default_factory=ClipConfig)
+    cross_clip: int               # ordinals past it share the last bucket
 
     # populated by _finalize
     token_par: np.ndarray = field(init=False)
@@ -136,7 +119,7 @@ class HierGraph:
         self.par_ord = np.arange(self.n_pars, dtype=np.int64)
         self.tok_par_ord = self._ordinal_in(self.token_par)
 
-        cc = self.clips.cross_clip
+        cc = self.cross_clip
         t0 = self.level_slice(NodeType.TOKEN).start
         s0 = self.level_slice(NodeType.SENTENCE).start
         p0 = self.level_slice(NodeType.PARAGRAPH).start
@@ -165,7 +148,7 @@ class HierGraph:
             bucket.append(family_bucket(fam, ordinal, cc))
         self.integ_edges = EdgeList(
             np.concatenate(dst), np.concatenate(src), np.concatenate(bucket),
-            self.n_nodes, self.clips.integration_buckets(),
+            self.n_nodes, integration_buckets(cc),
         )
 
     # averaging matrices for the bottom-up initializer --------------------
@@ -179,8 +162,9 @@ class HierGraph:
         return m / deg
 
 
-def build_graph(instance: TrainingInstance, clips: ClipConfig | None = None) -> HierGraph:
-    """Build the graph for one instance.
+def build_graph(instance: TrainingInstance, cross_clip: int) -> HierGraph:
+    """Build the graph for one instance; cross-level ordinals clip at
+    `cross_clip`.
 
     Token nodes are the instance positions, in order; [CLS] is sentence 0
     and paragraph 0; paragraph nodes follow the candidate list S in order.
@@ -208,7 +192,7 @@ def build_graph(instance: TrainingInstance, clips: ClipConfig | None = None) -> 
         n_pars=len(instance.spans),
         token_sent=sent_of_pos.astype(np.int64),
         sent_par=sent_par,
-        clips=clips or ClipConfig(),
+        cross_clip=cross_clip,
     )
 
 

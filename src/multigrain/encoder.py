@@ -27,7 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
-from .docgraph import ClipConfig, HierGraph, NodeType
+from .docgraph import HierGraph, NodeType, integration_buckets
 from .preprocess import TrainingInstance
 from .tensor import Tensor
 
@@ -74,9 +74,9 @@ class EncoderConfig:
     def d_z(self) -> int:
         return self.d_h // self.m
 
-    @property
-    def clips(self) -> ClipConfig:
-        return ClipConfig(self.token_clip, self.sent_clip, self.par_clip, self.cross_clip)
+    def level_clip(self, level: NodeType) -> int:
+        """The relative-position clip of a level's self-attention."""
+        return (self.token_clip, self.sent_clip, self.par_clip)[level]
 
 
 # Parameter prefixes, indexed by NodeType: SUBLAYERS[level] is a level's
@@ -88,7 +88,6 @@ SUBLAYERS = ("tok", "sent", "par", "integ")
 def param_shapes(cfg: EncoderConfig) -> dict[str, tuple]:
     """Every parameter tensor of the model, by name."""
     d, dz, cc = cfg.d_h, cfg.d_z, cfg.cross_clip
-    clips = cfg.clips
     shapes: dict[str, tuple] = {
         "emb.token": (cfg.vocab_size, d),
         "emb.pos": (cfg.max_len, d),
@@ -101,9 +100,9 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple]:
         for level, sub in zip(NodeType, SUBLAYERS):
             p = f"layer{i}.{sub}"
             if level == NodeType.DOCUMENT:
-                buckets = clips.integration_buckets()
+                buckets = integration_buckets(cc)
             else:
-                buckets = clips.level_buckets(level)
+                buckets = 2 * cfg.level_clip(level) + 1
             shapes[f"{p}.wqkv"] = (d, 3 * d)
             shapes[f"{p}.ak"] = (buckets, dz)
             shapes[f"{p}.av"] = (buckets, dz)
@@ -311,21 +310,6 @@ def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
     return EncoderConfig(**header["config"]), split(np.frombuffer(payload, "<f8").copy(), layout)
 
 
-# ------------------------------------------------------------------ traces
-
-
-class AttentionTrace:
-    """Debug capture of raw coefficients, attention rows and head outputs."""
-
-    def __init__(self):
-        self.records: list[dict] = []
-
-    def add(self, sublayer: str, head: int, e, alpha, z):
-        self.records.append(
-            {"sublayer": sublayer, "head": head, "e": e, "alpha": alpha, "z": z}
-        )
-
-
 # ----------------------------------------------------------------- forward
 
 
@@ -368,7 +352,7 @@ def gat_attention(
     relation,
     params: ModelParams,
     prefix: str,
-    trace: Optional[AttentionTrace] = None,
+    trace: Optional[list] = None,
 ) -> Tensor:
     """Multi-head graph attention with relational key/value embeddings.
 
@@ -381,7 +365,8 @@ def gat_attention(
     attended edges with their buckets. `mask` is the (n, n) boolean of the
     attended cells; the computation reads only `relation`. Records three
     tape nodes: the QKV matmul, the fused attention op and the output
-    matmul.
+    matmul. A `trace` list gets one dict per head: its sublayer `prefix`,
+    `head`, the raw coefficients `e`, the weights `alpha` and its output `z`.
     """
     cfg = params.config
     n = states.shape[0]
@@ -398,7 +383,8 @@ def gat_attention(
         ((e, alpha),) = weights
         dz = cfg.d_z
         for k in range(cfg.m):
-            trace.add(prefix, k, e[k], alpha[k], z.data[:, k * dz : (k + 1) * dz].copy())
+            trace.append({"sublayer": prefix, "head": k, "e": e[k], "alpha": alpha[k],
+                          "z": z.data[:, k * dz : (k + 1) * dz].copy()})
     return T.matmul(z, params[f"{prefix}.wo"])
 
 
@@ -408,7 +394,7 @@ def self_attention_level(
     params: ModelParams,
     layer: int,
     rng: Optional[np.random.Generator] = None,
-    trace: Optional[AttentionTrace] = None,
+    trace: Optional[list] = None,
 ) -> Tensor:
     """Fully connected attention within one level's rows `block`, then
     residual + layer norm; returns the level's new rows."""
@@ -418,7 +404,7 @@ def self_attention_level(
     cfg = params.config
     n = block.shape[0]
     full = np.broadcast_to(True, (n, n))
-    att = gat_attention(block, full, cfg.clips.level_clip(level), params, prefix, trace)
+    att = gat_attention(block, full, cfg.level_clip(level), params, prefix, trace)
     att = T.dropout(att, cfg.dropout, rng)
     return T.layer_norm(block + att, params[f"{prefix}.ln_g"], params[f"{prefix}.ln_b"])
 
@@ -429,7 +415,7 @@ def graph_integration(
     params: ModelParams,
     layer: int,
     rng: Optional[np.random.Generator] = None,
-    trace: Optional[AttentionTrace] = None,
+    trace: Optional[list] = None,
 ) -> Tensor:
     """Cross-level attention pass over all nodes; returns the attended
     states, which the FFN concatenates with its input `states`."""
@@ -463,9 +449,10 @@ def encode(
     graph: HierGraph,
     params: ModelParams,
     rng: Optional[np.random.Generator] = None,
-    trace: Optional[AttentionTrace] = None,
+    trace: Optional[list] = None,
 ) -> Tensor:
-    """Full forward pass; n_layers == 0 returns the initializer output."""
+    """Full forward pass; n_layers == 0 returns the initializer output.
+    A `trace` list gets every attention head's dict (see `gat_attention`)."""
     cfg = params.config
     states = graph_initialize(graph, embed_tokens(instance, params), params)
     for layer in range(cfg.n_layers):

@@ -127,12 +127,13 @@ class SweepResult:
     recall: float
     f1: float
     curve: list[tuple[float, float, float, float]]  # (tau, P, R, F1)
+    cases: tuple[int, int, int, int, int]           # five_case_breakdown at tau
 
 
 def threshold_sweep(records: list[GrainRecord]) -> SweepResult:
     """Evaluate every distinct score as a threshold (plus +/-inf), from
     one sort and cumulative counts; return the F1 argmax, ties resolved
-    toward the larger threshold."""
+    toward the larger threshold, with the five cases at that threshold."""
     if not records:
         raise ValueError("threshold_sweep requires at least one prediction")
     taus = sorted({r.score for r in records if math.isfinite(r.score)})
@@ -158,7 +159,7 @@ def threshold_sweep(records: list[GrainRecord]) -> SweepResult:
         curve.append((tau, p, r, f1))
         if best is None or f1 >= best[3]:  # >= keeps the larger tau on ties
             best = (tau, p, r, f1)
-    return SweepResult(*best, curve=curve)
+    return SweepResult(*best, curve=curve, cases=five_case_breakdown(records, best[0]))
 
 
 def five_case_breakdown(records: list[GrainRecord], tau: float) -> tuple[int, int, int, int, int]:
@@ -185,18 +186,8 @@ def five_case_breakdown(records: list[GrainRecord], tau: float) -> tuple[int, in
 
 
 @dataclass
-class GrainReport:
-    tau: float
-    precision: float
-    recall: float
-    f1: float
-    cases: tuple[int, int, int, int, int]
-    curve: list[tuple[float, float, float, float]]
-
-
-@dataclass
 class EvalReport:
-    grains: dict[str, GrainReport] = field(default_factory=dict)
+    grains: dict[str, SweepResult] = field(default_factory=dict)
 
     def to_json(self) -> dict:
         return {
@@ -228,19 +219,8 @@ class EvalReport:
 
 
 def evaluate(predictions: list[dict], golds: list[GoldLabel]) -> EvalReport:
-    report = EvalReport()
-    for grain in GRAINS:
-        records = grain_records(predictions, golds, grain)
-        sweep = threshold_sweep(records)
-        report.grains[grain] = GrainReport(
-            tau=sweep.tau,
-            precision=sweep.precision,
-            recall=sweep.recall,
-            f1=sweep.f1,
-            cases=five_case_breakdown(records, sweep.tau),
-            curve=sweep.curve,
-        )
-    return report
+    return EvalReport({grain: threshold_sweep(grain_records(predictions, golds, grain))
+                       for grain in GRAINS})
 
 
 def read_gold(path) -> list[GoldLabel]:

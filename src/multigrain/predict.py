@@ -4,7 +4,6 @@ from __future__ import annotations
 
 from typing import Optional
 
-from . import tensor as T
 from .docgraph import build_graph
 from .encoder import ModelParams, encode
 from .heads import DocumentPrediction, score_nodes, select_answers
@@ -22,13 +21,12 @@ def predict_instances(
         by_doc.setdefault(inst.example_id, []).append(inst)
     cfg = model.config
     preds = []
-    with T.no_grad():
-        for frags in by_doc.values():
-            scored = []
-            for inst in frags:
-                graph = build_graph(inst, clips=cfg.clips)
-                states = encode(inst, graph, model)
-                scored.append((inst, score_nodes(states, graph, inst, model)))
-            preds.append(select_answers(scored, cfg.max_answer_tokens, cfg.type_score_agg,
-                                        vocab=vocab))
+    for frags in by_doc.values():
+        scored = []
+        for inst in frags:
+            graph = build_graph(inst, cfg.cross_clip)
+            states = encode(inst, graph, model)
+            scored.append((inst, score_nodes(states, graph, inst, model)))
+        preds.append(select_answers(scored, cfg.max_answer_tokens, cfg.type_score_agg,
+                                    vocab=vocab))
     return preds

@@ -256,28 +256,28 @@ class TokenizedDocument:
         return len(self.token_ids)
 
 
-def _candidate_sentences(block: CandidateBlock) -> list[tuple[int, int]]:
-    if block.sentences:
-        spans = []
-        pos = 0
-        for s in block.sentences:
-            start = block.text.find(s, pos)
-            if start < 0:
-                raise ValueError("candidate sentence text not found in block text")
-            spans.append((start, start + len(s)))
-            pos = start + len(s)
-        # cover any tail characters with the last sentence
-        if spans and spans[-1][1] < len(block.text):
-            spans[-1] = (spans[-1][0], len(block.text))
-        return spans
-    return segment_sentences(block.text)
+def _sentence_starts(block: CandidateBlock) -> list[int]:
+    """The character offset of each sentence of the block, in order."""
+    if not block.sentences:
+        return [a for a, _ in segment_sentences(block.text)]
+    starts = []
+    pos = 0
+    for s in block.sentences:
+        start = block.text.find(s, pos)
+        if start < 0:
+            raise ValueError("candidate sentence text not found in block text")
+        starts.append(start)
+        pos = start + len(s)
+    return starts
 
 
 def insert_markup_tokens(blocks: list[CandidateBlock], vocab: Vocab) -> TokenizedDocument:
     """Tokenize candidates in order, prefixing each with its markup token.
 
     The markup token belongs to the candidate span and to the candidate's
-    first sentence.
+    first sentence. A content token belongs to the last sentence that
+    starts at or before it, or to the first sentence if none does, so
+    text outside the given sentences joins the sentence before it.
     """
     kind_counters = {k: 0 for k in MARKUP_KINDS}
     token_ids: list[int] = []
@@ -293,23 +293,18 @@ def insert_markup_tokens(blocks: list[CandidateBlock], vocab: Vocab) -> Tokenize
         start = len(token_ids)
         token_ids.append(vocab.markup_id(block.kind, n))
         char_spans.append((-1, -1))
-        sent_id.append(next_sentence)  # patched below if the block is empty
+        sent_id.append(next_sentence)
 
         ids, offs = wordpiece_with_offsets(block.text, vocab)
-        sent_spans = _candidate_sentences(block)
-        local_sents = max(1, len(sent_spans))
-
-        def sent_of(char_start: int) -> int:
-            for si, (a, b) in enumerate(sent_spans):
-                if a <= char_start < b:
-                    return si
-            return max(0, len(sent_spans) - 1)
-
+        starts = _sentence_starts(block)
+        si = 0  # token offsets only grow, so one walk over the starts serves
         for tid, (a, b) in zip(ids, offs):
+            while si + 1 < len(starts) and starts[si + 1] <= a:
+                si += 1
             token_ids.append(tid)
             char_spans.append((a, b))
-            sent_id.append(next_sentence + sent_of(a))
-        next_sentence += local_sents
+            sent_id.append(next_sentence + si)
+        next_sentence += max(1, len(starts))
         cand_token_spans.append((start, len(token_ids)))
     return TokenizedDocument(
         token_ids=np.asarray(token_ids, dtype=np.int64),
@@ -399,14 +394,18 @@ class TrainingInstance:
         """Parse one instance line. A line with a "mask" field (padded
         windows, an earlier format) is refused, not converted, and so is
         one with a span in S reversed or outside it, a first span other
-        than [CLS]'s (0, 0), a `cand_doc_idx` of another length or an `l`
-        outside S."""
+        than [CLS]'s (0, 0), a `cand_doc_idx` of another length, an `l`
+        outside S, or sentence ids other than 0..k with none skipped."""
         if "mask" in obj:
             raise ValueError("instance has a 'mask' field: padded instances are no longer "
                              "read; run preprocess again")
         n = len(obj["c"])
         if n != len(obj["sentences"]):
             raise ValueError(f"instance has {n} tokens but {len(obj['sentences'])} sentence ids")
+        ids = np.unique(obj["sentences"])
+        if not np.array_equal(ids, np.arange(len(ids))):
+            raise ValueError(f"instance sentences must number 0..k with none skipped, "
+                             f"not {len(ids)} ids from {ids[0]} to {ids[-1]}")
         prov = obj["provenance"]
         bad = [(a, b) for a, b in obj["S"] if not 0 <= a <= b < n]
         if bad:

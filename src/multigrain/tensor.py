@@ -13,11 +13,15 @@ a hard error rather than a silent corruption of the run. The attention
 scores, which are not an op output, are covered either by a bound on
 their size, known before they are computed, or by a scan of their own.
 
-Ops record onto the tape of the innermost `record_tape` block. A taped
-node refers to its tape only weakly, so a graph forms no reference cycle:
-the tape, and with it every node it lists, lives until its block ends and
-then goes by reference counting. `backward` drops each node's closure once
-the replay has passed it, so a replayed tape holds only node outputs.
+Ops record onto the tape of the innermost `record_tape` block, and only
+there: an op's output requires a gradient, and is taped, when a block is
+open and one of its inputs requires a gradient. Outside every block an
+op only computes, so inference and the finite differences need no other
+switch. A taped node refers to its tape only weakly, so a graph forms no
+reference cycle: the tape, and with it every node it lists, lives until
+its block ends and then goes by reference counting. `backward` drops
+each node's closure once the replay has passed it, so a replayed tape
+holds only node outputs.
 
 Two ops split a large call across the CPUs the process may run on
 (`os.sched_getaffinity`; on one CPU nothing splits). `relative_attention`
@@ -68,7 +72,6 @@ class NonFiniteError(FloatingPointError):
 
 _DTYPES = {"standard": np.float64, "extended": np.longdouble}
 _dtype_stack = [np.float64]
-_grad_enabled = [True]
 _tape_stack: list["Tape"] = []
 
 
@@ -86,15 +89,6 @@ def precision(mode: str):
         yield
     finally:
         _dtype_stack.pop()
-
-
-@contextmanager
-def no_grad():
-    _grad_enabled.append(False)
-    try:
-        yield
-    finally:
-        _grad_enabled.pop()
 
 
 class Tape:
@@ -215,8 +209,8 @@ def _make(data: np.ndarray, parents: Sequence[Tensor], backward, op: str) -> Ten
     out.grad = None
     out._backward = None
     out._tape_ref = None
-    out.requires_grad = _grad_enabled[-1] and any(p.requires_grad for p in parents)
-    if out.requires_grad and _tape_stack:
+    out.requires_grad = bool(_tape_stack) and any(p.requires_grad for p in parents)
+    if out.requires_grad:
         tape = _tape_stack[-1]
         out._backward = backward
         out._tape_ref = tape.ref
@@ -522,7 +516,7 @@ def _side_by_side(fn: Callable, count: int, *args) -> list:
 
     Returns the results in group order, only after every group has
     finished, then raises the first error any group raised. `fn` runs
-    numpy on its own blocks and touches no tape, dtype or grad-mode state,
+    numpy on its own blocks and touches no tape or dtype state,
     so each block's arithmetic, and with it every bit of the result, is the
     same as in one call.
     """
@@ -897,18 +891,24 @@ def finite_diff_check(
 
     Returns the maximum relative error |a - b| / max(1e-8, |a| + |b|)
     over every coordinate of every parameter. Each checked `.grad` ends
-    bound to the array it was found bound to, its values untouched, so a
-    model's tensors still view `ModelParams.grad`.
+    bound to the array it was found bound to, and every buffer such a
+    `.grad` views (`ModelParams.grad`) ends holding the values it held:
+    the analytic pass also adds into the unchecked tensors that view it.
+    Call it outside any `record_tape` block, so the differences tape nothing.
     """
     if eps <= 0:
         raise ContractViolation("finite_diff_check requires eps > 0")
     found = [p.grad for p in params.values()]
+    bases = {id(g.base): g.base for g in found if g is not None and g.base is not None}
+    saved = [(base, base.copy()) for base in bases.values()]
     zero_grads(params)
     with record_tape():
         loss = f()
         grads = backward(loss, params)
     for p, grad in zip(params.values(), found):
         p.grad = grad
+    for base, values in saved:
+        base[...] = values
     worst = 0.0
     for name, p in params.items():
         flat = p.data.reshape(-1)
@@ -918,11 +918,9 @@ def finite_diff_check(
 
             def diff(step: float) -> float:
                 flat[i] = orig + step
-                with no_grad():
-                    fp = f().item()
+                fp = f().item()
                 flat[i] = orig - step
-                with no_grad():
-                    fm = f().item()
+                fm = f().item()
                 flat[i] = orig
                 return fp - fm
 

@@ -169,7 +169,7 @@ def train_loop(
     """
     if not instances:
         raise ValueError("train_loop requires at least one instance")
-    graphs = [build_graph(inst, clips=model.config.clips) for inst in instances]
+    graphs = [build_graph(inst, model.config.cross_clip) for inst in instances]
     state = opt_state or OptimizerState.init(model)
     n = len(instances)
     steps_per_epoch = math.ceil(n / cfg.batch_size)

@@ -15,8 +15,8 @@ import numpy as np
 
 from multigrain import tensor as T
 from multigrain.checks import micro_config
-from multigrain.docgraph import NodeType, build_graph, validate_graph
-from multigrain.encoder import AttentionTrace, ModelParams, encode, gat_attention, graph_initialize
+from multigrain.docgraph import build_graph, integration_buckets, validate_graph
+from multigrain.encoder import EncoderConfig, ModelParams, encode, gat_attention, graph_initialize
 from multigrain.evaluate import GrainRecord, f1_at_threshold, threshold_sweep
 from multigrain.preprocess import AnswerType, TrainingInstance
 from multigrain.tensor import Tensor
@@ -90,12 +90,12 @@ def attention_rows_check(trials: int = 100, seed: int = 0, tol: float = 1e-6) ->
             n_layers=int(rng.integers(1, 3)),
         )
         model = ModelParams.init(cfg, seed=int(rng.integers(1 << 30)))
-        graph = build_graph(inst, clips=cfg.clips)
-        trace = AttentionTrace()
+        graph = build_graph(inst, cfg.cross_clip)
+        trace = []
         encode(inst, graph, model, trace=trace)
         off_edge = ~graph.integ_mask
         integ_rows = 0
-        for rec in trace.records:
+        for rec in trace:
             alpha = rec["alpha"]
             if not np.allclose(alpha.sum(axis=1), 1.0, atol=tol):
                 return False
@@ -159,14 +159,14 @@ def dense_oracle_check(trials: int = 20, seed: int = 0, tol: float = 1e-6) -> fl
         states = rng.normal(size=(n, cfg.d_h))
         if trial % 2 == 0:
             prefix = "layer0.tok"
-            n_buckets = cfg.clips.level_buckets(NodeType.TOKEN)
+            n_buckets = 2 * cfg.token_clip + 1
             mask = np.ones((n, n), dtype=bool)
             idx = np.arange(n)
             buckets = np.clip(idx[None, :] - idx[:, None], -cfg.token_clip, cfg.token_clip) + cfg.token_clip
             relations = [cfg.token_clip]
         else:
             prefix = "layer0.integ"
-            n_buckets = cfg.clips.integration_buckets()
+            n_buckets = integration_buckets(cfg.cross_clip)
             mask = rng.random((n, n)) < 0.4
             np.fill_diagonal(mask, True)
             buckets = rng.integers(0, n_buckets, size=(n, n))
@@ -198,7 +198,7 @@ def initializer_check(trials: int = 50, seed: int = 0) -> float:
         for nm in ("init.rel.sentence", "init.rel.paragraph", "init.rel.document", "init.type"):
             model.tensors[nm].data[:] = 0.0
         inst = random_instance(rng, vocab_size=16, max_len=cfg.max_len)
-        graph = build_graph(inst, clips=cfg.clips)
+        graph = build_graph(inst, cfg.cross_clip)
         tok = rng.normal(size=(graph.n_tokens, cfg.d_h))
         states = graph_initialize(graph, Tensor(tok), model).data
         t, s, p = graph.n_tokens, graph.n_sents, graph.n_pars
@@ -234,7 +234,7 @@ def reachability_check(trials: int = 50, seed: int = 0) -> bool:
     rng = np.random.default_rng(seed)
     for _ in range(trials):
         inst = random_instance(rng)
-        graph = build_graph(inst)
+        graph = build_graph(inst, EncoderConfig().cross_clip)
         if validate_graph(graph) is not None:
             return False
         adj = graph.integ_mask & ~np.eye(graph.n_nodes, dtype=bool)

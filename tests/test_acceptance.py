@@ -294,7 +294,7 @@ def test_criterion_10_checkpoint_round_trip(tmp_path):
     ok = True
     for k in range(10):
         inst = random_instance(rng)
-        graph = build_graph(inst, clips=cfg.clips)
+        graph = build_graph(inst, cfg.cross_clip)
         a = encode(inst, graph, model).data
         b = encode(inst, graph, loaded).data
         ok &= bool((a == b).all())

@@ -8,15 +8,18 @@ from hypothesis import strategies as st
 from multigrain.docgraph import (
     EDGE_FAMILIES,
     SELF_BUCKET,
-    ClipConfig,
     NodeType,
     build_graph,
     family_bucket,
     validate_graph,
 )
+from multigrain.encoder import EncoderConfig
 from multigrain.preprocess import AnswerType, TrainingInstance
 from multigrain.tensor import EdgeList
 from oracles import bfs_distances, random_instance
+
+
+CFG = EncoderConfig()  # the graph tests use the default clips
 
 
 def make_instance(n_cands=2, sents_per_cand=2, toks_per_sent=3, q=4):
@@ -79,7 +82,7 @@ def relative_position(graph, i: int, j: int) -> int:
     ti, tj = node_type(graph, i), node_type(graph, j)
     if ti == tj and ti != NodeType.DOCUMENT:
         sl = graph.level_slice(ti)
-        return same_level_bucket(i - sl.start, j - sl.start, graph.clips.level_clip(ti))
+        return same_level_bucket(i - sl.start, j - sl.start, CFG.level_clip(ti))
     edge = find_edge(graph.integ_edges, i, j)
     if edge < 0:
         raise ValueError(f"no edge between nodes {i} and {j}")
@@ -92,7 +95,7 @@ def relative_position(graph, i: int, j: int) -> int:
 def test_node_counts_match_construction():
     # 2 candidates x 2 sentences x 3 tokens + [CLS] + 4 question + 2 [SEP]
     inst = make_instance()
-    g = build_graph(inst)
+    g = build_graph(inst, CFG.cross_clip)
     assert g.n_tokens == 1 + 4 + 1 + 12 + 1  # 18 token nodes
     assert g.n_sents == 5  # [CLS] pseudo-sentence + 4 content sentences
     assert g.n_pars == 3  # [CLS] pseudo-paragraph + 2 candidates
@@ -116,7 +119,7 @@ def test_minimal_instance_two_paragraphs():
         question_len=0,
         cand_doc_idx=[-1, 0],
     )
-    g = build_graph(inst)
+    g = build_graph(inst, CFG.cross_clip)
     assert g.n_pars == 2  # the [CLS] pseudo-paragraph plus one content paragraph
 
 
@@ -160,8 +163,8 @@ def test_family_buckets_disjoint():
 
 def test_relative_position_antisymmetric_same_level():
     inst = make_instance()
-    g = build_graph(inst)
-    k = g.clips.token_clip
+    g = build_graph(inst, CFG.cross_clip)
+    k = CFG.token_clip
     assert relative_position(g, 2, 5) - k == -(relative_position(g, 5, 2) - k)
 
 
@@ -169,7 +172,7 @@ def test_relative_position_antisymmetric_same_level():
 
 
 def test_validate_ok():
-    g = build_graph(make_instance())
+    g = build_graph(make_instance(), CFG.cross_clip)
     assert validate_graph(g) is None
 
 
@@ -181,7 +184,7 @@ def drop_edges(g, cut):
 
 
 def test_validate_detects_deleted_containment_edge():
-    g = build_graph(make_instance())
+    g = build_graph(make_instance(), CFG.cross_clip)
     s0 = g.level_slice(NodeType.SENTENCE).start
     p0 = g.level_slice(NodeType.PARAGRAPH).start
     # cut sentence 1 <-> its paragraph, both directions
@@ -194,7 +197,7 @@ def test_validate_detects_deleted_containment_edge():
 
 
 def test_validate_detects_three_hop_pair():
-    g = build_graph(make_instance())
+    g = build_graph(make_instance(), CFG.cross_clip)
     doc = g.level_slice(NodeType.DOCUMENT).start
     # cutting the document hub from a token strands pairs beyond 2 hops
     drop_edges(g, lambda dst, src: ((dst == 0) | (src == 0)) & (dst != src))
@@ -211,7 +214,7 @@ def test_validate_detects_three_hop_pair():
 def test_two_hop_reachability(seed):
     rng = np.random.default_rng(seed)
     inst = random_instance(rng)
-    g = build_graph(inst)
+    g = build_graph(inst, CFG.cross_clip)
     assert validate_graph(g) is None
     adj = g.integ_mask.copy()
     np.fill_diagonal(adj, False)
@@ -256,7 +259,7 @@ def test_sentence_paragraph_map_matches_loop(seed, n_spans):
     if n_spans >= 2:  # one span nested inside another
         a, b = inst.spans[1]
         inst.spans[2] = (a + (b - a) // 3, b - (b - a) // 3)
-    g = build_graph(inst)
+    g = build_graph(inst, CFG.cross_clip)
     loop = sent_par_loop(inst)
     assert g.sent_par.dtype == np.int64
     np.testing.assert_array_equal(g.sent_par, loop)
@@ -266,11 +269,11 @@ def test_sentence_paragraph_map_edge_cases():
     inst = make_instance()  # sentences 1-2 in span 1, 3-4 in span 2
     inst.sentences[np.flatnonzero(inst.sentences == 3)] = 6  # ids 3-5 get no token
     inst.spans = [(0, 0), (0, 63), (6, 8)]  # span 2 nested in span 1
-    g = build_graph(inst)
+    g = build_graph(inst, CFG.cross_clip)
     np.testing.assert_array_equal(g.sent_par, sent_par_loop(inst))
     np.testing.assert_array_equal(g.sent_par, [0, 1, 1, 1, 1, 1, 1])
     inst.spans = [(0, 0), (9, 11), (40, 50)]  # sentence 1 and the empty ids outside every span
-    g = build_graph(inst)
+    g = build_graph(inst, CFG.cross_clip)
     np.testing.assert_array_equal(g.sent_par, sent_par_loop(inst))
     np.testing.assert_array_equal(g.sent_par, [0, 0, 1, 0, 0, 0, 0])
 
@@ -279,11 +282,11 @@ def test_uncovered_token_rejected():
     inst = make_instance()
     inst.sentences[7] = -1  # a real position with no sentence
     with pytest.raises(ValueError):
-        build_graph(inst)
+        build_graph(inst, CFG.cross_clip)
 
 
 def test_buckets_only_on_edges():
-    g = build_graph(make_instance())
+    g = build_graph(make_instance(), CFG.cross_clip)
     e = g.integ_edges
     # the edge list is the whole graph: its adjacency is the mask, edges are
     # unique, and a bucket exists only on an edge
@@ -329,7 +332,7 @@ def test_ordinals_and_mean_matrix_match_loops(seed, n_parents, extra, shuffled):
     parent = np.sort(np.r_[np.arange(n_parents), rng.integers(0, n_parents, size=extra)])
     if shuffled:
         parent = rng.permutation(parent)
-    g = build_graph(make_instance())
+    g = build_graph(make_instance(), CFG.cross_clip)
     ords = g._ordinal_in(parent)
     assert ords.dtype == np.int64
     np.testing.assert_array_equal(ords, ordinal_loop(parent))
@@ -337,13 +340,13 @@ def test_ordinals_and_mean_matrix_match_loops(seed, n_parents, extra, shuffled):
 
 
 def test_graph_ordinals_match_loops():
-    g = build_graph(make_instance(n_cands=3, sents_per_cand=3))
+    g = build_graph(make_instance(n_cands=3, sents_per_cand=3), CFG.cross_clip)
     np.testing.assert_array_equal(g.tok_ord, ordinal_loop(g.token_sent))
     np.testing.assert_array_equal(g.sent_ord, ordinal_loop(g.sent_par))
     np.testing.assert_array_equal(g.tok_par_ord, ordinal_loop(g.token_par))
 
 
 def test_mean_matrix_rejects_parent_without_children():
-    g = build_graph(make_instance())
+    g = build_graph(make_instance(), CFG.cross_clip)
     with pytest.raises(ValueError, match="parent index 1"):
         g.mean_matrix(np.array([0, 2, 2]), 3)

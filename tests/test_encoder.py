@@ -14,10 +14,9 @@ import pytest
 from multigrain import encoder as E
 from multigrain import tensor as T
 from multigrain.checks import micro_config, micro_instance
-from multigrain.docgraph import NodeType, build_graph
+from multigrain.docgraph import NodeType, build_graph, integration_buckets
 from multigrain.encoder import (
     CHECKPOINT_MAGIC,
-    AttentionTrace,
     EncoderConfig,
     ModelParams,
     embed_tokens,
@@ -40,7 +39,7 @@ from oracles import split_qkv
 def setup():
     cfg = micro_config()
     inst = micro_instance()
-    graph = build_graph(inst, clips=cfg.clips)
+    graph = build_graph(inst, cfg.cross_clip)
     model = ModelParams.init(cfg, seed=0, scale=0.1)
     return cfg, inst, graph, model
 
@@ -115,7 +114,7 @@ def one_token_sentence_graph():
     from tests.test_docgraph import make_instance
 
     inst = make_instance(n_cands=1, sents_per_cand=1, toks_per_sent=1, q=1)
-    return inst, build_graph(inst, clips=micro_config().clips)
+    return inst, build_graph(inst, micro_config().cross_clip)
 
 
 def test_single_child_parent_equals_child():
@@ -230,7 +229,7 @@ def test_self_attention_permutation_equivariance(setup):
     h = Tensor(rng.normal(size=(n, cfg.d_h)))
     mask = np.ones((n, n), dtype=bool)
     dst, src = np.nonzero(mask)
-    nb = cfg.clips.level_buckets(NodeType.PARAGRAPH)
+    nb = 2 * cfg.par_clip + 1
     perm = rng.permutation(n)
     hp = Tensor(h.data[perm])
     for relation in (cfg.par_clip, T.EdgeList(dst, src, np.zeros_like(dst), n, nb)):
@@ -283,10 +282,10 @@ def test_self_loops_only_reduces_to_self_transform(setup):
     cfg, inst, graph, model = setup
     rng = np.random.default_rng(5)
     s = Tensor(rng.normal(size=(graph.n_nodes, cfg.d_h)))
-    loop_graph = build_graph(inst, clips=cfg.clips)
+    loop_graph = build_graph(inst, cfg.cross_clip)
     nodes = np.arange(graph.n_nodes)
     loop_graph.integ_edges = T.EdgeList(
-        nodes, nodes, np.zeros_like(nodes), graph.n_nodes, cfg.clips.integration_buckets()
+        nodes, nodes, np.zeros_like(nodes), graph.n_nodes, integration_buckets(cfg.cross_clip)
     )
     post = graph_integration(s, loop_graph, model, 0)
     prefix = "layer0.integ"
@@ -374,11 +373,11 @@ def test_encoder_layer_records_31_tape_nodes(setup):
 
 def test_attention_trace_records_all_sublayers(setup):
     cfg, inst, graph, model = setup
-    trace = AttentionTrace()
+    trace = []
     encode(inst, graph, model, trace=trace)
-    subs = {r["sublayer"] for r in trace.records}
+    subs = {r["sublayer"] for r in trace}
     assert subs == {f"layer0.{s}" for s in ("tok", "sent", "par", "integ")}
-    assert len(trace.records) == 4 * cfg.m
+    assert len(trace) == 4 * cfg.m
 
 
 # ---------------------------------------------------------------- checkpoints

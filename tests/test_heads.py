@@ -43,7 +43,7 @@ def make_scores(start=None, end=None, long=None, typ=None):
 def forward():
     cfg = micro_config()
     inst = micro_instance()
-    graph = build_graph(inst, clips=cfg.clips)
+    graph = build_graph(inst, cfg.cross_clip)
     model = ModelParams.init(cfg, seed=0, scale=0.1)
     states = encode(inst, graph, model)
     return cfg, inst, graph, model, states

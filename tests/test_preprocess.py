@@ -122,6 +122,19 @@ def test_markup_empty_block_list(vocab):
     assert len(doc.token_ids) == 0 and doc.n_sentences == 0
 
 
+def test_tokens_outside_the_given_sentences_join_the_one_before(vocab):
+    """A content token belongs to the last given sentence that starts at
+    or before it, or to the first one for leading text: "lead" and "mid x ."
+    join "a b .", and text after the last sentence joins that one."""
+    gaps = CandidateBlock("paragraph", "lead a b . mid x . c d .", ["a b .", "c d ."])
+    doc = insert_markup_tokens([gaps], vocab)
+    assert doc.sent_id.tolist() == [0, 0, 0, 0, 0, 0, 0, 0, 1, 1, 1]
+    tail = CandidateBlock("paragraph", "a b . c d . tail", ["a b .", "c d ."])
+    doc = insert_markup_tokens([gaps, tail], vocab)
+    assert doc.sent_id[11:].tolist() == [2, 2, 2, 2, 3, 3, 3, 3]
+    assert doc.n_sentences == 4
+
+
 def test_markup_counter_cap():
     assert markup_token("paragraph", 200) == markup_token("paragraph", 49)
 
@@ -371,13 +384,16 @@ def add_span(obj, a, b):
     (lambda o: o["provenance"]["cand_doc_idx"].append(7), "cand_doc_idx"),
     (lambda o: o.__setitem__("l", len(o["S"])), "long target l"),
     (lambda o: o.__setitem__("l", -1), "long target l"),
+    (lambda o: o["sentences"].__setitem__(3, -1), "sentences"),
+    (lambda o: o.__setitem__("sentences", [s + (s >= 2) for s in o["sentences"]]), "sentences"),
 ], ids=["negative-start", "end-past-tokens", "reversed", "first-not-cls", "cand-doc-idx",
-        "l-past-S", "l-negative"])
+        "l-past-S", "l-negative", "sentence-negative", "sentence-skipped"])
 def test_instance_json_refuses_spans_outside_it(change, field):
     """Spans reversed or outside the instance, a first span other than the
-    [CLS] (0, 0), a cand_doc_idx of another length and a long target
-    outside S are refused with a ValueError naming the field, before
-    they can reach the span search or the graph."""
+    [CLS] (0, 0), a cand_doc_idx of another length, a long target outside
+    S and sentence ids that are negative or skip a value are refused with
+    a ValueError naming the field, before they can reach the span search
+    or the graph."""
     inst, _, _ = run_case(Annotations(long_index=1))
     obj = inst.to_json()
     assert TrainingInstance.from_json(obj).to_json() == obj
@@ -473,7 +489,7 @@ def test_fuzz_raw_examples_end_typed_or_valid(example, max_len, stride):
     model = fuzz_model(max_len)
     for inst in instances:
         assert len(inst.tokens) <= max_len
-        graph = build_graph(inst, clips=model.config.clips)
+        graph = build_graph(inst, model.config.cross_clip)
         assert validate_graph(graph) is None
         assert np.isfinite(instance_loss(inst, graph, model).item())
         line = json.dumps(inst.to_json())

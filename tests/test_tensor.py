@@ -8,6 +8,7 @@ from scipy.special import erf
 
 from multigrain import tensor as T
 from multigrain.checks import micro_config
+from multigrain.docgraph import integration_buckets
 from multigrain.encoder import ModelParams, gat_attention
 from oracles import dense_attention_oracle, split_qkv
 
@@ -542,16 +543,16 @@ def test_fused_attention_rejects_nonfinite_scores(op):
 
 
 @pytest.mark.parametrize("n", [1, 7, 40])
-def test_relative_attention_taped_equals_no_grad(n):
-    """Taped and no_grad calls run one code path: bit-identical outputs."""
+def test_relative_attention_taped_equals_untaped(n):
+    """Calls inside and outside a `record_tape` block run one code path:
+    bit-identical outputs, and only the taped one requires a gradient."""
     rng = np.random.default_rng(n)
     m, dz, clip = 2, 3, 4
     qkv = tensor(rng.normal(size=(n, 3 * m * dz)))
     ak, av = tensor(rng.normal(size=(2 * clip + 1, dz))), tensor(rng.normal(size=(2 * clip + 1, dz)))
     with T.record_tape() as tape:
         taped = T.relative_attention(qkv, ak, av, m, clip)
-    with T.no_grad():
-        plain = T.relative_attention(qkv, ak, av, m, clip)
+    plain = T.relative_attention(qkv, ak, av, m, clip)
     assert len(tape) == 1 and taped.requires_grad and not plain.requires_grad
     np.testing.assert_array_equal(taped.data, plain.data)
 
@@ -599,8 +600,7 @@ def test_relative_attention_head_groups_equal_one_group(mode, taped, cpus, monke
         with T.precision(mode):
             args = [T.Tensor(a, requires_grad=True) for a in (qkv, ak, av)]
             if not taped:
-                with T.no_grad():
-                    return T.relative_attention(*args, m, clip).data, []
+                return T.relative_attention(*args, m, clip).data, []
             with T.record_tape() as tape:
                 out = T.relative_attention(*args, m, clip)
                 assert len(tape) == 1
@@ -943,7 +943,7 @@ def test_edge_integration_matches_dense_masked_oracle(seed, n, density):
     prefix = "layer0.integ"
     model = randomized_model(seed, prefix, rng)
     d = model.config.d_h
-    edges, mask, buckets = random_edges(rng, n, model.config.clips.integration_buckets(), density)
+    edges, mask, buckets = random_edges(rng, n, integration_buckets(model.config.cross_clip), density)
     states, g = rng.normal(size=(n, d)), rng.normal(size=(n, d))
     check_against_oracle(model, prefix, edges, mask, buckets, states, g)
 

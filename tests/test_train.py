@@ -152,7 +152,7 @@ def test_finite_diff_check_keeps_the_model_trainable():
     ModelParams.grad with its values, so Adam still takes a step."""
     model = ModelParams.init(micro_config(), seed=1, scale=0.1)
     inst = micro_instance()
-    graph = build_graph(inst, clips=model.config.clips)
+    graph = build_graph(inst, model.config.cross_clip)
     checked = model["head.type.b"]
     view = checked.grad
     view[...] = 0.25
@@ -163,6 +163,25 @@ def test_finite_diff_check_keeps_the_model_trainable():
     state = OptimizerState.init(model)
     adam_step(model, state, lr=1e-3)
     assert state.step == 1
+
+
+def test_finite_diff_check_leaves_the_gradient_buffer_alone():
+    """The analytic pass of a check on one parameter also adds into every
+    other tensor that views ModelParams.grad; the check puts the whole
+    buffer back, bit for bit, and the checked parameter's error is the
+    same as on a zeroed buffer."""
+    model = ModelParams.init(micro_config(), seed=1, scale=0.1)
+    inst = micro_instance()
+    graph = build_graph(inst, model.config.cross_clip)
+    f = lambda: instance_loss(inst, graph, model)
+    checked = {"head.type.b": model["head.type.b"]}
+    err_on_zeros = finite_diff_check(f, checked)
+    assert not model.grad.any()
+    model.grad[...] = np.random.default_rng(4).normal(size=model.grad.shape)
+    before = model.grad.copy()
+    assert finite_diff_check(f, checked) == err_on_zeros
+    np.testing.assert_array_equal(model.grad, before)
+    assert model.stray_view() is None
 
 
 def test_model_params_views_its_buffers():
