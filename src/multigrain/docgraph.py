@@ -28,21 +28,21 @@ class NodeType(IntEnum):
     DOCUMENT = 3
 
 
+# The six containment relations (finer level, coarser level). Each is an
+# edge family in both directions: family 2k is relation k upward (finer ->
+# coarser: the coarser node attends to the finer), family 2k + 1 downward.
+CONTAINMENT: list[tuple[NodeType, NodeType]] = [
+    (NodeType.TOKEN, NodeType.SENTENCE),
+    (NodeType.SENTENCE, NodeType.PARAGRAPH),
+    (NodeType.PARAGRAPH, NodeType.DOCUMENT),
+    (NodeType.TOKEN, NodeType.PARAGRAPH),
+    (NodeType.TOKEN, NodeType.DOCUMENT),
+    (NodeType.SENTENCE, NodeType.DOCUMENT),
+]
+
 # Directed cross-level edge families (finer level, coarser level, upward?).
-# Upward means finer -> coarser; each family exists in both directions.
 EDGE_FAMILIES: list[tuple[NodeType, NodeType, bool]] = [
-    (NodeType.TOKEN, NodeType.SENTENCE, True),
-    (NodeType.TOKEN, NodeType.SENTENCE, False),
-    (NodeType.SENTENCE, NodeType.PARAGRAPH, True),
-    (NodeType.SENTENCE, NodeType.PARAGRAPH, False),
-    (NodeType.PARAGRAPH, NodeType.DOCUMENT, True),
-    (NodeType.PARAGRAPH, NodeType.DOCUMENT, False),
-    (NodeType.TOKEN, NodeType.PARAGRAPH, True),
-    (NodeType.TOKEN, NodeType.PARAGRAPH, False),
-    (NodeType.TOKEN, NodeType.DOCUMENT, True),
-    (NodeType.TOKEN, NodeType.DOCUMENT, False),
-    (NodeType.SENTENCE, NodeType.DOCUMENT, True),
-    (NodeType.SENTENCE, NodeType.DOCUMENT, False),
+    (fine, coarse, up) for fine, coarse in CONTAINMENT for up in (True, False)
 ]
 
 SELF_BUCKET = 0  # integration-pass bucket reserved for self-loops
@@ -69,6 +69,7 @@ class HierGraph:
     cross_clip: int               # ordinals past it share the last bucket
 
     # populated by _finalize
+    starts: tuple = field(init=False)         # first node id of each level, then n_nodes
     token_par: np.ndarray = field(init=False)
     integ_edges: EdgeList = field(init=False)  # cross-level edges + self-loops
     tok_ord: np.ndarray = field(init=False)   # ordinal of token in sentence
@@ -85,13 +86,7 @@ class HierGraph:
         return self.n_tokens + self.n_sents + self.n_pars + 1
 
     def level_slice(self, level: NodeType) -> slice:
-        t, s, p = self.n_tokens, self.n_sents, self.n_pars
-        return {
-            NodeType.TOKEN: slice(0, t),
-            NodeType.SENTENCE: slice(t, t + s),
-            NodeType.PARAGRAPH: slice(t + s, t + s + p),
-            NodeType.DOCUMENT: slice(t + s + p, t + s + p + 1),
-        }[level]
+        return slice(self.starts[level], self.starts[level + 1])
 
     @property
     def integ_mask(self) -> np.ndarray:
@@ -113,42 +108,32 @@ class HierGraph:
             raise ValueError("containment arrays do not match node counts")
         if self.n_tokens == 0 or self.n_sents == 0 or self.n_pars == 0:
             raise ValueError("graph requires at least one node per level")
+        t, s, p = self.n_tokens, self.n_sents, self.n_pars
+        self.starts = (0, t, t + s, t + s + p, t + s + p + 1)
         self.token_par = self.sent_par[self.token_sent]
-        self.tok_ord = self._ordinal_in(self.token_sent)
-        self.sent_ord = self._ordinal_in(self.sent_par)
-        self.par_ord = np.arange(self.n_pars, dtype=np.int64)
-        self.tok_par_ord = self._ordinal_in(self.token_par)
-
-        cc = self.cross_clip
-        t0 = self.level_slice(NodeType.TOKEN).start
-        s0 = self.level_slice(NodeType.SENTENCE).start
-        p0 = self.level_slice(NodeType.PARAGRAPH).start
-        d0 = self.level_slice(NodeType.DOCUMENT).start
-
-        toks = t0 + np.arange(self.n_tokens)
-        sents = s0 + np.arange(self.n_sents)
-        pars = p0 + np.arange(self.n_pars)
-        doc_of = lambda ids: np.full(len(ids), d0)
-
-        pairs = {
-            (NodeType.TOKEN, NodeType.SENTENCE): (toks, s0 + self.token_sent, self.tok_ord),
-            (NodeType.SENTENCE, NodeType.PARAGRAPH): (sents, p0 + self.sent_par, self.sent_ord),
-            (NodeType.PARAGRAPH, NodeType.DOCUMENT): (pars, doc_of(pars), self.par_ord),
-            (NodeType.TOKEN, NodeType.PARAGRAPH): (toks, p0 + self.token_par, self.tok_par_ord),
-            (NodeType.TOKEN, NodeType.DOCUMENT): (toks, doc_of(toks), np.arange(self.n_tokens)),
-            (NodeType.SENTENCE, NodeType.DOCUMENT): (sents, doc_of(sents), np.arange(self.n_sents)),
-        }
+        # holder[level]: each node's parent one level up; composing them
+        # gives the containing node at any coarser level
+        holder = (self.token_sent, self.sent_par, np.zeros(p, dtype=np.int64))
         nodes = np.arange(self.n_nodes)
         dst, src, bucket = [nodes], [nodes], [np.full(self.n_nodes, SELF_BUCKET)]
-        for fam, (fine_lv, coarse_lv, up) in enumerate(EDGE_FAMILIES):
-            fine, coarse, ordinal = pairs[(fine_lv, coarse_lv)]
-            # upward: the coarse node attends to the fine node (edge fine -> coarse)
-            dst.append(coarse if up else fine)
-            src.append(fine if up else coarse)
-            bucket.append(family_bucket(fam, ordinal, cc))
+        ordinals = []
+        for k, (fine, coarse) in enumerate(CONTAINMENT):
+            child = parent = np.arange(self.starts[fine + 1] - self.starts[fine])
+            for level in range(fine, coarse):
+                parent = holder[level][parent]
+            ordinal = self._ordinal_in(parent)
+            ordinals.append(ordinal)
+            lo, hi = self.starts[fine] + child, self.starts[coarse] + parent
+            dst += [hi, lo]
+            src += [lo, hi]
+            bucket += [family_bucket(2 * k, ordinal, self.cross_clip),
+                       family_bucket(2 * k + 1, ordinal, self.cross_clip)]
+        # the first four relations are token-sentence, sentence-paragraph,
+        # paragraph-document and token-paragraph
+        self.tok_ord, self.sent_ord, self.par_ord, self.tok_par_ord = ordinals[:4]
         self.integ_edges = EdgeList(
             np.concatenate(dst), np.concatenate(src), np.concatenate(bucket),
-            self.n_nodes, integration_buckets(cc),
+            self.n_nodes, integration_buckets(self.cross_clip),
         )
 
     # averaging matrices for the bottom-up initializer --------------------

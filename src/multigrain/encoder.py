@@ -48,12 +48,12 @@ class EncoderConfig:
     sent_clip: int = 8
     par_clip: int = 8
     cross_clip: int = 32
-    type_score_agg: str = "lse"  # "lse" | "max" over positive-type logits
     max_answer_tokens: int = 30
 
     def __post_init__(self):
-        if self.m < 1:
-            raise ValueError("m must be >= 1")
+        for name in ("d_h", "m", "vocab_size", "max_len", "max_answer_tokens"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
         if self.d_h % self.m != 0:
             raise ValueError(f"d_h {self.d_h} not divisible by head count {self.m}")
         if self.n_layers < 0:
@@ -65,10 +65,6 @@ class EncoderConfig:
                 raise ValueError(f"{name} must be >= 0")
         if not 0.0 <= self.dropout < 1.0:
             raise ValueError("dropout must be in [0, 1)")
-        if self.type_score_agg not in ("lse", "max"):
-            raise ValueError(f"type_score_agg must be 'lse' or 'max', not {self.type_score_agg!r}")
-        if self.max_answer_tokens < 1:
-            raise ValueError("max_answer_tokens must be >= 1")
 
     @property
     def d_z(self) -> int:

@@ -74,18 +74,13 @@ def grain_records(
     records = []
     for gold in golds:
         pred = by_id.get(gold.example_id)
-        if grain == "long":
-            gold_has = gold.long_index is not None
-            if pred is None:
-                records.append(GrainRecord(gold.example_id, gold_has, False, -math.inf))
-                continue
+        gold_has = (gold.long_index if grain == "long" else gold.short) is not None
+        if pred is None:
+            correct, score = False, -math.inf
+        elif grain == "long":
             correct = gold_has and pred["long"]["index"] == gold.long_index
             score = float(pred["long"]["score"])
         else:
-            gold_has = gold.short is not None
-            if pred is None:
-                records.append(GrainRecord(gold.example_id, gold_has, False, -math.inf))
-                continue
             text, score = _short_fields(pred)
             correct = (
                 gold_has

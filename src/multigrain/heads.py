@@ -109,19 +109,15 @@ def joint_loss(scores: ScoreSet, l: int, s: int, e: int, t: AnswerType) -> Tenso
     return total * -1.0
 
 
-def fragment_score(scores: ScoreSet, agg: str = "lse") -> float:
-    """g_frag: the answer types' score over the no-answer type, by
-    log-sum-exp ("lse") or max over the four answer types."""
+def fragment_score(scores: ScoreSet) -> float:
+    """g_frag: the log-sum-exp of the four answer types' logits over the
+    no-answer type's."""
     ft = scores.type_logits
-    if agg == "lse":
-        return float(np.logaddexp.reduce(ft[1:]) - ft[0])
-    if agg == "max":
-        return float(ft[1:].max() - ft[0])
-    raise ValueError(f"unknown type_score_agg {agg!r}")
+    return float(np.logaddexp.reduce(ft[1:]) - ft[0])
 
 
 def best_span(
-    scores: ScoreSet, a: int, b: int, max_answer_tokens: int = 30
+    scores: ScoreSet, a: int, b: int, max_answer_tokens: int
 ) -> Optional[tuple[int, int, float]]:
     """The best short span (s, e, g_short) inside the candidate span
     (a, b), with e at most max_answer_tokens valid positions past s,
@@ -189,8 +185,7 @@ def _doc_token(instance: TrainingInstance, pos: int) -> int:
 
 def select_answers(
     fragments: list[tuple[TrainingInstance, ScoreSet]],
-    max_answer_tokens: int = 30,
-    type_score_agg: str = "lse",
+    max_answer_tokens: int,
     vocab: Optional[Vocab] = None,
 ) -> DocumentPrediction:
     """Pipeline selection over all fragments of one document.
@@ -205,7 +200,7 @@ def select_answers(
         raise ContractViolation("select_answers requires at least one fragment")
     best = None  # (sort key, instance, scores, s_idx, g_frag)
     for instance, scores in fragments:
-        g_frag = fragment_score(scores, type_score_agg)
+        g_frag = fragment_score(scores)
         fl = scores.long_logits
         g_long = fl - fl[0]  # entry 0 ([CLS]) is 0 by definition
         for s_idx in range(1, len(instance.spans)):

@@ -27,6 +27,5 @@ def predict_instances(
             graph = build_graph(inst, cfg.cross_clip)
             states = encode(inst, graph, model)
             scored.append((inst, score_nodes(states, graph, inst, model)))
-        preds.append(select_answers(scored, cfg.max_answer_tokens, cfg.type_score_agg,
-                                    vocab=vocab))
+        preds.append(select_answers(scored, cfg.max_answer_tokens, vocab=vocab))
     return preds

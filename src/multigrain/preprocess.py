@@ -22,6 +22,7 @@ MARKUP_KINDS = ("paragraph", "table", "list")
 MARKUP_CAP = 49  # [Paragraph=N] ids saturate at N=49 to bound the vocab
 
 _WORD_RE = re.compile(r"\w+|[^\w\s]")
+_BREAK_RE = re.compile(r"[.?!]\s+")  # a sentence may end here; see segment_sentences
 
 
 class AnswerType(IntEnum):
@@ -146,30 +147,9 @@ def segment_sentences(text: str) -> list[tuple[int, int]]:
     uppercase letter, or end of text. Returns a partition of [0, len)."""
     if not text:
         return []
-    bounds = []
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch in ".?!":
-            j = i + 1
-            while j < n and text[j].isspace():
-                j += 1
-            if j >= n:
-                bounds.append(n)
-                i = n
-                break
-            if j > i + 1 and text[j].isupper():
-                bounds.append(i + 1)
-        i += 1
-    if not bounds or bounds[-1] != n:
-        bounds.append(n)
-    spans = []
-    prev = 0
-    for b in bounds:
-        spans.append((prev, b))
-        prev = b
-    return spans
+    bounds = [m.start() + 1 for m in _BREAK_RE.finditer(text)
+              if m.end() < len(text) and text[m.end()].isupper()]
+    return list(zip([0, *bounds], [*bounds, len(text)]))
 
 
 def _byte_to_char(text: str, byte_off: int) -> int:
@@ -473,14 +453,10 @@ def build_instance(
         raise ValueError("fragment does not fit the instance length")
 
     # Sentence map: [CLS], question and both [SEP]s live in sentence 0
-    # (the [CLS] pseudo-sentence); content sentences are renumbered from 1.
+    # (the [CLS] pseudo-sentence); content sentences are renumbered from 1,
+    # in order of appearance, since doc.sent_id never decreases.
     sentences = np.zeros(len(seq), dtype=np.int64)
-    local = {}
-    for i in range(ws, we):
-        g = int(doc.sent_id[i])
-        if g not in local:
-            local[g] = len(local) + 1
-        sentences[base + (i - ws)] = local[g]
+    sentences[base : base + we - ws] = np.unique(doc.sent_id[ws:we], return_inverse=True)[1] + 1
 
     # Candidate spans clipped to the window; spans are inclusive.
     spans: list[tuple[int, int]] = [(0, 0)]
@@ -544,6 +520,13 @@ class PreprocessConfig:
     stride: int = 128
     keep_prob: float = 0.03  # null-instance keep probability (~97% downsampled)
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("max_len", "stride"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
+        if not 0.0 <= self.keep_prob <= 1.0:
+            raise ValueError("keep_prob must be in [0, 1]")
 
 
 def preprocess_example(

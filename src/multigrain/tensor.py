@@ -132,8 +132,8 @@ def _check_finite(data: np.ndarray, op: str):
 class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_backward", "_tape_ref")
 
-    def __init__(self, data, requires_grad: bool = False, dtype=None):
-        arr = np.asarray(data, dtype=dtype or current_dtype())
+    def __init__(self, data, requires_grad: bool = False):
+        arr = np.asarray(data, dtype=current_dtype())
         if arr.size and not np.isfinite(arr).all():
             raise NonFiniteError("tensor initialized with non-finite data")
         self.data = arr
@@ -169,28 +169,15 @@ class Tensor:
     def __add__(self, other):
         return add(self, _as_tensor(other))
 
-    def __radd__(self, other):
-        return add(_as_tensor(other), self)
-
-    def __sub__(self, other):
-        return add(self, mul(_as_tensor(other), _const(-1.0)))
-
     def __mul__(self, other):
         return mul(self, _as_tensor(other))
-
-    def __rmul__(self, other):
-        return mul(_as_tensor(other), self)
 
     def __matmul__(self, other):
         return matmul(self, other)
 
 
-def _const(x) -> Tensor:
-    return Tensor(np.asarray(x, dtype=current_dtype()))
-
-
 def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else _const(x)
+    return x if isinstance(x, Tensor) else Tensor(x)
 
 
 def _accumulate(t: Tensor, g: np.ndarray):

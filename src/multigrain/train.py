@@ -46,7 +46,7 @@ class TrainConfig:
             raise ValueError("batch_size must be >= 1")
         if not 0.0 <= self.warmup_prop < 1.0:
             raise ValueError("warmup_prop must be in [0, 1)")
-        for name in ("total_steps", "checkpoint_every", "grad_clip"):
+        for name in ("total_steps", "checkpoint_every", "grad_clip", "peak_lr"):
             if getattr(self, name) < 0:
                 raise ValueError(f"{name} must be >= 0")
 

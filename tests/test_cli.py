@@ -77,7 +77,13 @@ def test_bad_config_value_raises_config_error():
     {"dropout": 1.5},
     {"dropout": 1.0},
     {"max_answer_tokens": 0},
-    {"type_score_agg": "mean"},
+    {"d_h": 0},
+    {"vocab_size": 0},
+    {"max_len": 0},
+    {"stride": 0},
+    {"keep_prob": 2.0},
+    {"keep_prob": -0.5},
+    {"peak_lr": -1.0},
     {"total_steps": -1},
     {"checkpoint_every": -1},
     {"grad_clip": -0.5},

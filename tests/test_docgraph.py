@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from multigrain.docgraph import (
     EDGE_FAMILIES,
     SELF_BUCKET,
+    HierGraph,
     NodeType,
     build_graph,
     family_bucket,
@@ -344,6 +345,56 @@ def test_graph_ordinals_match_loops():
     np.testing.assert_array_equal(g.tok_ord, ordinal_loop(g.token_sent))
     np.testing.assert_array_equal(g.sent_ord, ordinal_loop(g.sent_par))
     np.testing.assert_array_equal(g.tok_par_ord, ordinal_loop(g.token_par))
+
+
+def twelve_family_edges(g):
+    """The integration edges of `g`, with each of the twelve families
+    written out in EDGE_FAMILIES order as (attending, attended, ordinal)."""
+    t, s, p = g.n_tokens, g.n_sents, g.n_pars
+    toks, sents, pars, doc = np.arange(t), t + np.arange(s), t + s + np.arange(p), t + s + p
+    sent_of_tok, par_of_sent = t + g.token_sent, t + s + g.sent_par
+    par_of_tok = t + s + g.sent_par[g.token_sent]
+    tok_in_sent, sent_in_par = ordinal_loop(g.token_sent), ordinal_loop(g.sent_par)
+    tok_in_par = ordinal_loop(g.sent_par[g.token_sent])
+    families = [
+        (sent_of_tok, toks, tok_in_sent),        # token -> sentence
+        (toks, sent_of_tok, tok_in_sent),        # sentence -> token
+        (par_of_sent, sents, sent_in_par),       # sentence -> paragraph
+        (sents, par_of_sent, sent_in_par),
+        (np.full(p, doc), pars, np.arange(p)),   # paragraph -> document
+        (pars, np.full(p, doc), np.arange(p)),
+        (par_of_tok, toks, tok_in_par),          # token -> paragraph
+        (toks, par_of_tok, tok_in_par),
+        (np.full(t, doc), toks, np.arange(t)),   # token -> document
+        (toks, np.full(t, doc), np.arange(t)),
+        (np.full(s, doc), sents, np.arange(s)),  # sentence -> document
+        (sents, np.full(s, doc), np.arange(s)),
+    ]
+    cc, nodes = g.cross_clip, np.arange(g.n_nodes)
+    dst = np.concatenate([nodes, *(d for d, _, _ in families)])
+    src = np.concatenate([nodes, *(a for _, a, _ in families)])
+    bucket = np.concatenate([np.full(g.n_nodes, SELF_BUCKET)] + [
+        1 + fam * (cc + 1) + np.minimum(o, cc) for fam, (_, _, o) in enumerate(families)])
+    return EdgeList(dst, src, bucket, g.n_nodes, 1 + 12 * (cc + 1))
+
+
+@settings(max_examples=50, deadline=None)
+@given(seed=st.integers(0, 2**32 - 1))
+def test_integ_edges_match_twelve_families(seed):
+    """On random containments (unsorted, some parents childless) and on a
+    random instance's graph, with clips small enough to bind."""
+    rng = np.random.default_rng(seed)
+    t, s, p = (int(rng.integers(1, k)) for k in (40, 10, 5))
+    cc = int(rng.integers(0, 4))
+    graphs = [
+        HierGraph(t, s, p, rng.integers(0, s, size=t), rng.integers(0, p, size=s), cc),
+        build_graph(random_instance(rng), cc),
+    ]
+    for g in graphs:
+        want = twelve_family_edges(g)
+        assert g.integ_edges.n_buckets == want.n_buckets
+        for name in ("dst", "src", "bucket"):
+            np.testing.assert_array_equal(getattr(g.integ_edges, name), getattr(want, name))
 
 
 def test_mean_matrix_rejects_parent_without_children():

@@ -22,6 +22,8 @@ from multigrain.heads import (
 from multigrain.preprocess import AnswerType, TrainingInstance, Vocab
 from multigrain.tensor import ContractViolation, Tensor
 
+MAX_TOKENS = 30  # EncoderConfig's max_answer_tokens
+
 
 def make_scores(start=None, end=None, long=None, typ=None):
     """ScoreSet over 6 token nodes, [CLS] q q then content at positions
@@ -156,15 +158,15 @@ def test_g_long_zero_when_equal_to_cls():
     """A candidate scored like [CLS] has g_long 0: its long score is g_frag."""
     inst = frag_instance()
     sc = scores_for(inst, long=[1.7, 1.7])
-    assert select_answers([(inst, sc)]).long_score == fragment_score(sc)
+    assert select_answers([(inst, sc)], MAX_TOKENS).long_score == fragment_score(sc)
 
 
 def test_g_short_shift_invariant():
     rng = np.random.default_rng(0)
     start = rng.normal(size=6)
     end = rng.normal(size=6)
-    sa = best_span(make_scores(start=start, end=end), 3, 5)
-    sb = best_span(make_scores(start=start + 10.0, end=end - 3.0), 3, 5)
+    sa = best_span(make_scores(start=start, end=end), 3, 5, MAX_TOKENS)
+    sb = best_span(make_scores(start=start + 10.0, end=end - 3.0), 3, 5, MAX_TOKENS)
     assert sa[:2] == sb[:2]
     np.testing.assert_allclose(sa[2], sb[2], atol=1e-9)
 
@@ -173,11 +175,11 @@ def test_g_frag_uniform_types():
     np.testing.assert_allclose(fragment_score(make_scores(typ=np.zeros(5))), math.log(4), atol=1e-12)
 
 
-def test_g_frag_max_aggregation():
-    sc = make_scores(typ=[1.0, 3.0, 2.0, 0.0, -1.0])
-    np.testing.assert_allclose(fragment_score(sc, "max"), 2.0, atol=1e-12)
-    with pytest.raises(ValueError, match="type_score_agg"):
-        fragment_score(sc, "mean")
+def test_g_frag_log_sum_exp():
+    """g_frag is the log-sum-exp of the four answer types over no-answer."""
+    typ = [1.0, 3.0, 2.0, 0.0, -1.0]
+    want = math.log(sum(math.exp(x) for x in typ[1:])) - typ[0]
+    np.testing.assert_allclose(fragment_score(make_scores(typ=typ)), want, atol=1e-12)
 
 
 def test_max_answer_tokens_cap():
@@ -284,7 +286,7 @@ def scores_for(inst, long=None, typ=None, start=None, end=None):
 def test_single_candidate_always_selected():
     inst = frag_instance()
     sc = scores_for(inst, long=[5.0, -9.0], typ=[8.0, -1, -1, -1, -1])
-    pred = select_answers([(inst, sc)])
+    pred = select_answers([(inst, sc)], MAX_TOKENS)
     assert pred.long_index == inst.cand_doc_idx[1]
 
 
@@ -294,7 +296,7 @@ def test_fragment_sum_decides():
     # fragment a: high g_long (5), low g_frag; fragment b: g_long 2, high g_frag
     sc_a = scores_for(a, long=[0.0, 5.0], typ=[10.0, 0, 0, 0, 0])  # g_frag ~ -8.6
     sc_b = scores_for(b, long=[0.0, 2.0], typ=[0.0, 10, 0, 0, 0])  # g_frag ~ 10
-    pred = select_answers([(a, sc_a), (b, sc_b)])
+    pred = select_answers([(a, sc_a), (b, sc_b)], MAX_TOKENS)
     assert pred.long_index == b.cand_doc_idx[1]
 
 
@@ -303,7 +305,7 @@ def test_tie_broken_by_document_position():
     b = frag_instance(frag_index=0, frag_start=0)
     sc_a = scores_for(a, long=[0.0, 1.0])
     sc_b = scores_for(b, long=[0.0, 1.0])
-    pred = select_answers([(a, sc_a), (b, sc_b)])
+    pred = select_answers([(a, sc_a), (b, sc_b)], MAX_TOKENS)
     assert pred.long_start == 0  # earliest document position wins the tie
 
 
@@ -316,7 +318,7 @@ def test_short_span_inside_long_span():
         start=rng.normal(size=len(inst.tokens)) * 3,
         end=rng.normal(size=len(inst.tokens)) * 3,
     )
-    pred = select_answers([(inst, sc)])
+    pred = select_answers([(inst, sc)], MAX_TOKENS)
     if pred.short_kind == "span":
         assert pred.long_start <= pred.short_start <= pred.short_end <= pred.long_end
 
@@ -325,14 +327,14 @@ def test_yes_type_gives_literal_short():
     inst = frag_instance()
     typ = np.zeros(5)
     typ[int(AnswerType.YES)] = 9.0
-    pred = select_answers([(inst, scores_for(inst, typ=typ))])
+    pred = select_answers([(inst, scores_for(inst, typ=typ))], MAX_TOKENS)
     assert pred.short_kind == "yes"
     assert pred.to_json()["short"] == "yes"
 
 
 def test_prediction_json_shape():
     inst = frag_instance()
-    pred = select_answers([(inst, scores_for(inst))])
+    pred = select_answers([(inst, scores_for(inst))], MAX_TOKENS)
     obj = pred.to_json()
     assert set(obj) == {"example_id", "long", "short", "type"}
     assert set(obj["long"]) == {"start", "end", "score", "index"}
@@ -353,12 +355,12 @@ def test_best_span_runs_once_per_document(monkeypatch):
     frags = [frag_instance(frag_index=k, frag_start=6 * k, n_spans=3) for k in range(3)]
     scored = [(inst, scores_for(inst, long=rng.normal(size=4), start=rng.normal(size=11),
                                 end=rng.normal(size=11))) for inst in frags]
-    pred = select_answers(scored)
+    pred = select_answers(scored, MAX_TOKENS)
     assert len(calls) == 1 and pred.short_kind == "span"
     typ = np.zeros(5)
     typ[int(AnswerType.NO)] = 9.0
     scored = [(inst, scores_for(inst, typ=typ)) for inst in frags]
-    assert select_answers(scored).short_kind == "no" and len(calls) == 1
+    assert select_answers(scored, MAX_TOKENS).short_kind == "no" and len(calls) == 1
 
 
 def test_span_text_skips_closing_separator():
@@ -382,10 +384,10 @@ def test_span_text_skips_closing_separator():
 
     for (s, e), want in (((6, 6), "w6"), ((5, 6), "w5 w6"), ((4, 5), "w4 w5")):
         scored = [(frags[0], scores_for(frags[0])), (frags[1], pick(frags[1], s, e, 1.0))]
-        pred = select_answers(scored, vocab=vocab)
+        pred = select_answers(scored, MAX_TOKENS, vocab=vocab)
         assert (pred.short_start, pred.short_end, pred.short_text) == (s, e, want)
-        assert select_answers(scored).short_text == ""
+        assert select_answers(scored, MAX_TOKENS).short_text == ""
     # fragment 0 wins; its best end logit sits on the closing [SEP]
     scored = [(frags[0], pick(frags[0], 2, 6, 1.0)), (frags[1], scores_for(frags[1]))]
-    pred = select_answers(scored, vocab=vocab)
+    pred = select_answers(scored, MAX_TOKENS, vocab=vocab)
     assert pred.short_end <= 5 and "[SEP]" not in pred.short_text

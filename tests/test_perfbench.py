@@ -1,11 +1,41 @@
 """The benchmark still runs against the package.
 
-`perfbench` patches `adam_step`, `backward` and `save_checkpoint` where
-the package looks them up, builds models with `ModelParams(config,
-tensors)` and checks the reloaded optimizer state against
-`OptimizerState.to_arrays()`; its traced runs read `ScoreSet.token_positions`,
-`span_valid` and each loss's tape. A change to the package that breaks one of
-these fails here rather than in the next benchmark run.
+`perfbench/` is kept unchanged between benchmark changes, so the package
+must keep every name and argument position it binds. Read off
+`perfbench/workloads.py` and `perfbench/tracing.py`, that is:
+
+- Names that `instrument` patches (traced runs), by module:
+  - `multigrain.train` and `multigrain.predict`: `build_graph`, `encode`
+    and `score_nodes`;
+  - `multigrain.train`: `joint_loss` and `adam_step` (`StepProbe`
+    patches `adam_step` in untraced runs too);
+  - `multigrain.tensor`: `backward`;
+  - `multigrain.encoder`: `embed_tokens`, `graph_initialize`,
+    `self_attention_level`, `graph_integration`, `feed_forward_concat`,
+    `gat_attention` and `save_checkpoint`;
+  - `multigrain.predict`: `select_answers`;
+  - `multigrain.preprocess`: `preprocess_example`;
+  - `multigrain.evaluate`: `threshold_sweep` (its `records` argument is
+    counted).
+- `gat_attention`'s positional `(states, mask, relation, params,
+  prefix)`: the hook reads `mask.size`, `params.config.m` and `prefix`.
+- `select_answers`'s second positional argument, `max_answer_tokens`.
+- `self_attention_level`'s leading `level`, which names the span.
+- `HierGraph.n_nodes`, and the arrays in `vars(graph)` of the graph that
+  `build_graph` returns, which are summed into the graph's size.
+- `loss._tape.nodes` of the loss passed to `backward`, and each node's
+  `.data`.
+- `ScoreSet.token_positions` and `ScoreSet.span_valid`, with each
+  instance's `spans`.
+- `ModelParams(config, tensors)`, with `.config` and `.tensors`, and the
+  `(model, extra)` pair that `ModelParams.load` returns.
+- `OptimizerState.to_arrays()` of the state `train_loop` returns, which
+  must equal `extra`.
+- Each `report.grains` value's `cases`, `f1`, `curve`, `precision` and
+  `recall`.
+
+A change to the package that breaks one of these fails here rather than
+in the next benchmark run.
 """
 
 import json

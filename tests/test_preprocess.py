@@ -96,6 +96,52 @@ def test_sentence_spans_partition_text(text):
         assert b1 <= a2
 
 
+def segment_sentences_loop(text):
+    """Sentence spans by a walk over the characters: a boundary after
+    '.', '?' or '!' when whitespace and then an uppercase letter follow."""
+    if not text:
+        return []
+    bounds = []
+    i = 0
+    n = len(text)
+    while i < n:
+        ch = text[i]
+        if ch in ".?!":
+            j = i + 1
+            while j < n and text[j].isspace():
+                j += 1
+            if j >= n:
+                bounds.append(n)
+                i = n
+                break
+            if j > i + 1 and text[j].isupper():
+                bounds.append(i + 1)
+        i += 1
+    if not bounds or bounds[-1] != n:
+        bounds.append(n)
+    spans = []
+    prev = 0
+    for b in bounds:
+        spans.append((prev, b))
+        prev = b
+    return spans
+
+
+# Upper- and lower-case letters of several scripts, a titlecase letter
+# (not upper), runs of terminators, and whitespace that str.isspace and
+# regex \s both count (no-break and em space) or neither does (zero width).
+SENTENCE_TEXT = st.text(alphabet="aBxéÉßΣσİǅ日1 .?!\t\n\u00a0\u2003\u200b", max_size=60)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.one_of(SENTENCE_TEXT, st.text(max_size=40)))
+@example("Wait?! Then. ")
+@example("a.B c. D.\t\n")
+@example("x.\u00a0É and... Σ! ǅ")
+def test_sentence_spans_match_character_loop(text):
+    assert segment_sentences(text) == segment_sentences_loop(text)
+
+
 # ---------------------------------------------------------------- markup
 
 
@@ -475,14 +521,15 @@ def fuzz_model(max_len):
     stride=8,
 )
 def test_fuzz_raw_examples_end_typed_or_valid(example, max_len, stride):
-    """Every raw example either raises ValueError or gives instances that
+    """Every raw example either raises ValueError (from the config, for a
+    stride or max_len below 1, or from preprocessing) or gives instances that
     fit max_len, pass validate_graph, have a finite loss and survive a
     JSON round trip unchanged; in its question and every block, the
     wordpiece offsets tile each word in order."""
     for text in [example.question, *(b.text for b in example.blocks)]:
         assert_pieces_tile_words(text)
-    cfg = PreprocessConfig(max_len=max_len, stride=stride, keep_prob=1.0)
     try:
+        cfg = PreprocessConfig(max_len=max_len, stride=stride, keep_prob=1.0)
         instances = preprocess_example(example, FUZZ_VOCAB, cfg)
     except ValueError:
         return

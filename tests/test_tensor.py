@@ -2,7 +2,7 @@
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.special import erf
 
@@ -494,14 +494,32 @@ def test_edge_ops_adjoint(mode, seed):
 @pytest.mark.parametrize("mode", ["standard", "extended"])
 @settings(max_examples=10, deadline=None)
 @given(seed=st.integers(0, 2**32 - 1))
+@example(seed=277)
 def test_edge_ops_finite_differences(mode, seed):
+    """Both fused ops' backward, in the mode's dtype, against finite
+    differences of the same inputs taken in extended precision, less the
+    value at the start. Float64 differences of the whole sum carry about
+    4e-13 of round-off, which at seed 277 reads as 1.2e-6 relative error
+    on qkv coordinates whose gradient is about 1.7e-7."""
     rng = np.random.default_rng(seed)
     with T.precision(mode):
         for name, op, args in attention_op_cases(rng):
-            g = T.Tensor(rng.normal(size=op(*args).shape))
+            g = rng.normal(size=op(*args).shape)
+
+            def value(tensors):
+                return T.tsum(T.mul(op(*tensors), T.Tensor(g)))
+
+            def extended_value():
+                with T.precision("extended"):
+                    return value([T.Tensor(a.data) for a in args]).data
+
+            start = extended_value()
 
             def f():
-                return T.tsum(T.mul(op(*args), g))
+                taped = value(args)
+                if taped.requires_grad:  # the analytic pass
+                    return taped
+                return T.Tensor(extended_value() - start)
 
             err = T.finite_diff_check(f, {str(i): a for i, a in enumerate(args)})
             assert err < 1e-6, (name, err)
