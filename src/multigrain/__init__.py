@@ -6,7 +6,7 @@ short answers are trained jointly and selected by a pipelined scorer
 with thresholded evaluation.
 """
 
-from .docgraph import HierGraph, build_graph, validate_graph
+from .docgraph import HierGraph, build_graph
 from .encoder import EncoderConfig, ModelParams, encode
 from .evaluate import EvalReport, GoldLabel, evaluate, threshold_sweep
 from .heads import joint_loss, score_nodes, select_answers
@@ -42,7 +42,6 @@ __all__ = [
     "select_answers",
     "threshold_sweep",
     "train_loop",
-    "validate_graph",
 ]
 
 __version__ = "0.1.0"

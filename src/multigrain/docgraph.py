@@ -15,7 +15,6 @@ from dataclasses import dataclass, field
 from enum import IntEnum
 
 import numpy as np
-import scipy.sparse as sp
 
 from .preprocess import TrainingInstance
 from .tensor import EdgeList
@@ -70,12 +69,10 @@ class HierGraph:
 
     # populated by _finalize
     starts: tuple = field(init=False)         # first node id of each level, then n_nodes
-    token_par: np.ndarray = field(init=False)
     integ_edges: EdgeList = field(init=False)  # cross-level edges + self-loops
     tok_ord: np.ndarray = field(init=False)   # ordinal of token in sentence
     sent_ord: np.ndarray = field(init=False)  # ordinal of sentence in paragraph
     par_ord: np.ndarray = field(init=False)   # ordinal of paragraph in document
-    tok_par_ord: np.ndarray = field(init=False)
 
     def __post_init__(self):
         self._finalize()
@@ -110,7 +107,6 @@ class HierGraph:
             raise ValueError("graph requires at least one node per level")
         t, s, p = self.n_tokens, self.n_sents, self.n_pars
         self.starts = (0, t, t + s, t + s + p, t + s + p + 1)
-        self.token_par = self.sent_par[self.token_sent]
         # holder[level]: each node's parent one level up; composing them
         # gives the containing node at any coarser level
         holder = (self.token_sent, self.sent_par, np.zeros(p, dtype=np.int64))
@@ -128,9 +124,9 @@ class HierGraph:
             src += [lo, hi]
             bucket += [family_bucket(2 * k, ordinal, self.cross_clip),
                        family_bucket(2 * k + 1, ordinal, self.cross_clip)]
-        # the first four relations are token-sentence, sentence-paragraph,
-        # paragraph-document and token-paragraph
-        self.tok_ord, self.sent_ord, self.par_ord, self.tok_par_ord = ordinals[:4]
+        # the first three relations are token-sentence, sentence-paragraph
+        # and paragraph-document
+        self.tok_ord, self.sent_ord, self.par_ord = ordinals[:3]
         self.integ_edges = EdgeList(
             np.concatenate(dst), np.concatenate(src), np.concatenate(bucket),
             self.n_nodes, integration_buckets(self.cross_clip),
@@ -179,39 +175,3 @@ def build_graph(instance: TrainingInstance, cross_clip: int) -> HierGraph:
         sent_par=sent_par,
         cross_clip=cross_clip,
     )
-
-
-def validate_graph(graph: HierGraph) -> str | None:
-    """Check all invariants; return None if OK, else the first violation."""
-    edges, n = graph.integ_edges, graph.n_nodes
-    if edges.n_nodes != n:
-        return "adjacency shape does not match node count"
-    adj = sp.csr_matrix((np.ones(len(edges)), (edges.dst, edges.src)), shape=(n, n))
-    loops = adj.diagonal()
-    if not loops.all():
-        return f"missing self-loop at node {int(np.argmin(loops))}"
-    rows, cols = (adj != adj.T).nonzero()
-    if rows.size:
-        k = np.lexsort((cols, rows))[0]
-        return f"edge ({rows[k]}, {cols[k]}) present without its reverse"
-    if (graph.token_sent < 0).any() or (graph.token_sent >= graph.n_sents).any():
-        return "token containment points outside sentence range"
-    if (graph.sent_par < 0).any() or (graph.sent_par >= graph.n_pars).any():
-        return "sentence containment points outside paragraph range"
-    # containment edges must exist in the adjacency
-    s0 = graph.level_slice(NodeType.SENTENCE).start
-    p0 = graph.level_slice(NodeType.PARAGRAPH).start
-    linked = np.asarray(adj[np.arange(graph.n_tokens), s0 + graph.token_sent]).ravel()
-    if not linked.all():
-        tok = int(np.argmin(linked))
-        return f"containment violation: token {tok} not linked to sentence {graph.token_sent[tok]}"
-    linked = np.asarray(adj[s0 + np.arange(graph.n_sents), p0 + graph.sent_par]).ravel()
-    if not linked.all():
-        sent = int(np.argmin(linked))
-        return f"containment violation: sentence {sent} not linked to paragraph {graph.sent_par[sent]}"
-    # two-hop reachability via a sparse product of the edge lists
-    reach = adj + adj @ adj
-    if reach.nnz < n * n:
-        i, j = np.argwhere(reach.toarray() == 0)[0]
-        return f"reachability violation: nodes {i} and {j} are more than 2 hops apart"
-    return None

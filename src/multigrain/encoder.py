@@ -10,7 +10,7 @@ writes only its own (n_level, d) tensor, and the four levels are
 concatenated once, for the integration pass. Relational embeddings
 enter the attention on both the key and value side. Each attention
 sublayer is one fused QKV matmul, one batched-head attention op and one
-output matmul.
+output matmul; the feed-forward block is one fused op.
 """
 
 from __future__ import annotations
@@ -21,7 +21,7 @@ import os
 import zlib
 from collections import Counter
 from concurrent.futures import Executor, Future
-from dataclasses import asdict, dataclass, fields
+from dataclasses import InitVar, asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -143,14 +143,19 @@ def split(buffer: np.ndarray, layout) -> dict[str, np.ndarray]:
 class ModelParams:
     """The tensors by name. The constructor copies their values into one
     buffer, `flat`, and makes each `.data` and `.grad` a view of `flat` and
-    of one gradient buffer, `grad`, back to back in `layout` order."""
+    of one gradient buffer, `grad`, back to back in `layout` order. Given a
+    `buffer` that the tensors' values view in that order already (as `init`
+    draws them), it keeps that buffer as `flat` and copies nothing."""
 
     config: EncoderConfig
     tensors: dict[str, Tensor]
+    buffer: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self):
+    def __post_init__(self, buffer):
         self.layout = tuple((name, t.shape) for name, t in self.tensors.items())
-        self.flat = np.concatenate([t.data.ravel() for t in self.tensors.values()])
+        if buffer is None:
+            buffer = np.concatenate([t.data.ravel() for t in self.tensors.values()])
+        self.flat = buffer
         self.grad = np.zeros(self.flat.shape, self.flat.dtype)  # calloc: pages fault on first use
         views = zip(split(self.flat, self.layout).values(), split(self.grad, self.layout).values())
         for t, (data, grad) in zip(self.tensors.values(), views):
@@ -158,20 +163,23 @@ class ModelParams:
 
     @classmethod
     def init(cls, cfg: EncoderConfig, seed: int = 0, scale: float = 0.02) -> "ModelParams":
+        """Draw every tensor into its view of one buffer, the model's `flat`."""
         rng = np.random.default_rng(seed)
-        tensors = {}
-        for name, shape in param_shapes(cfg).items():
+        layout = tuple(param_shapes(cfg).items())
+        flat = np.empty(sum(math.prod(shape) for _, shape in layout))
+        views = split(flat, layout)
+        for name, data in views.items():
             if name.endswith("ln_g"):
-                data = np.ones(shape)
+                data[...] = 1.0
             elif name.endswith((".b", "ln_b", ".b1", ".b2")):
-                data = np.zeros(shape)
+                data[...] = 0.0
             elif name.endswith(".wqkv"):
                 # one draw, in the order of the former per-head wq, wk, wv
-                data = fuse_qkv(rng.normal(0.0, scale, size=(cfg.m, 3, cfg.d_h, cfg.d_z)))
+                data[...] = fuse_qkv(rng.normal(0.0, scale, size=(cfg.m, 3, cfg.d_h, cfg.d_z)))
             else:
-                data = rng.normal(0.0, scale, size=shape)
-            tensors[name] = Tensor(data, requires_grad=True)
-        return cls(cfg, tensors)
+                rng.standard_normal(out=data)  # normal(0, scale): the same draws, scaled
+                data *= scale
+        return cls(cfg, {name: Tensor(data, requires_grad=True) for name, data in views.items()}, flat)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]
@@ -428,16 +436,10 @@ def feed_forward_concat(
     layer: int,
     rng: Optional[np.random.Generator] = None,
 ) -> Tensor:
-    """FFN over [pre || post] with gelu; residual from pre, then layer norm."""
-    if pre.shape != post.shape:
-        raise T.ShapeMismatchError(f"pre/post shapes differ: {pre.shape} vs {post.shape}")
-    cfg = params.config
-    p = f"layer{layer}.ffn"
-    x = T.concat([pre, post], axis=1)
-    h = T.gelu(T.matmul(x, params[f"{p}.w1"]) + params[f"{p}.b1"])
-    h = T.dropout(h, cfg.dropout, rng)
-    y = T.matmul(h, params[f"{p}.w2"]) + params[f"{p}.b2"]
-    return T.layer_norm(pre + y, params[f"{p}.ln_g"], params[f"{p}.ln_b"])
+    """FFN over [pre || post] with gelu; residual from pre, then layer
+    norm: one `T.feed_forward` op, one tape node."""
+    weights = (params[f"layer{layer}.ffn.{k}"] for k in ("w1", "b1", "w2", "b2", "ln_g", "ln_b"))
+    return T.feed_forward(pre, post, *weights, params.config.dropout, rng)
 
 
 def encode(

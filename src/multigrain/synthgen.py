@@ -77,7 +77,8 @@ def _doc_labels(spec: CorpusSpec) -> list[str]:
 
 def _filler_sentence(rng, fillers, spec) -> str:
     n = int(rng.integers(spec.tok_min, spec.tok_max + 1))
-    return " ".join(rng.choice(fillers, size=n)) + " ."
+    words = rng.integers(0, len(fillers), size=n)  # rng.choice(fillers, size=n)'s draws
+    return " ".join([fillers[i] for i in words]) + " ."
 
 
 def generate_corpus(spec: CorpusSpec) -> tuple[list[RawExample], list[GoldLabel]]:

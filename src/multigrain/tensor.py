@@ -1,17 +1,18 @@
 """Minimal dense tensors with reverse-mode differentiation.
 
 The op set is intentionally small: exactly what the graph encoder and the
-output heads need (matmul, broadcast add/mul, concat, row slices, gathers,
-two fused multi-head attention ops, gelu, layer norm, one log-probability
-of a masked softmax per loss term, reductions, dropout). Every
-scatter-add goes through `ScatterPlan`, a 0/1 CSR matrix applied as one
-sparse product, which keeps the working dtype; the relative-position
-buckets of a fully connected level go through its cached `BandPlan`,
-which expands and folds them without an index gather or scatter.
-Every forward op validates that its output is finite; NaN/Inf anywhere is
-a hard error rather than a silent corruption of the run. The attention
-scores, which are not an op output, are covered either by a bound on
-their size, known before they are computed, or by a scan of their own.
+output heads need (matmul, broadcast add/mul, concat, reshape, row slices,
+gathers, two fused multi-head attention ops, the fused feed-forward
+sublayer, layer norm, one log-probability of a masked softmax per loss
+term, dropout). Every scatter-add goes through `ScatterPlan`, a 0/1 CSR
+matrix applied as one sparse product, which keeps the working dtype; the
+relative-position buckets of a fully connected level go through its
+cached `BandPlan`, which expands and folds them without an index gather
+or scatter. Every forward op validates that its output is finite; NaN/Inf
+anywhere is a hard error rather than a silent corruption of the run. The
+attention scores, which are not an op output, are covered either by a
+bound on their size, known before they are computed, or by a scan of
+their own.
 
 Ops record onto the tape of the innermost `record_tape` block, and only
 there: an op's output requires a gradient, and is taped, when a block is
@@ -24,18 +25,18 @@ each node's closure once the replay has passed it, so a replayed tape
 holds only node outputs.
 
 Two ops split a large call across the CPUs the process may run on
-(`os.sched_getaffinity`; on one CPU nothing splits). `relative_attention`
-runs min(m, CPUs) contiguous groups of heads side by side, forward and
-backward, once its m n^2 score cells reach SPLIT_WORK, and only on its
-bound-shifted route; `gelu` takes erf in as many row blocks once its input
-has SPLIT_WORK elements. Heads are independent until their outputs are
-concatenated, and erf works elementwise, so each part does the same
-arithmetic as in one call, and the results are bit-identical to it. The
-first part runs on the calling thread and the rest on a pool of CPUs - 1
-threads, which the first split call of a process starts; only numpy runs
-there, no op is recorded there, and whatever mixes parts runs after the
-join. Below SPLIT_WORK (every level of a few hundred nodes or fewer) a
-call makes no more numpy calls than one that never splits.
+(`os.sched_getaffinity`; on one CPU nothing splits) once its work reaches
+SPLIT_WORK: `relative_attention` runs min(m, CPUs) contiguous groups of
+heads side by side, forward and backward, from m n^2 score cells and only
+on its bound-shifted route; `feed_forward` runs as many row blocks from
+rows x d_ff. Heads are independent until their outputs are concatenated,
+and FFN rows until the weight gradients sum over them, so each part does
+the same arithmetic as in one call, and the results are bit-identical to
+it. The first part runs on the calling thread and the rest on a pool of
+CPUs - 1 threads, which the first split call of a process starts; only
+numpy runs there, no op is recorded or split again there, and whatever
+mixes parts runs after the join. Below SPLIT_WORK a call makes no more
+numpy calls than one that never splits.
 
 Two precision modes exist: "standard" (float64) for training and
 "extended" (longdouble) used only by the finite-difference harness.
@@ -151,14 +152,6 @@ class Tensor:
     def shape(self):
         return self.data.shape
 
-    @property
-    def ndim(self):
-        return self.data.ndim
-
-    @property
-    def size(self):
-        return self.data.size
-
     def item(self) -> float:
         return float(self.data.reshape(()))
 
@@ -241,7 +234,7 @@ def mul(a: Tensor, b: Tensor) -> Tensor:
 
 
 def matmul(a: Tensor, b: Tensor) -> Tensor:
-    if a.ndim != 2 or b.ndim != 2 or a.shape[1] != b.shape[0]:
+    if len(a.shape) != 2 or len(b.shape) != 2 or a.shape[1] != b.shape[0]:
         raise ShapeMismatchError(
             f"matmul shape mismatch: {a.shape} x {b.shape}"
         )
@@ -454,19 +447,19 @@ def band_plan(n: int, clip: int) -> BandPlan:
 
 # ---------------------------------------------------------------- side by side
 
-# The work, in cells of a level's (m, n, n) scores or elements of a gelu
-# input, from which an op runs independent parts side by side. Handing a
-# part to the pool costs up to a few hundred microseconds on a 2-vCPU VM:
-# there, over three probes, two groups of a 4-head level (d_z = 16) took
+# The work, in cells of a level's (m, n, n) scores or in FFN rows x d_ff,
+# from which an op runs independent parts side by side. Handing a part to
+# the pool costs up to a few hundred microseconds on a 2-vCPU VM: there,
+# over three probes, two groups of a 4-head level (d_z = 16) took
 # 1.9-2.9x the time of one at n = 32 and 64, 0.86-1.28x at n = 128,
-# 0.85-1.13x at n = 256 and 0.59-0.94x at n = 512 (forward alone, and
-# forward plus backward), and gelu's two halves took 0.68-0.81x of one erf
-# call at the paper's FFN size (561 or 576, 256) but 0.95-1.16x at
-# (64, 256).
+# 0.85-1.13x at n = 256 and 0.59-0.94x at n = 512, and two FFN row blocks
+# (d_ff = 256) 0.58-0.74x at the paper's 556 or 576 rows but 0.91-1.17x at
+# 128 (forward alone, and forward plus backward).
 SPLIT_WORK = 1 << 17
 
 _pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid of the process that made it, pool)
 _pool_lock = threading.Lock()
+_on_pool = threading.local()  # .pool is True on the pool's threads
 
 
 def _cpus() -> int:
@@ -477,8 +470,9 @@ def _cpus() -> int:
 def _group_count(parts: int, work: int) -> int:
     """Into how many side-by-side groups a call of `parts` independent
     parts and `work` cells in all splits: one per CPU, at most `parts`; one
-    below SPLIT_WORK."""
-    return min(parts, _cpus()) if work >= SPLIT_WORK else 1
+    below SPLIT_WORK, and one on the pool's own threads, where a split
+    would wait on a pool with no thread free to run its groups."""
+    return min(parts, _cpus()) if work >= SPLIT_WORK and not getattr(_on_pool, "pool", False) else 1
 
 
 def _executor() -> ThreadPoolExecutor:
@@ -489,7 +483,8 @@ def _executor() -> ThreadPoolExecutor:
     with _pool_lock:
         if _pool is None or _pool[0] != os.getpid():
             workers = max(1, _cpus() - 1)
-            _pool = (os.getpid(), ThreadPoolExecutor(workers, thread_name_prefix="tensor"))
+            _pool = (os.getpid(), ThreadPoolExecutor(workers, thread_name_prefix="tensor",
+                                                     initializer=setattr, initargs=(_on_pool, "pool", True)))
         return _pool[1]
 
 
@@ -712,48 +707,6 @@ def edge_attention(
     return _make(z.reshape(n, m * dz), (qkv, ak, av), backward, "edge_attention")
 
 
-def tsum(a: Tensor) -> Tensor:
-    """The sum of every element, as a 0-d tensor."""
-    data = a.data.sum()
-
-    def backward(g):
-        _accumulate(a, np.broadcast_to(g, a.shape).astype(a.data.dtype))
-
-    return _make(data, (a,), backward, "sum")
-
-
-def gelu(a: Tensor) -> Tensor:
-    """x * Phi(x) with the exact-erf normal CDF (not the tanh form).
-
-    An input of SPLIT_WORK elements or more takes its erf in row blocks
-    side by side (see `_side_by_side`).
-    """
-    x = a.data
-    # erf is evaluated in float64; the cast costs ~1e-16 relative noise,
-    # well under the finite-difference tolerance.
-    x64 = x if x.dtype == np.float64 else x.astype(np.float64)
-    phi = x64 / math.sqrt(2.0)
-    rows = len(phi) if phi.ndim else 1
-    _side_by_side(lambda b: _erf64(b, out=b), _group_count(rows, phi.size), phi)
-    phi += 1.0
-    phi *= 0.5
-    phi = phi.astype(x.dtype, copy=False)
-    data = x * phi
-
-    def backward(g):
-        dens = x64 * x64
-        dens *= -0.5
-        np.exp(dens, out=dens)
-        dens /= math.sqrt(2 * math.pi)
-        grad = dens.astype(x.dtype, copy=False)  # g (Phi + x phi), in place
-        grad *= x
-        grad += phi
-        grad *= g
-        _accumulate(a, grad)
-
-    return _make(data, (a,), backward, "gelu")
-
-
 def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
     d = a.shape[-1]
     if d < 2:
@@ -780,6 +733,95 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
             _accumulate(a, da)
 
     return _make(data, (a, gain, bias), backward, "layer_norm")
+
+
+def feed_forward(
+    pre: Tensor, post: Tensor, w1: Tensor, b1: Tensor, w2: Tensor, b2: Tensor, gain: Tensor,
+    bias: Tensor, rate: float = 0.0, rng: np.random.Generator | None = None,
+) -> Tensor:
+    """The position-wise FFN sublayer as one op: layer_norm(pre +
+    dropout(gelu([pre | post] w1 + b1)) w2 + b2) with `gain` and `bias`,
+    gelu by the exact erf in float64 and the dropout mask drawn here.
+
+    A call of rows x d_ff >= SPLIT_WORK runs contiguous row blocks side by
+    side (see `_side_by_side`), the whole chain forward and the per-row
+    chain backward; the weight and bias gradients, sums over rows, follow
+    the join. Output and gradients equal those of the chain's nine ops
+    (concat, matmul, add, gelu, dropout, matmul, add, add, `layer_norm`)
+    bit for bit."""
+    n, d = pre.shape
+    d_ff = b1.shape[0]
+    want = {"post": (n, d), "w1": (2 * d, d_ff), "w2": (d_ff, d), "b2": (d,), "gain": (d,), "bias": (d,)}
+    for (name, shape), t in zip(want.items(), (post, w1, w2, b2, gain, bias)):
+        if t.shape != shape:
+            raise ShapeMismatchError(f"feed_forward {name} is {t.shape}, expected {shape}")
+    if d < 2:
+        raise ContractViolation("layer_norm requires last extent >= 2")
+    count = _group_count(n, n * d_ff)
+    keep = (None,) * count  # no mask for any block: no dropout
+    if rate != 0.0 and rng is not None:
+        if not 0.0 <= rate < 1.0:
+            raise ContractViolation(f"dropout rate {rate} outside [0, 1)")
+        keep = rng.random((n, d_ff)) >= rate
+    scale = 1.0 / (1.0 - rate)
+    dtype = np.result_type(*(t.data for t in (pre, post, w1, b1, w2, b2, gain, bias)))
+    x, h, xhat, out = (np.empty((n, k), dtype) for k in (2 * d, d_ff, d, d))
+
+    def forward(p, q, keep, x, h, xhat, out):
+        x[:, :d], x[:, d:] = p, q
+        a = x @ w1.data
+        a += b1.data
+        phi = np.divide(a, math.sqrt(2.0), dtype=np.float64)
+        _erf64(phi, out=phi)
+        phi += 1.0
+        phi *= 0.5
+        phi = phi.astype(dtype, copy=False)
+        np.multiply(a, phi, out=h)
+        if keep is not None:
+            h *= keep
+            h *= scale
+        r = h @ w2.data
+        r += b2.data
+        r += p
+        r -= r.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt((r * r).mean(axis=-1, keepdims=True) + 1e-12)  # layer_norm's eps
+        np.multiply(r, inv, out=xhat)
+        np.multiply(xhat, gain.data, out=out)
+        out += bias.data
+        return a, phi, inv
+
+    a, phi, inv = zip(*_side_by_side(forward, count, pre.data, post.data, keep, x, h, xhat, out))
+
+    def backward(g):
+        da, ga, gx = (np.empty((n, k), dtype) for k in (d, d_ff, 2 * d))
+
+        def block(g, xhat, inv, keep, a, phi, da, ga, gx):
+            dxhat = g * gain.data
+            np.multiply(inv / d, d * dxhat - dxhat.sum(axis=-1, keepdims=True)
+                        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True), out=da)
+            dens = np.square(a, dtype=np.float64, out=ga if dtype == np.float64 else None)
+            dens *= -0.5
+            np.exp(dens, out=dens)
+            dens /= math.sqrt(2 * math.pi)
+            np.multiply(dens, a, out=ga)  # g (Phi + x phi), in place
+            ga += phi
+            gh = np.matmul(da, w2.data.T, out=phi)  # phi is not read again
+            if keep is not None:
+                gh *= keep
+                gh *= scale
+            ga *= gh
+            if pre.requires_grad or post.requires_grad:
+                np.matmul(ga, w1.data.T, out=gx)
+
+        _side_by_side(block, count, g, xhat, inv, keep, a, phi, da, ga, gx)
+        for t, grad in ((bias, lambda: g.sum(axis=0)), (gain, lambda: (g * xhat).sum(axis=0)),
+                        (pre, lambda: da), (b2, lambda: da.sum(axis=0)), (w2, lambda: h.T @ da),
+                        (b1, lambda: ga.sum(axis=0)), (w1, lambda: x.T @ ga),
+                        (pre, lambda: gx[:, :d]), (post, lambda: gx[:, d:])):
+            if t.requires_grad:
+                _accumulate(t, grad())
+
+    return _make(out, (pre, post, w1, b1, w2, b2, gain, bias), backward, "feed_forward")
 
 
 def log_softmax_at(logits: Tensor, index: int, mask=None) -> Tensor:
@@ -860,11 +902,6 @@ def backward(loss: Tensor, params: Dict[str, Tensor]) -> Dict[str, np.ndarray]:
     }
 
 
-def zero_grads(params: Dict[str, Tensor]):
-    for p in params.values():
-        p.grad = None
-
-
 def finite_diff_check(
     f: Callable[[], Tensor],
     params: Dict[str, Tensor],
@@ -888,7 +925,8 @@ def finite_diff_check(
     found = [p.grad for p in params.values()]
     bases = {id(g.base): g.base for g in found if g is not None and g.base is not None}
     saved = [(base, base.copy()) for base in bases.values()]
-    zero_grads(params)
+    for p in params.values():
+        p.grad = None
     with record_tape():
         loss = f()
         grads = backward(loss, params)

@@ -1,9 +1,10 @@
 """Property suites and oracles for the tests: random structurally valid
 instances, attention-row properties on random graphs, the dense attention
 oracle (for both fused attention ops, Toeplitz-level and edge-list),
-initializer exactness, two-hop reachability via BFS, and sweep-vs-grid
-agreement. The acceptance criteria run each suite at its full trial count;
-the unit tests reuse the builders and the oracle.
+the feed-forward sublayer as its composite of taped ops, initializer
+exactness, graph validation with two-hop reachability via BFS, and
+sweep-vs-grid agreement. The acceptance criteria run each suite at its
+full trial count; the unit tests reuse the builders and the oracles.
 """
 
 from __future__ import annotations
@@ -12,10 +13,12 @@ import math
 from collections import deque
 
 import numpy as np
+import scipy.sparse as sp
+from scipy.special import erf
 
 from multigrain import tensor as T
 from multigrain.checks import micro_config
-from multigrain.docgraph import build_graph, integration_buckets, validate_graph
+from multigrain.docgraph import HierGraph, NodeType, build_graph, integration_buckets
 from multigrain.encoder import EncoderConfig, ModelParams, encode, gat_attention, graph_initialize
 from multigrain.evaluate import GrainRecord, f1_at_threshold, threshold_sweep
 from multigrain.preprocess import AnswerType, TrainingInstance
@@ -106,6 +109,51 @@ def attention_rows_check(trials: int = 100, seed: int = 0, tol: float = 1e-6) ->
         if integ_rows == 0:
             return False
     return True
+
+
+def tsum(a: Tensor) -> Tensor:
+    """The sum of every element, as a 0-d taped tensor: the tests' losses."""
+    data = a.data.sum()
+
+    def backward(g):
+        T._accumulate(a, np.broadcast_to(g, a.shape).astype(a.data.dtype))
+
+    return T._make(data, (a,), backward, "sum")
+
+
+def gelu(a: Tensor) -> Tensor:
+    """x * Phi(x) with the exact-erf normal CDF (not the tanh form), as a
+    taped op of its own; erf and the density are taken in float64 and
+    cast to the working dtype."""
+    x = a.data
+    x64 = x if x.dtype == np.float64 else x.astype(np.float64)
+    phi = x64 / math.sqrt(2.0)
+    erf(phi, out=phi)
+    phi += 1.0
+    phi *= 0.5
+    phi = phi.astype(x.dtype, copy=False)
+
+    def backward(g):
+        dens = x64 * x64
+        dens *= -0.5
+        np.exp(dens, out=dens)
+        dens /= math.sqrt(2 * math.pi)
+        grad = dens.astype(x.dtype, copy=False)  # g (Phi + x phi), in place
+        grad *= x
+        grad += phi
+        grad *= g
+        T._accumulate(a, grad)
+
+    return T._make(x * phi, (a,), backward, "gelu")
+
+
+def composite_feed_forward(pre, post, w1, b1, w2, b2, gain, bias, rate=0.0, rng=None) -> Tensor:
+    """`T.feed_forward` as the nine taped ops it fuses (eight without
+    dropout): concat, matmul, bias add, gelu, dropout, matmul, bias add,
+    residual add and layer norm."""
+    h = gelu(T.add(T.matmul(T.concat([pre, post], axis=1), w1), b1))
+    y = T.add(T.matmul(T.dropout(h, rate, rng), w2), b2)
+    return T.layer_norm(T.add(pre, y), gain, bias)
 
 
 def dense_attention_oracle(
@@ -213,6 +261,42 @@ def initializer_check(trials: int = 50, seed: int = 0) -> float:
             worst, float(np.abs(states[-1] - states[t + s : t + s + p].mean(axis=0)).max())
         )
     return worst
+
+
+def validate_graph(graph: HierGraph) -> str | None:
+    """Check all invariants; return None if OK, else the first violation."""
+    edges, n = graph.integ_edges, graph.n_nodes
+    if edges.n_nodes != n:
+        return "adjacency shape does not match node count"
+    adj = sp.csr_matrix((np.ones(len(edges)), (edges.dst, edges.src)), shape=(n, n))
+    loops = adj.diagonal()
+    if not loops.all():
+        return f"missing self-loop at node {int(np.argmin(loops))}"
+    rows, cols = (adj != adj.T).nonzero()
+    if rows.size:
+        k = np.lexsort((cols, rows))[0]
+        return f"edge ({rows[k]}, {cols[k]}) present without its reverse"
+    if (graph.token_sent < 0).any() or (graph.token_sent >= graph.n_sents).any():
+        return "token containment points outside sentence range"
+    if (graph.sent_par < 0).any() or (graph.sent_par >= graph.n_pars).any():
+        return "sentence containment points outside paragraph range"
+    # containment edges must exist in the adjacency
+    s0 = graph.level_slice(NodeType.SENTENCE).start
+    p0 = graph.level_slice(NodeType.PARAGRAPH).start
+    linked = np.asarray(adj[np.arange(graph.n_tokens), s0 + graph.token_sent]).ravel()
+    if not linked.all():
+        tok = int(np.argmin(linked))
+        return f"containment violation: token {tok} not linked to sentence {graph.token_sent[tok]}"
+    linked = np.asarray(adj[s0 + np.arange(graph.n_sents), p0 + graph.sent_par]).ravel()
+    if not linked.all():
+        sent = int(np.argmin(linked))
+        return f"containment violation: sentence {sent} not linked to paragraph {graph.sent_par[sent]}"
+    # two-hop reachability via a sparse product of the edge lists
+    reach = adj + adj @ adj
+    if reach.nnz < n * n:
+        i, j = np.argwhere(reach.toarray() == 0)[0]
+        return f"reachability violation: nodes {i} and {j} are more than 2 hops apart"
+    return None
 
 
 def bfs_distances(adj: np.ndarray, source: int) -> np.ndarray:

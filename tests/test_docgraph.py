@@ -12,12 +12,11 @@ from multigrain.docgraph import (
     NodeType,
     build_graph,
     family_bucket,
-    validate_graph,
 )
 from multigrain.encoder import EncoderConfig
 from multigrain.preprocess import AnswerType, TrainingInstance
 from multigrain.tensor import EdgeList
-from oracles import bfs_distances, random_instance
+from oracles import bfs_distances, random_instance, validate_graph
 
 
 CFG = EncoderConfig()  # the graph tests use the default clips
@@ -344,7 +343,13 @@ def test_graph_ordinals_match_loops():
     g = build_graph(make_instance(n_cands=3, sents_per_cand=3), CFG.cross_clip)
     np.testing.assert_array_equal(g.tok_ord, ordinal_loop(g.token_sent))
     np.testing.assert_array_equal(g.sent_ord, ordinal_loop(g.sent_par))
-    np.testing.assert_array_equal(g.tok_par_ord, ordinal_loop(g.token_par))
+    # token-paragraph ordinals live only in the buckets of the upward edges
+    token_par, e = g.sent_par[g.token_sent], g.integ_edges
+    up = np.flatnonzero(e.src < g.n_tokens)
+    up = up[e.dst[up] == g.level_slice(NodeType.PARAGRAPH).start + token_par[e.src[up]]]
+    assert len(up) == g.n_tokens
+    want = family_bucket(6, ordinal_loop(token_par)[e.src[up]], g.cross_clip)
+    np.testing.assert_array_equal(e.bucket[up], want)
 
 
 def twelve_family_edges(g):

@@ -4,6 +4,7 @@ sublayers, integration, FFN, and checkpointing."""
 import json
 import re
 import threading
+import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -32,7 +33,7 @@ from multigrain.encoder import (
 )
 from multigrain.tensor import Tensor
 from multigrain.train import OptimizerState
-from oracles import split_qkv
+from oracles import split_qkv, tsum
 
 
 @pytest.fixture
@@ -272,7 +273,7 @@ def test_paragraph_incoming_set(setup):
     ci = int(np.where(graph.sent_par >= 0)[0][0])
     incoming = set(np.where(graph.integ_mask[p])[0])
     pi = p - sl.start
-    toks = set(np.where(graph.token_par == pi)[0])
+    toks = set(np.where(graph.sent_par[graph.token_sent] == pi)[0])
     ss = graph.level_slice(NodeType.SENTENCE).start
     sents = {ss + int(s) for s in np.where(graph.sent_par == pi)[0]}
     assert incoming == toks | sents | {p, graph.n_nodes - 1}
@@ -330,7 +331,7 @@ def test_ffn_gradient_through_concat(setup):
     w = Tensor(rng.normal(size=(3, cfg.d_h)))
 
     def f():
-        return T.tsum(T.mul(feed_forward_concat(pre, post, model, 0), w))
+        return tsum(T.mul(feed_forward_concat(pre, post, model, 0), w))
 
     with T.precision("extended"):
         assert T.finite_diff_check(f, {"pre": pre, "post": post}) < 2e-3
@@ -356,11 +357,11 @@ def test_encode_shape_and_determinism(setup):
     assert np.isfinite(a.data).all()
 
 
-def test_encoder_layer_records_31_tape_nodes(setup):
+def test_encoder_layer_records_24_tape_nodes(setup):
     """Per layer: four level rows, five nodes for each of three level
     sublayers (QKV matmul, attention, output matmul, residual add, layer
     norm), one concat of the levels, three for the integration pass and
-    eight for the FFN."""
+    one for the FFN."""
     _, inst, graph, _ = setup
     counts = []
     for n_layers in (0, 1):
@@ -368,7 +369,7 @@ def test_encoder_layer_records_31_tape_nodes(setup):
         with T.record_tape() as tape:
             encode(inst, graph, model)
         counts.append(len(tape))
-    assert counts[1] - counts[0] == 31
+    assert counts[1] - counts[0] == 24
 
 
 def test_attention_trace_records_all_sublayers(setup):
@@ -524,6 +525,51 @@ def test_init_draws_match_per_head_order():
             np.testing.assert_array_equal(split_qkv(data, cfg.m), want)
         elif not name.endswith(("ln_g", ".b", "ln_b", ".b1", ".b2")):  # no draw for norms and biases
             np.testing.assert_array_equal(data, rng.normal(0.0, 0.1, size=shape))
+
+
+def former_init_values(cfg, seed, scale=0.02):
+    """The values the former `ModelParams.init` drew: each tensor into an
+    array of its own, concatenated in `param_shapes` order."""
+    rng = np.random.default_rng(seed)
+    arrays = []
+    for name, shape in param_shapes(cfg).items():
+        if name.endswith("ln_g"):
+            arrays.append(np.ones(shape))
+        elif name.endswith((".b", "ln_b", ".b1", ".b2")):
+            arrays.append(np.zeros(shape))
+        elif name.endswith(".wqkv"):
+            arrays.append(E.fuse_qkv(rng.normal(0.0, scale, size=(cfg.m, 3, cfg.d_h, cfg.d_z))))
+        else:
+            arrays.append(rng.normal(0.0, scale, size=shape))
+    return np.concatenate([a.ravel() for a in arrays])
+
+
+@pytest.mark.parametrize("cfg, seed, scale", [
+    (micro_config(), 0, 0.02),
+    (micro_config(n_layers=0), 5, 0.1),
+    (EncoderConfig(), 1, 0.02),
+    (EncoderConfig(d_h=32, m=4, d_ff=128, vocab_size=300), 2, 0.5),
+], ids=["micro", "no-layers", "default", "desk-shaped"])
+def test_init_draws_the_former_values(cfg, seed, scale):
+    """init's one buffer holds, byte for byte, the former per-tensor draws."""
+    model = ModelParams.init(cfg, seed=seed, scale=scale)
+    assert model.flat.tobytes() == former_init_values(cfg, seed, scale).tobytes()
+    assert model.flat.base is None and model.stray_view() is None
+    assert [(name, t.shape) for name, t in model.tensors.items()] == list(param_shapes(cfg).items())
+
+
+def test_init_draws_into_the_buffer_it_keeps():
+    """init draws every tensor into its view of the buffer it keeps as
+    `flat`: at its peak it holds little more than `flat` and `grad`, where
+    drawing each tensor apart and copying them held a third buffer's worth
+    (the default config's 2.9 MB)."""
+    tracemalloc.start()
+    try:
+        model = ModelParams.init(EncoderConfig(), seed=0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 2.5 * model.flat.nbytes
 
 
 class FailingFile:

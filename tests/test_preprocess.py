@@ -33,9 +33,10 @@ from multigrain.preprocess import (
     write_jsonl,
 )
 from multigrain.checks import micro_config
-from multigrain.docgraph import build_graph, validate_graph
+from multigrain.docgraph import build_graph
 from multigrain.encoder import ModelParams
 from multigrain.train import instance_loss
+from oracles import validate_graph
 
 
 @pytest.fixture

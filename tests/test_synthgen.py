@@ -7,6 +7,7 @@ import pytest
 
 from multigrain.evaluate import normalize_text
 from multigrain.preprocess import wordpiece_tokenize
+from multigrain import synthgen
 from multigrain.synthgen import CorpusSpec, build_vocab, generate_corpus
 
 
@@ -99,3 +100,24 @@ def test_invalid_fractions_rejected():
         CorpusSpec(answerable_frac=0.8, yesno_frac=0.4)
     with pytest.raises(ValueError):
         CorpusSpec(par_min=3, par_max=2)
+
+
+def choice_filler_sentence(rng, fillers, spec):
+    """The former `_filler_sentence`, which drew the words with rng.choice."""
+    n = int(rng.integers(spec.tok_min, spec.tok_max + 1))
+    return " ".join(rng.choice(fillers, size=n)) + " ."
+
+
+@pytest.mark.parametrize("spec", [
+    CorpusSpec(seed=0, n_docs=40),
+    CorpusSpec(seed=7, n_docs=40, filler_vocab=5, tok_min=1, tok_max=12),
+    CorpusSpec(seed=123, n_docs=40, filler_vocab=300, par_max=6, table_list_prob=0.5),
+    CorpusSpec(seed=2**40 + 3, n_docs=40, filler_vocab=1, tok_min=3, tok_max=3),
+])
+def test_filler_words_equal_the_choice_draws(spec, monkeypatch):
+    """Filler sentences index the word list with rng.integers, the draws
+    rng.choice makes over a list: every corpus is the one the former
+    formulation gives."""
+    fast = corpus_bytes(spec)
+    monkeypatch.setattr(synthgen, "_filler_sentence", choice_filler_sentence)
+    assert fast == corpus_bytes(spec)
