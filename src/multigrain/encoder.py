@@ -21,7 +21,7 @@ import os
 import zlib
 from collections import Counter
 from concurrent.futures import Executor, Future
-from dataclasses import InitVar, asdict, dataclass, fields
+from dataclasses import asdict, dataclass, fields
 from typing import Optional
 
 import numpy as np
@@ -143,19 +143,14 @@ def split(buffer: np.ndarray, layout) -> dict[str, np.ndarray]:
 class ModelParams:
     """The tensors by name. The constructor copies their values into one
     buffer, `flat`, and makes each `.data` and `.grad` a view of `flat` and
-    of one gradient buffer, `grad`, back to back in `layout` order. Given a
-    `buffer` that the tensors' values view in that order already (as `init`
-    draws them), it keeps that buffer as `flat` and copies nothing."""
+    of one gradient buffer, `grad`, back to back in `layout` order."""
 
     config: EncoderConfig
     tensors: dict[str, Tensor]
-    buffer: InitVar[Optional[np.ndarray]] = None
 
-    def __post_init__(self, buffer):
+    def __post_init__(self):
         self.layout = tuple((name, t.shape) for name, t in self.tensors.items())
-        if buffer is None:
-            buffer = np.concatenate([t.data.ravel() for t in self.tensors.values()])
-        self.flat = buffer
+        self.flat = np.concatenate([t.data.ravel() for t in self.tensors.values()])
         self.grad = np.zeros(self.flat.shape, self.flat.dtype)  # calloc: pages fault on first use
         views = zip(split(self.flat, self.layout).values(), split(self.grad, self.layout).values())
         for t, (data, grad) in zip(self.tensors.values(), views):
@@ -163,23 +158,20 @@ class ModelParams:
 
     @classmethod
     def init(cls, cfg: EncoderConfig, seed: int = 0, scale: float = 0.02) -> "ModelParams":
-        """Draw every tensor into its view of one buffer, the model's `flat`."""
         rng = np.random.default_rng(seed)
-        layout = tuple(param_shapes(cfg).items())
-        flat = np.empty(sum(math.prod(shape) for _, shape in layout))
-        views = split(flat, layout)
-        for name, data in views.items():
+        tensors = {}
+        for name, shape in param_shapes(cfg).items():
             if name.endswith("ln_g"):
-                data[...] = 1.0
+                data = np.ones(shape)
             elif name.endswith((".b", "ln_b", ".b1", ".b2")):
-                data[...] = 0.0
+                data = np.zeros(shape)
             elif name.endswith(".wqkv"):
                 # one draw, in the order of the former per-head wq, wk, wv
-                data[...] = fuse_qkv(rng.normal(0.0, scale, size=(cfg.m, 3, cfg.d_h, cfg.d_z)))
+                data = fuse_qkv(rng.normal(0.0, scale, size=(cfg.m, 3, cfg.d_h, cfg.d_z)))
             else:
-                rng.standard_normal(out=data)  # normal(0, scale): the same draws, scaled
-                data *= scale
-        return cls(cfg, {name: Tensor(data, requires_grad=True) for name, data in views.items()}, flat)
+                data = rng.normal(0.0, scale, size=shape)
+            tensors[name] = Tensor(data, requires_grad=True)
+        return cls(cfg, tensors)
 
     def __getitem__(self, name: str) -> Tensor:
         return self.tensors[name]

@@ -707,15 +707,29 @@ def edge_attention(
     return _make(z.reshape(n, m * dz), (qkv, ak, av), backward, "edge_attention")
 
 
-def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Tensor:
-    d = a.shape[-1]
-    if d < 2:
+def _normalized(x: np.ndarray, centred=None, out=None) -> tuple[np.ndarray, np.ndarray]:
+    """Layer norm's xhat over the last axis of `x` (eps 1e-12) and the
+    1/std it scaled by; the centred rows go to `centred` and xhat to `out`
+    when they are given."""
+    if x.shape[-1] < 2:
         raise ContractViolation("layer_norm requires last extent >= 2")
-    mu = a.data.mean(axis=-1, keepdims=True)
-    xc = a.data - mu
-    var = (xc * xc).mean(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
-    xhat = xc * inv
+    xc = np.subtract(x, x.mean(axis=-1, keepdims=True), out=centred)
+    inv = 1.0 / np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + 1e-12)
+    return np.multiply(xc, inv, out=out), inv
+
+
+def _normalized_grad(g: np.ndarray, gain: np.ndarray, xhat: np.ndarray, inv: np.ndarray,
+                     out=None) -> np.ndarray:
+    """The gradient layer norm passes back to its input, in `out` if given."""
+    d = xhat.shape[-1]
+    dxhat = g * gain
+    return np.multiply(inv / d, d * dxhat - dxhat.sum(axis=-1, keepdims=True)
+                       - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True), out=out)
+
+
+def layer_norm(a: Tensor, gain: Tensor, bias: Tensor) -> Tensor:
+    d = a.shape[-1]
+    xhat, inv = _normalized(a.data)
     data = xhat * gain.data + bias.data
 
     def backward(g):
@@ -724,13 +738,7 @@ def layer_norm(a: Tensor, gain: Tensor, bias: Tensor, eps: float = 1e-12) -> Ten
         if gain.requires_grad:
             _accumulate(gain, (g * xhat).reshape(-1, d).sum(axis=0))
         if a.requires_grad:
-            dxhat = g * gain.data
-            da = inv / d * (
-                d * dxhat
-                - dxhat.sum(axis=-1, keepdims=True)
-                - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True)
-            )
-            _accumulate(a, da)
+            _accumulate(a, _normalized_grad(g, gain.data, xhat, inv))
 
     return _make(data, (a, gain, bias), backward, "layer_norm")
 
@@ -755,15 +763,9 @@ def feed_forward(
     for (name, shape), t in zip(want.items(), (post, w1, w2, b2, gain, bias)):
         if t.shape != shape:
             raise ShapeMismatchError(f"feed_forward {name} is {t.shape}, expected {shape}")
-    if d < 2:
-        raise ContractViolation("layer_norm requires last extent >= 2")
     count = _group_count(n, n * d_ff)
-    keep = (None,) * count  # no mask for any block: no dropout
-    if rate != 0.0 and rng is not None:
-        if not 0.0 <= rate < 1.0:
-            raise ContractViolation(f"dropout rate {rate} outside [0, 1)")
-        keep = rng.random((n, d_ff)) >= rate
-    scale = 1.0 / (1.0 - rate)
+    keep, scale = _dropout_mask((n, d_ff), rate, rng)
+    keep = (None,) * count if keep is None else keep  # no mask for any block: no dropout
     dtype = np.result_type(*(t.data for t in (pre, post, w1, b1, w2, b2, gain, bias)))
     x, h, xhat, out = (np.empty((n, k), dtype) for k in (2 * d, d_ff, d, d))
 
@@ -783,9 +785,7 @@ def feed_forward(
         r = h @ w2.data
         r += b2.data
         r += p
-        r -= r.mean(axis=-1, keepdims=True)
-        inv = 1.0 / np.sqrt((r * r).mean(axis=-1, keepdims=True) + 1e-12)  # layer_norm's eps
-        np.multiply(r, inv, out=xhat)
+        _, inv = _normalized(r, r, xhat)
         np.multiply(xhat, gain.data, out=out)
         out += bias.data
         return a, phi, inv
@@ -796,9 +796,7 @@ def feed_forward(
         da, ga, gx = (np.empty((n, k), dtype) for k in (d, d_ff, 2 * d))
 
         def block(g, xhat, inv, keep, a, phi, da, ga, gx):
-            dxhat = g * gain.data
-            np.multiply(inv / d, d * dxhat - dxhat.sum(axis=-1, keepdims=True)
-                        - xhat * (dxhat * xhat).sum(axis=-1, keepdims=True), out=da)
+            _normalized_grad(g, gain.data, xhat, inv, da)
             dens = np.square(a, dtype=np.float64, out=ga if dtype == np.float64 else None)
             dens *= -0.5
             np.exp(dens, out=dens)
@@ -846,14 +844,21 @@ def log_softmax_at(logits: Tensor, index: int, mask=None) -> Tensor:
     return _make((x[index] - lse).reshape(()), (logits,), backward, "log_softmax_at")
 
 
-def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
-    """Inverted dropout; identity when rate == 0 or rng is None (eval mode)."""
+def _dropout_mask(shape, rate: float, rng: np.random.Generator | None) -> tuple[np.ndarray | None, float]:
+    """Inverted dropout's keep mask, drawn from `rng`, and its scale; no
+    mask (None) when rate == 0 or rng is None (eval mode)."""
     if rate == 0.0 or rng is None:
-        return a
+        return None, 1.0
     if not 0.0 <= rate < 1.0:
         raise ContractViolation(f"dropout rate {rate} outside [0, 1)")
-    keep = (rng.random(a.shape) >= rate).astype(a.data.dtype)
-    scale = 1.0 / (1.0 - rate)
+    return rng.random(shape) >= rate, 1.0 / (1.0 - rate)
+
+
+def dropout(a: Tensor, rate: float, rng: np.random.Generator | None) -> Tensor:
+    """Inverted dropout; identity when rate == 0 or rng is None (eval mode)."""
+    keep, scale = _dropout_mask(a.shape, rate, rng)
+    if keep is None:
+        return a
     data = a.data * keep * scale
 
     def backward(g):

@@ -4,7 +4,6 @@ sublayers, integration, FFN, and checkpointing."""
 import json
 import re
 import threading
-import tracemalloc
 import zlib
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict
@@ -527,49 +526,17 @@ def test_init_draws_match_per_head_order():
             np.testing.assert_array_equal(data, rng.normal(0.0, 0.1, size=shape))
 
 
-def former_init_values(cfg, seed, scale=0.02):
-    """The values the former `ModelParams.init` drew: each tensor into an
-    array of its own, concatenated in `param_shapes` order."""
-    rng = np.random.default_rng(seed)
-    arrays = []
-    for name, shape in param_shapes(cfg).items():
-        if name.endswith("ln_g"):
-            arrays.append(np.ones(shape))
-        elif name.endswith((".b", "ln_b", ".b1", ".b2")):
-            arrays.append(np.zeros(shape))
-        elif name.endswith(".wqkv"):
-            arrays.append(E.fuse_qkv(rng.normal(0.0, scale, size=(cfg.m, 3, cfg.d_h, cfg.d_z))))
-        else:
-            arrays.append(rng.normal(0.0, scale, size=shape))
-    return np.concatenate([a.ravel() for a in arrays])
-
-
-@pytest.mark.parametrize("cfg, seed, scale", [
-    (micro_config(), 0, 0.02),
-    (micro_config(n_layers=0), 5, 0.1),
-    (EncoderConfig(), 1, 0.02),
-    (EncoderConfig(d_h=32, m=4, d_ff=128, vocab_size=300), 2, 0.5),
-], ids=["micro", "no-layers", "default", "desk-shaped"])
-def test_init_draws_the_former_values(cfg, seed, scale):
-    """init's one buffer holds, byte for byte, the former per-tensor draws."""
-    model = ModelParams.init(cfg, seed=seed, scale=scale)
-    assert model.flat.tobytes() == former_init_values(cfg, seed, scale).tobytes()
-    assert model.flat.base is None and model.stray_view() is None
-    assert [(name, t.shape) for name, t in model.tensors.items()] == list(param_shapes(cfg).items())
-
-
-def test_init_draws_into_the_buffer_it_keeps():
-    """init draws every tensor into its view of the buffer it keeps as
-    `flat`: at its peak it holds little more than `flat` and `grad`, where
-    drawing each tensor apart and copying them held a third buffer's worth
-    (the default config's 2.9 MB)."""
-    tracemalloc.start()
-    try:
-        model = ModelParams.init(EncoderConfig(), seed=0)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak < 2.5 * model.flat.nbytes
+def test_init_keeps_the_working_dtype():
+    """Under extended precision, init's parameters and their buffers are
+    longdouble and hold the standard draws exactly, so the gradient audit
+    checks and accumulates in the extended dtype."""
+    standard = ModelParams.init(micro_config(), seed=3)
+    with T.precision("extended"):
+        model = ModelParams.init(micro_config(), seed=3)
+    assert model.flat.dtype == model.grad.dtype == np.longdouble
+    assert all(t.data.dtype == np.longdouble for t in model.tensors.values())
+    np.testing.assert_array_equal(model.flat, standard.flat.astype(np.longdouble))
+    assert model.stray_view() is None
 
 
 class FailingFile:

@@ -260,6 +260,18 @@ def test_feed_forward_finite_differences():
         assert T.finite_diff_check(f, inputs) < 1e-6
 
 
+@pytest.mark.parametrize("rate", [0.3, 1.0])
+def test_feed_forward_drops_nothing_without_an_rng(rate):
+    """Without an rng (eval mode) the op drops nothing at any rate, as
+    `T.dropout` does; with one, a rate outside [0, 1) is refused by both."""
+    inputs = [T.Tensor(a) for a in ffn_arrays(5, 4, 6, seed=7)]
+    np.testing.assert_array_equal(T.feed_forward(*inputs, rate, None).data, T.feed_forward(*inputs).data)
+    assert T.dropout(inputs[0], rate, None) is inputs[0]
+    for op in (lambda rng: T.feed_forward(*inputs, 1.0, rng), lambda rng: T.dropout(inputs[0], 1.0, rng)):
+        with pytest.raises(T.ContractViolation, match="outside"):
+            op(np.random.default_rng(0))
+
+
 def test_a_split_asked_for_on_the_pool_runs_inline(monkeypatch):
     """A part running on the pool that calls a splitting op gets one group:
     a split there would hand work to a pool whose one thread is that part,
