@@ -20,20 +20,8 @@ from .train import instance_loss
 
 
 def micro_config(**overrides) -> EncoderConfig:
-    base = dict(
-        d_h=8,
-        m=2,
-        n_layers=1,
-        d_ff=8,
-        vocab_size=16,
-        max_len=24,
-        token_clip=2,
-        sent_clip=2,
-        par_clip=2,
-        cross_clip=4,
-    )
-    base.update(overrides)
-    return EncoderConfig(**base)
+    return EncoderConfig(**{"d_h": 8, "m": 2, "n_layers": 1, "d_ff": 8, "vocab_size": 16, "max_len": 24,
+                            "token_clip": 2, "sent_clip": 2, "par_clip": 2, "cross_clip": 4, **overrides})
 
 
 def micro_instance() -> TrainingInstance:

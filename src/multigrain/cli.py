@@ -50,28 +50,18 @@ class RunConfig:
 
     @classmethod
     def from_flat(cls, flat: dict, seed: int | None = None) -> "RunConfig":
-        known: dict[str, list[str]] = {}
-        sections = {
-            "encoder": EncoderConfig,
-            "train": TrainConfig,
-            "corpus": CorpusSpec,
-            "preprocess": PreprocessConfig,
-        }
-        for sec, klass in sections.items():
-            for f in dataclasses.fields(klass):
-                known.setdefault(f.name, []).append(sec)
-        kwargs = {sec: {} for sec in sections}
-        for key, value in flat.items():
-            if key not in known:
-                raise ConfigError(f"unknown config key {key!r}")
-            for sec in known[key]:
-                kwargs[sec][key] = value
+        """Route each key to every section with a field of its name; `seed` overrides every seed."""
+        sections = {f.name: f.default_factory for f in dataclasses.fields(cls)}  # name -> config class
+        names = {sec: {f.name for f in dataclasses.fields(klass)} for sec, klass in sections.items()}
+        unknown = [key for key in flat if not any(key in keys for keys in names.values())]
+        if unknown:
+            raise ConfigError(f"unknown config key {unknown[0]!r}")
         if seed is not None:
-            for sec in ("train", "corpus", "preprocess"):
-                kwargs[sec]["seed"] = seed
+            flat = {**flat, "seed": seed}
         try:
-            return cls(**{sec: klass(**kwargs[sec]) for sec, klass in sections.items()})
-        except (TypeError, ValueError) as exc:
+            return cls(**{sec: klass(**{k: v for k, v in flat.items() if k in names[sec]})
+                          for sec, klass in sections.items()})
+        except ValueError as exc:
             raise ConfigError(str(exc)) from exc
 
 
@@ -83,6 +73,8 @@ def load_config(path: str | None, seed: int | None) -> RunConfig:
                 flat = json.load(fh)
         except (OSError, json.JSONDecodeError) as exc:
             raise ConfigError(f"cannot read config {path}: {exc}") from exc
+        if not isinstance(flat, dict):
+            raise ConfigError(f"config {path} is not a JSON object")
     return RunConfig.from_flat(flat, seed)
 
 

@@ -27,6 +27,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .config import bounded, check_fields
 from .docgraph import HierGraph, NodeType, integration_buckets
 from .preprocess import TrainingInstance
 from .tensor import Tensor
@@ -37,34 +38,25 @@ CHECKPOINT_MAGIC = _MAGIC_PREFIX + b"2\n"
 
 @dataclass
 class EncoderConfig:
-    d_h: int = 64
-    m: int = 4                   # attention heads
-    n_layers: int = 2
-    d_ff: int = 256
-    dropout: float = 0.0
-    vocab_size: int = 1024
-    max_len: int = 512
-    token_clip: int = 16
-    sent_clip: int = 8
-    par_clip: int = 8
-    cross_clip: int = 32
-    max_answer_tokens: int = 30
+    d_h: int = bounded(64, 1)
+    m: int = bounded(4, 1)  # attention heads
+    n_layers: int = bounded(2, 0)
+    d_ff: int = bounded(256, 1)
+    dropout: float = bounded(0.0, 0, below=1)
+    vocab_size: int = bounded(1024, 1)
+    max_len: int = bounded(512, 1)
+    token_clip: int = bounded(16, 0)
+    sent_clip: int = bounded(8, 0)
+    par_clip: int = bounded(8, 0)
+    cross_clip: int = bounded(32, 0)
+    max_answer_tokens: int = bounded(30, 1)
 
     def __post_init__(self):
-        for name in ("d_h", "m", "vocab_size", "max_len", "max_answer_tokens"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
+        check_fields(self)
         if self.d_h % self.m != 0:
-            raise ValueError(f"d_h {self.d_h} not divisible by head count {self.m}")
-        if self.n_layers < 0:
-            raise ValueError("n_layers must be >= 0")
+            raise ValueError(f"d_h {self.d_h} is not a multiple of m {self.m}")
         if self.d_ff < self.d_h:
-            raise ValueError("d_ff must be >= d_h")
-        for name in ("token_clip", "sent_clip", "par_clip", "cross_clip"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
-        if not 0.0 <= self.dropout < 1.0:
-            raise ValueError("dropout must be in [0, 1)")
+            raise ValueError(f"d_ff {self.d_ff} is below d_h {self.d_h}")
 
     @property
     def d_z(self) -> int:
@@ -112,15 +104,8 @@ def param_shapes(cfg: EncoderConfig) -> dict[str, tuple]:
         shapes[f"layer{i}.ffn.b2"] = (d,)
         shapes[f"layer{i}.ffn.ln_g"] = (d,)
         shapes[f"layer{i}.ffn.ln_b"] = (d,)
-    # output heads
-    shapes["head.start.w"] = (d, 1)
-    shapes["head.start.b"] = (1,)
-    shapes["head.end.w"] = (d, 1)
-    shapes["head.end.b"] = (1,)
-    shapes["head.long.w"] = (d, 1)
-    shapes["head.long.b"] = (1,)
-    shapes["head.type.w"] = (d, 5)
-    shapes["head.type.b"] = (5,)
+    for head, width in (("start", 1), ("end", 1), ("long", 1), ("type", 5)):  # output heads
+        shapes[f"head.{head}.w"], shapes[f"head.{head}.b"] = (d, width), (width,)
     return shapes
 
 
@@ -284,8 +269,8 @@ def _check_header(path, header) -> None:
 def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
     """Read a version-2 checkpoint; its arrays view one copy of the payload.
     ValueError, naming the path, for a file of any other version, a header
-    that lacks a key, lists a name twice or whose config keys differ from
-    EncoderConfig's fields, a truncated file, or a failed checksum."""
+    that lacks a key or lists a name twice, a config whose keys are not
+    EncoderConfig's fields or that it refuses, a truncated file, or a bad checksum."""
     with open(path, "rb") as fh:
         magic = fh.readline(64)
         if magic != CHECKPOINT_MAGIC:
@@ -303,7 +288,11 @@ def load_checkpoint(path) -> tuple[EncoderConfig, dict[str, np.ndarray]]:
         raise ValueError(f"{path}: payload is {len(payload)} bytes, the header lists {size}")
     if zlib.crc32(payload) != header["crc32"]:
         raise ValueError(f"{path}: payload checksum mismatch")
-    return EncoderConfig(**header["config"]), split(np.frombuffer(payload, "<f8").copy(), layout)
+    try:
+        config = EncoderConfig(**header["config"])
+    except ValueError as exc:
+        raise ValueError(f"{path}: checkpoint config: {exc}") from exc
+    return config, split(np.frombuffer(payload, "<f8").copy(), layout)
 
 
 # ----------------------------------------------------------------- forward

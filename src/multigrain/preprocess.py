@@ -17,6 +17,8 @@ from typing import Iterable, Optional
 
 import numpy as np
 
+from .config import bounded, check_fields
+
 PAD, UNK, CLS, SEP = "[PAD]", "[UNK]", "[CLS]", "[SEP]"
 MARKUP_KINDS = ("paragraph", "table", "list")
 MARKUP_CAP = 49  # [Paragraph=N] ids saturate at N=49 to bound the vocab
@@ -136,10 +138,6 @@ def wordpiece_with_offsets(text: str, vocab: Vocab) -> tuple[list[int], list[tup
             ids.append(vocab.unk_id)
             offsets.append((m.start(), m.end()))
     return ids, offsets
-
-
-def wordpiece_tokenize(text: str, vocab: Vocab) -> list[int]:
-    return wordpiece_with_offsets(text, vocab)[0]
 
 
 def segment_sentences(text: str) -> list[tuple[int, int]]:
@@ -516,24 +514,20 @@ def build_instance(
 
 @dataclass
 class PreprocessConfig:
-    max_len: int = 512
-    stride: int = 128
-    keep_prob: float = 0.03  # null-instance keep probability (~97% downsampled)
-    seed: int = 0
+    max_len: int = bounded(512, 1)
+    stride: int = bounded(128, 1)
+    keep_prob: float = bounded(0.03, 0, 1)  # null-instance keep probability (~97% downsampled)
+    seed: int = bounded(0, 0)
 
     def __post_init__(self):
-        for name in ("max_len", "stride"):
-            if getattr(self, name) < 1:
-                raise ValueError(f"{name} must be >= 1")
-        if not 0.0 <= self.keep_prob <= 1.0:
-            raise ValueError("keep_prob must be in [0, 1]")
+        check_fields(self)
 
 
 def preprocess_example(
     example: RawExample, vocab: Vocab, cfg: PreprocessConfig
 ) -> list[TrainingInstance]:
     doc = insert_markup_tokens(example.blocks, vocab)
-    question_ids = wordpiece_tokenize(example.question, vocab)
+    question_ids = wordpiece_with_offsets(example.question, vocab)[0]
     windows = fragment_document(len(doc), len(question_ids), cfg.max_len, cfg.stride)
     return [
         build_instance(doc, w, k, question_ids, example, vocab, cfg.max_len)
@@ -553,8 +547,6 @@ def downsample_null(
     The decision stream is per example, so processing order across
     examples does not change the output.
     """
-    if not 0.0 <= keep_prob <= 1.0:
-        raise ValueError(f"keep_prob {keep_prob} outside [0, 1]")
     rngs: dict[str, np.random.Generator] = {}
     kept = []
     for inst in instances:
@@ -580,8 +572,17 @@ def preprocess_examples(
 
 
 def read_jsonl(path) -> list[dict]:
+    """The objects of a JSONL file; ValueError names the path and line of one that is not JSON."""
+    objs = []
     with open(path, encoding="utf-8") as fh:
-        return [json.loads(line) for line in fh if line.strip()]
+        for number, line in enumerate(fh, 1):
+            if not line.strip():
+                continue
+            try:
+                objs.append(json.loads(line))
+            except json.JSONDecodeError as exc:
+                raise ValueError(f"{path}, line {number}: {exc.msg}") from exc
+    return objs
 
 
 def write_jsonl(path, objs: Iterable[dict]):

@@ -15,39 +15,35 @@ from typing import Iterable
 
 import numpy as np
 
+from .config import bounded, check_fields
 from .evaluate import GoldLabel
 from .preprocess import Annotations, CandidateBlock, RawExample, Vocab
 
 
 @dataclass
 class CorpusSpec:
-    seed: int = 0
-    n_docs: int = 64
-    par_min: int = 2
-    par_max: int = 4
-    sent_min: int = 2
-    sent_max: int = 3
-    tok_min: int = 5
-    tok_max: int = 8
-    answerable_frac: float = 0.4
-    yesno_frac: float = 0.1
-    filler_vocab: int = 48
-    n_keys: int = 16
-    n_entities: int = 16
-    table_list_prob: float = 0.1  # chance a distractor block is a table/list stub
+    seed: int = bounded(0, 0)
+    n_docs: int = bounded(64, 0)
+    par_min: int = bounded(2, 1)
+    par_max: int = bounded(4, 1)
+    sent_min: int = bounded(2, 1)
+    sent_max: int = bounded(3, 1)
+    tok_min: int = bounded(5, 1)
+    tok_max: int = bounded(8, 1)
+    answerable_frac: float = bounded(0.4, 0, 1)
+    yesno_frac: float = bounded(0.1, 0, 1)
+    filler_vocab: int = bounded(48, 1)
+    n_keys: int = bounded(16, 1)
+    n_entities: int = bounded(16, 2)  # a short answer is two distinct entities
+    table_list_prob: float = bounded(0.1, 0, 1)  # chance a distractor block is a table/list stub
 
     def __post_init__(self):
-        for lo, hi, what in (
-            (self.par_min, self.par_max, "paragraphs"),
-            (self.sent_min, self.sent_max, "sentences"),
-            (self.tok_min, self.tok_max, "tokens"),
-        ):
-            if not 1 <= lo <= hi:
-                raise ValueError(f"empty {what} range ({lo}, {hi})")
-        if not (0 <= self.answerable_frac <= 1 and 0 <= self.yesno_frac <= 1):
-            raise ValueError("fractions must lie in [0, 1]")
+        check_fields(self)
+        for lo, hi in (("par_min", "par_max"), ("sent_min", "sent_max"), ("tok_min", "tok_max")):
+            if getattr(self, lo) > getattr(self, hi):
+                raise ValueError(f"{lo} {getattr(self, lo)} exceeds {hi} {getattr(self, hi)}")
         if self.answerable_frac + self.yesno_frac > 1:
-            raise ValueError("answerable + yes/no fractions exceed 1")
+            raise ValueError(f"answerable_frac {self.answerable_frac} + yesno_frac {self.yesno_frac} > 1")
 
 
 FUNCTION_WORDS = ["find", "confirm", "answeris", "stop", "yesword", "noword", "."]

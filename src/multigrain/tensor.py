@@ -33,10 +33,11 @@ rows x d_ff. Heads are independent until their outputs are concatenated,
 and FFN rows until the weight gradients sum over them, so each part does
 the same arithmetic as in one call, and the results are bit-identical to
 it. The first part runs on the calling thread and the rest on a pool of
-CPUs - 1 threads, which the first split call of a process starts; only
-numpy runs there, no op is recorded or split again there, and whatever
-mixes parts runs after the join. Below SPLIT_WORK a call makes no more
-numpy calls than one that never splits.
+CPUs - 1 threads, which the first split call of a process starts, unless
+the first is done before the pool begins them; only numpy runs there, no
+op is recorded or split again there, and whatever mixes parts runs after
+the join. Below SPLIT_WORK a call makes no more numpy calls than one
+that never splits.
 
 Two precision modes exist: "standard" (float64) for training and
 "extended" (longdouble) used only by the finite-difference harness.
@@ -49,7 +50,7 @@ import os
 import threading
 import time
 import weakref
-from concurrent.futures import ThreadPoolExecutor
+from concurrent.futures import Future, ThreadPoolExecutor
 from contextlib import contextmanager
 from functools import cached_property, lru_cache
 from typing import Callable, Dict, Sequence
@@ -493,21 +494,23 @@ def _side_by_side(fn: Callable, count: int, *args) -> list:
     i-th of `count` contiguous blocks (views along axis 0) of each array in
     `args`, or the i-th item of each tuple, which holds a block per group
     already (as an earlier call returned them). Group 0 runs on this thread
-    and the others on the pool at once; with one group, fn runs here on the
+    and the others on the pool at once, but a group the pool has not begun
+    when group 0 is done runs here too; with one group, fn runs here on the
     whole arrays.
 
     Returns the results in group order, only after every group has
-    finished, then raises the first error any group raised. `fn` runs
+    finished, then raises the first error a group raised. `fn` runs
     numpy on its own blocks and touches no tape or dtype state,
     so each block's arithmetic, and with it every bit of the result, is the
-    same as in one call.
+    same as in one call, whichever thread runs it.
     """
     if count == 1:
         return [fn(*[a[0] if type(a) is tuple else a for a in args])]
     calls = list(zip(*(a if type(a) is tuple else np.array_split(a, count) for a in args)))
     futures = [_executor().submit(fn, *call) for call in calls[1:]]
     try:
-        first = fn(*calls[0])
+        results = [fn(*calls[0])]
+        results += [fn(*call) if f.cancel() else f for f, call in zip(futures, calls[1:])]
     finally:
         # Poll rather than block: on a 2-vCPU VM, after joins that blocked
         # (and so left this thread's CPU idle) the single-threaded work of
@@ -516,7 +519,7 @@ def _side_by_side(fn: Callable, count: int, *args) -> list:
         # threads take the GIL.
         while not all(f.done() for f in futures):
             time.sleep(0)
-    return [first] + [f.result() for f in futures]
+    return [r.result() if isinstance(r, Future) else r for r in results]
 
 
 def _joined(parts: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:

@@ -24,6 +24,7 @@ from typing import Optional
 import numpy as np
 
 from . import tensor as T
+from .config import bounded, check_fields
 from .docgraph import build_graph
 from .encoder import ModelParams, encode, split
 from .heads import joint_loss, score_nodes
@@ -33,22 +34,16 @@ from .tensor import ContractViolation, NonFiniteError, record_tape
 
 @dataclass
 class TrainConfig:
-    batch_size: int = 8
-    total_steps: int = 200
-    peak_lr: float = 2e-5
-    warmup_prop: float = 0.1
-    seed: int = 0
-    checkpoint_every: int = 0  # 0 = checkpoint only at the end
-    grad_clip: float = 0.0     # 0 = off
+    batch_size: int = bounded(8, 1)
+    total_steps: int = bounded(200, 0)
+    peak_lr: float = bounded(2e-5, 0)
+    warmup_prop: float = bounded(0.1, 0, below=1)
+    seed: int = bounded(0, 0)
+    checkpoint_every: int = bounded(0, 0)  # 0 = checkpoint only at the end
+    grad_clip: float = bounded(0.0, 0)     # 0 = off
 
     def __post_init__(self):
-        if self.batch_size < 1:
-            raise ValueError("batch_size must be >= 1")
-        if not 0.0 <= self.warmup_prop < 1.0:
-            raise ValueError("warmup_prop must be in [0, 1)")
-        for name in ("total_steps", "checkpoint_every", "grad_clip", "peak_lr"):
-            if getattr(self, name) < 0:
-                raise ValueError(f"{name} must be >= 0")
+        check_fields(self)
 
 
 def lr_schedule(step: int, total_steps: int, peak: float, warmup_prop: float) -> float:

@@ -28,7 +28,7 @@ from multigrain.preprocess import (
     fragment_document,
     insert_markup_tokens,
     preprocess_example,
-    wordpiece_tokenize,
+    wordpiece_with_offsets,
 )
 from multigrain.synthgen import CorpusSpec, build_vocab, generate_corpus
 from multigrain.train import TrainConfig, train_loop
@@ -110,7 +110,7 @@ def _tag(ann, window):
     vocab = _fixture_vocab()
     ex = _fixture_example(ann)
     doc = insert_markup_tokens(ex.blocks, vocab)
-    q = wordpiece_tokenize(ex.question, vocab)
+    q = wordpiece_with_offsets(ex.question, vocab)[0]
     return build_instance(doc, window, 0, q, ex, vocab, max_len=64)
 
 

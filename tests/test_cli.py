@@ -1,7 +1,9 @@
 """Command line interface: exit codes and the end-to-end pipeline."""
 
 import argparse
+import dataclasses
 import json
+import math
 import re
 from pathlib import Path
 
@@ -9,6 +11,11 @@ import pytest
 
 from multigrain import checks, cli
 from multigrain.cli import RunConfig, ConfigError, build_parser, main
+from multigrain.config import check_fields
+from multigrain.encoder import EncoderConfig
+from multigrain.preprocess import PreprocessConfig
+from multigrain.synthgen import CorpusSpec
+from multigrain.train import TrainConfig
 
 
 def test_unknown_subcommand_exits_2(capsys):
@@ -31,6 +38,17 @@ def test_unknown_config_key_exits_2(tmp_path, capsys):
     )
     assert code == 2
     assert "config error" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("text", ["5", "null", "[1]", '"d_h"'])
+def test_config_that_is_not_an_object_exits_2(text, tmp_path, capsys):
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(text)
+    code = main(
+        ["--config", str(cfg), "synth", "--out", str(tmp_path / "a"), "--gold", str(tmp_path / "b")]
+    )
+    assert code == 2
+    assert f"config {cfg} is not a JSON object" in capsys.readouterr().err
 
 
 def test_runtime_failure_exits_1(tmp_path, capsys):
@@ -70,6 +88,26 @@ def test_bad_config_value_raises_config_error():
         RunConfig.from_flat({"answerable_frac": 2.0})
 
 
+def refused_on_the_command_line(flat, tmp_path, capsys):
+    """`flat` is refused by `from_flat` with a ConfigError naming its first
+    key, and both `synth` and `train` exit 2 with the key on stderr,
+    before any work starts: no output file is written."""
+    key = next(iter(flat))
+    named = re.compile(rf"\b{key}\b")
+    with pytest.raises(ConfigError, match=named):
+        RunConfig.from_flat(flat)
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps(flat))
+    out, gold, ckpt = tmp_path / "raw.jsonl", tmp_path / "gold.jsonl", tmp_path / "model.ckpt"
+    missing = str(tmp_path / "missing")  # reached only if the config were taken
+    for command in (["synth", "--out", str(out), "--gold", str(gold)],
+                    ["train", "--vocab", missing, "--instances", missing, "--out", str(ckpt)]):
+        assert main(["--config", str(cfg), *command]) == 2, command[0]
+        err = capsys.readouterr().err
+        assert err.startswith("config error") and named.search(err), err
+    assert not any(path.exists() for path in (out, gold, ckpt))
+
+
 @pytest.mark.parametrize("flat", [
     {"m": 0},
     {"token_clip": -1},
@@ -87,20 +125,73 @@ def test_bad_config_value_raises_config_error():
     {"total_steps": -1},
     {"checkpoint_every": -1},
     {"grad_clip": -0.5},
+    # values that were taken, or refused without naming their key
+    {"n_layers": 1.5},
+    {"d_h": 32.0},
+    {"batch_size": 2.5},
+    {"max_answer_tokens": True},
+    {"seed": 1.5},
+    {"n_docs": -5},
+    {"table_list_prob": 2.0},
+    {"peak_lr": math.nan},
+    {"seed": -1},
+    {"n_keys": 0},
+    {"total_steps": "3"},
+    {"par_min": 0},
+    # the rules that span fields name their keys
+    {"d_h": 10, "m": 4},
+    {"d_ff": 32, "d_h": 64},
+    {"par_min": 5, "par_max": 4},
+    {"sent_max": 1, "sent_min": 2},
+    {"tok_min": 9, "tok_max": 8},
+    {"answerable_frac": 0.8, "yesno_frac": 0.4},
 ], ids=lambda flat: "{}={}".format(*next(iter(flat.items()))))
 def test_out_of_range_config_value_exits_2(flat, tmp_path, capsys):
-    """An out-of-range value is refused when the config is built, before
-    any work starts: `from_flat` raises ConfigError naming the key and
-    the CLI exits 2."""
-    key = next(iter(flat))
-    with pytest.raises(ConfigError, match=key):
-        RunConfig.from_flat(flat)
-    cfg = tmp_path / "cfg.json"
-    cfg.write_text(json.dumps(flat))
-    out, gold = tmp_path / "raw.jsonl", tmp_path / "gold.jsonl"
-    assert main(["--config", str(cfg), "synth", "--out", str(out), "--gold", str(gold)]) == 2
-    assert "config error" in capsys.readouterr().err
-    assert not out.exists()
+    """An out-of-range or mistyped value is refused when the config is
+    built, before any work starts, naming the key; the CLI exits 2."""
+    refused_on_the_command_line(flat, tmp_path, capsys)
+
+
+CONFIGS = (EncoderConfig, TrainConfig, PreprocessConfig, CorpusSpec)
+
+
+def declared_refusals():
+    """Values each config field's declaration refuses, from the fields
+    themselves: a string and null for every key; 1.5 and true for an int
+    key; NaN and Infinity for a float key; and the first value past each
+    bound (the next int, or the next float)."""
+    cases = {}
+    for klass in CONFIGS:
+        for f in dataclasses.fields(klass):
+            integer = f.type == "int"
+            step = (lambda v, d: v + d) if integer else (lambda v, d: math.nextafter(v, d * math.inf))
+            lo, hi, below = f.metadata["min"], f.metadata["max"], f.metadata["below"]
+            bad = ["3", None] + ([1.5, True] if integer else [math.nan, math.inf]) + [step(lo, -1)]
+            bad += [step(hi, 1)] * (hi < math.inf) + [below] * (below < math.inf)
+            cases.update({f"{f.name}={v!r}": {f.name: v} for v in bad})
+    return [pytest.param(flat, id=name) for name, flat in cases.items()]
+
+
+@pytest.mark.parametrize("flat", declared_refusals())
+def test_every_declared_bound_and_type_is_refused(flat, tmp_path, capsys):
+    refused_on_the_command_line(flat, tmp_path, capsys)
+
+
+@pytest.mark.parametrize("klass", CONFIGS, ids=lambda k: k.__name__)
+def test_declared_bounds_take_their_edges(klass):
+    """Each field takes the value at its lower bound and at its upper one
+    (the last float below an open one, 2^80 where there is none), and a
+    float field takes an int as it is, unconverted."""
+    for f in dataclasses.fields(klass):
+        lo, hi, below = f.metadata["min"], f.metadata["max"], f.metadata["below"]
+        top = hi if hi < math.inf else math.nextafter(below, 0) if below < math.inf else 2 ** 80
+        for value in (lo, top):
+            config = klass()
+            setattr(config, f.name, value)
+            check_fields(config)
+    rc = RunConfig.from_flat({"dropout": 0, "peak_lr": 1, "keep_prob": 1, "answerable_frac": 0})
+    assert [type(v) for v in (rc.encoder.dropout, rc.train.peak_lr, rc.preprocess.keep_prob,
+                              rc.corpus.answerable_frac)] == [int] * 4
 
 
 def test_subcommand_lists_agree():
@@ -219,6 +310,20 @@ def test_predict_refuses_padded_instances(tmp_path, capsys):
                  "--instances", files["inst.jsonl"], "--out", str(tmp_path / "preds.jsonl")])
     assert code == 1
     assert "'mask'" in capsys.readouterr().err
+
+
+def test_predict_names_the_line_of_a_cut_instance_file(tmp_path, capsys):
+    """An instance file whose third line is cut mid-object stops `predict`
+    with exit 1 and a message naming the file and line 3."""
+    files = micro_files(tmp_path)
+    line = json.dumps(checks.micro_instance().to_json())
+    (tmp_path / "inst.jsonl").write_text(f"{line}\n{line}\n{line[:len(line) // 2]}\n{line}\n")
+    out = tmp_path / "preds.jsonl"
+    code = main(["predict", "--checkpoint", files["model.ckpt"], "--vocab", files["vocab.txt"],
+                 "--instances", files["inst.jsonl"], "--out", str(out)])
+    assert code == 1
+    assert f"{files['inst.jsonl']}, line 3: " in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_resume_from_params_only_checkpoint_exits_1(tmp_path, capsys):

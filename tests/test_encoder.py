@@ -452,14 +452,17 @@ def without(obj, key):
     (lambda h: dict(h, config=dict(h["config"], colour=1)), "unknown key 'colour'"),
     (lambda h: dict(h, config=without(h["config"], "dropout")), "checkpoint config lacks 'dropout'"),
     (lambda h: dict(h, config=without(h["config"], "d_h")), "checkpoint config lacks 'd_h'"),
+    (lambda h: dict(h, config=dict(h["config"], d_h=32.5)), "checkpoint config: d_h must be an int, not 32.5"),
+    (lambda h: dict(h, config=dict(h["config"], n_layers=True)),
+     "checkpoint config: n_layers must be an int, not True"),
     (lambda h: dict(h, params=[h["params"][0], dict(h["params"][1], name=h["params"][0]["name"])]
                     + h["params"][2:]), "checkpoint params list 'emb.token' more than once"),
 ])
 def test_checkpoint_refuses_malformed_header(tmp_path, setup, change, message):
     """A version-2 header that lacks a key, is not an object, lists a
-    name twice, or whose config keys differ from EncoderConfig's fields is
-    refused with a ValueError naming the file and the key; nothing is
-    filled in."""
+    name twice, or whose config keys differ from EncoderConfig's fields or
+    hold a value its declarations refuse is refused with a ValueError
+    naming the file and the key; nothing is filled in or converted."""
     _, _, _, model = setup
     path = tmp_path / "m.ckpt"
     model.save(path)

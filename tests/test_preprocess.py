@@ -27,8 +27,8 @@ from multigrain.preprocess import (
     markup_token,
     preprocess_example,
     read_instances,
+    read_jsonl,
     segment_sentences,
-    wordpiece_tokenize,
     wordpiece_with_offsets,
     write_jsonl,
 )
@@ -48,16 +48,16 @@ def vocab():
 
 
 def test_wordpiece_empty(vocab):
-    assert wordpiece_tokenize("", vocab) == []
+    assert wordpiece_with_offsets("", vocab)[0] == []
 
 
 def test_wordpiece_greedy_longest_match(vocab):
-    ids = wordpiece_tokenize("playing", vocab)
+    ids = wordpiece_with_offsets("playing", vocab)[0]
     assert [vocab.tokens[i] for i in ids] == ["play", "##ing"]
 
 
 def test_wordpiece_unknown_fallback(vocab):
-    ids = wordpiece_tokenize("qzx", vocab)
+    ids = wordpiece_with_offsets("qzx", vocab)[0]
     assert [vocab.tokens[i] for i in ids] == ["[UNK]"]
 
 
@@ -256,7 +256,7 @@ def run_case(ann, window=None, vocab=None, max_len=64):
     vocab = vocab or Vocab.build(["a", "b", "c", "d"])
     ex = make_example(ann)
     doc = insert_markup_tokens(ex.blocks, vocab)
-    q = wordpiece_tokenize(ex.question, vocab)
+    q = wordpiece_with_offsets(ex.question, vocab)[0]
     window = window or (0, len(doc))
     return build_instance(doc, window, 0, q, ex, vocab, max_len=max_len), doc, vocab
 
@@ -416,6 +416,18 @@ def test_instance_json_refuses_padded_lines(tmp_path):
         read_instances(path)
     with pytest.raises(ValueError, match=f"{n} tokens but {n - 1} sentence ids"):
         TrainingInstance.from_json(dict(obj, sentences=obj["sentences"][:-1]))
+
+
+def test_read_jsonl_names_the_file_and_line_of_a_cut_line(tmp_path):
+    """A line cut mid-object is refused with a ValueError naming the file
+    and the line's 1-based number in it, blank lines counted."""
+    line = json.dumps({"example_id": "a", "ids": list(range(100))})
+    path = tmp_path / "cut.jsonl"
+    path.write_text(f"{line}\n\n{line}\n{line}\n")
+    assert read_jsonl(path) == [json.loads(line)] * 3
+    path.write_text(f"{line}\n\n{line[:150]}\n{line}\n")
+    with pytest.raises(ValueError, match=re.escape(f"{path}, line 3: ")):
+        read_jsonl(path)
 
 
 def add_span(obj, a, b):
@@ -605,5 +617,5 @@ def test_pipeline_byte_identical():
 
 def test_detokenize_merges_continuations():
     vocab = Vocab.build(["play", "##ing", "a"])
-    ids = wordpiece_tokenize("playing a", vocab)
+    ids = wordpiece_with_offsets("playing a", vocab)[0]
     assert detokenize(ids, vocab) == "playing a"

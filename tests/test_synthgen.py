@@ -1,12 +1,13 @@
 """Synthetic corpus generator: determinism, label split, gold consistency."""
 
+import dataclasses
 import json
 
 import numpy as np
 import pytest
 
 from multigrain.evaluate import normalize_text
-from multigrain.preprocess import wordpiece_tokenize
+from multigrain.preprocess import wordpiece_with_offsets
 from multigrain import synthgen
 from multigrain.synthgen import CorpusSpec, build_vocab, generate_corpus
 
@@ -91,7 +92,7 @@ def test_vocab_covers_corpus():
     unk = vocab.lookup["[UNK]"] if hasattr(vocab, "lookup") else None
     for ex in examples:
         for text in [ex.question] + [b.text for b in ex.blocks]:
-            ids = wordpiece_tokenize(text, vocab)
+            ids = wordpiece_with_offsets(text, vocab)[0]
             assert all(vocab.tokens[i] != "[UNK]" for i in ids), text
 
 
@@ -100,6 +101,25 @@ def test_invalid_fractions_rejected():
         CorpusSpec(answerable_frac=0.8, yesno_frac=0.4)
     with pytest.raises(ValueError):
         CorpusSpec(par_min=3, par_max=2)
+
+
+@pytest.mark.parametrize("key", ["seed", "filler_vocab", "n_keys", "n_entities", "n_docs"])
+def test_count_and_seed_minima_are_the_least_the_generator_takes(key):
+    """Each of these fields' declared minimum is the least value with
+    which `generate_corpus` runs (8 documents, 3 of them short answers,
+    which draw two distinct entities); one below it, put past the check,
+    makes the generator itself fail. `n_docs` is a count: -1 and 0 both
+    give no documents, and the declaration takes 0."""
+    (lo,) = [f.metadata["min"] for f in dataclasses.fields(CorpusSpec) if f.name == key]
+    examples, _ = generate_corpus(CorpusSpec(**{"n_docs": 8, key: lo}))
+    assert len(examples) == (lo if key == "n_docs" else 8)
+    spec = CorpusSpec(n_docs=8)
+    setattr(spec, key, lo - 1)
+    if key == "n_docs":
+        assert generate_corpus(spec) == ([], [])
+    else:
+        with pytest.raises(ValueError):
+            generate_corpus(spec)
 
 
 def choice_filler_sentence(rng, fillers, spec):

@@ -288,6 +288,34 @@ def test_a_split_asked_for_on_the_pool_runs_inline(monkeypatch):
         np.testing.assert_array_equal(got, one_group)
 
 
+def test_a_group_the_pool_has_not_begun_runs_on_the_caller(monkeypatch):
+    """While the pool's only thread is held, a two-group split still
+    returns: once group 0 is done, the calling thread takes group 1 back
+    from the pool and runs it too. A split FFN run so gives the bits of
+    one group."""
+    import threading
+    from concurrent.futures import ThreadPoolExecutor
+
+    pool, held, release = ThreadPoolExecutor(1), threading.Event(), threading.Event()
+    monkeypatch.setattr(T, "_executor", lambda: pool)
+    monkeypatch.setattr(T, "_cpus", lambda: 2)
+    inputs = [T.Tensor(a) for a in ffn_arrays(576, 64, 256, seed=12)]
+    try:
+        pool.submit(lambda: held.set() or release.wait(20))
+        assert held.wait(60)
+        threads = []
+        parts = T._side_by_side(lambda a: threads.append(threading.get_ident()) or 2 * a, 2, np.arange(6.0))
+        split = T.feed_forward(*inputs).data
+    finally:
+        release.set()
+        pool.shutdown()
+    assert threads == [threading.get_ident()] * 2
+    np.testing.assert_array_equal(np.concatenate(parts), 2 * np.arange(6.0))
+    with monkeypatch.context() as one_cpu:
+        one_cpu.setattr(T, "_cpus", lambda: 1)
+        np.testing.assert_array_equal(split, T.feed_forward(*inputs).data)
+
+
 # ---------------------------------------------------------------- layer norm
 
 
@@ -762,6 +790,7 @@ def test_relative_attention_group_error_comes_out_after_the_join(fail_on, monkey
     plan = T.band_plan(len(qkv), clip)
     caller = threading.get_ident()
     finished = []
+    pool_began = threading.Event()
 
     class SlowPlan:
         def add_expanded(self, out, r):
@@ -770,7 +799,10 @@ def test_relative_attention_group_error_comes_out_after_the_join(fail_on, monkey
         def fold(self, g):
             on_pool = threading.get_ident() != caller
             if on_pool:
+                pool_began.set()
                 time.sleep(0.3)
+            else:  # a group the pool has not begun would run here instead
+                assert pool_began.wait(60)
             if on_pool == (fail_on == "pool"):
                 raise RuntimeError(f"fold failed on the {fail_on}")
             finished.append(on_pool)
