@@ -26,6 +26,7 @@ from .preprocess import (
     read_instances,
     read_jsonl,
     read_raw_examples,
+    whole_file,
     write_instances,
     write_jsonl,
     write_raw_examples,
@@ -143,7 +144,7 @@ def _cmd_eval(args) -> int:
     report = evaluate(read_jsonl(args.predictions), read_gold(args.gold))
     print(report.format_table())
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
+        with whole_file(args.out) as fh:
             json.dump(report.to_json(), fh, indent=2)
     return 0
 

@@ -29,7 +29,7 @@ import numpy as np
 from . import tensor as T
 from .config import bounded, check_fields
 from .docgraph import HierGraph, NodeType, integration_buckets
-from .preprocess import TrainingInstance
+from .preprocess import TrainingInstance, whole_file
 from .tensor import Tensor
 
 _MAGIC_PREFIX = b"MGQA-CKPT-"
@@ -222,19 +222,12 @@ def save_checkpoint(path, cfg: EncoderConfig, arrays: dict[str, np.ndarray],
 def _write_checkpoint(path: str, header: dict, payload: np.ndarray):
     """Checksum `payload` into `header`, then write both atomically to `path`."""
     header["crc32"] = zlib.crc32(payload)
-    tmp = path + ".tmp"
-    try:
-        with open(tmp, "wb") as fh:
-            fh.write(CHECKPOINT_MAGIC)
-            fh.write((json.dumps(header) + "\n").encode("utf-8"))
-            fh.write(payload.view(np.uint8))  # a byte view: len() counts bytes
-            fh.flush()
-            os.fsync(fh.fileno())
-        os.replace(tmp, path)
-    except BaseException:
-        if os.path.exists(tmp):
-            os.remove(tmp)
-        raise
+    with whole_file(path, "wb") as fh:
+        fh.write(CHECKPOINT_MAGIC)
+        fh.write((json.dumps(header) + "\n").encode("utf-8"))
+        fh.write(payload.view(np.uint8))  # a byte view: len() counts bytes
+        fh.flush()
+        os.fsync(fh.fileno())  # only checkpoints are synced
 
 
 def _check_header(path, header) -> None:

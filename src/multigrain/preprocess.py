@@ -9,8 +9,10 @@ config, seed) so instance files are byte-identical across runs.
 from __future__ import annotations
 
 import json
+import os
 import re
 import zlib
+from contextlib import contextmanager
 from dataclasses import dataclass, field
 from enum import IntEnum
 from typing import Iterable, Optional
@@ -78,7 +80,7 @@ class Vocab:
         return cls(tokens)
 
     def save(self, path):
-        with open(path, "w", encoding="utf-8") as fh:
+        with whole_file(path) as fh:
             for tok in self.tokens:
                 fh.write(tok + "\n")
 
@@ -521,6 +523,8 @@ class PreprocessConfig:
 
     def __post_init__(self):
         check_fields(self)
+        if self.stride > self.max_len - 3:  # max_len - 3: the most content a window holds
+            raise ValueError(f"stride {self.stride} exceeds max_len {self.max_len} - 3")
 
 
 def preprocess_example(
@@ -585,8 +589,22 @@ def read_jsonl(path) -> list[dict]:
     return objs
 
 
+@contextmanager
+def whole_file(path, mode: str = "w"):
+    """A file opened beside `path` and renamed over it when the block ends,
+    or removed if the block raises: the target is whole or as it was."""
+    tmp = os.fspath(path) + ".tmp"
+    try:
+        with open(tmp, mode, encoding=None if "b" in mode else "utf-8") as fh:
+            yield fh
+        os.replace(tmp, path)
+    finally:
+        if os.path.exists(tmp):
+            os.remove(tmp)
+
+
 def write_jsonl(path, objs: Iterable[dict]):
-    with open(path, "w", encoding="utf-8") as fh:
+    with whole_file(path) as fh:
         for obj in objs:
             fh.write(json.dumps(obj, separators=(",", ":")) + "\n")
 

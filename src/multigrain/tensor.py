@@ -24,20 +24,21 @@ its block ends and then goes by reference counting. `backward` drops
 each node's closure once the replay has passed it, so a replayed tape
 holds only node outputs.
 
-Two ops split a large call across the CPUs the process may run on
+Three ops split a large call across the CPUs the process may run on
 (`os.sched_getaffinity`; on one CPU nothing splits) once its work reaches
 SPLIT_WORK: `relative_attention` runs min(m, CPUs) contiguous groups of
 heads side by side, forward and backward, from m n^2 score cells and only
 on its bound-shifted route; `feed_forward` runs as many row blocks from
-rows x d_ff. Heads are independent until their outputs are concatenated,
-and FFN rows until the weight gradients sum over them, so each part does
-the same arithmetic as in one call, and the results are bit-identical to
-it. The first part runs on the calling thread and the rest on a pool of
-CPUs - 1 threads, which the first split call of a process starts, unless
-the first is done before the pool begins them; only numpy runs there, no
-op is recorded or split again there, and whatever mixes parts runs after
-the join. Below SPLIT_WORK a call makes no more numpy calls than one
-that never splits.
+rows x d_ff, and `edge_attention` as many blocks of whole destinations
+from E m d_z. Heads are independent until their outputs are concatenated,
+FFN rows until the weight gradients sum over them, and destinations until
+the sums by source and bucket, so each part does the same arithmetic as
+in one call, and the results are bit-identical to it. The first part runs
+on the calling thread and the rest on a pool of CPUs - 1 threads, which
+the first split call of a process starts, unless the first is done before
+the pool begins them; only numpy runs there, no op is recorded or split
+again there, and whatever mixes parts runs after the join. Below
+SPLIT_WORK a call makes no more numpy calls than one that never splits.
 
 Two precision modes exist: "standard" (float64) for training and
 "extended" (longdouble) used only by the finite-difference harness.
@@ -361,6 +362,22 @@ class EdgeList:
         self.n_nodes, self.n_buckets = n_nodes, n_buckets
         self.degree = np.bincount(self.dst, minlength=n_nodes)
         self.starts = np.r_[0, np.cumsum(self.degree)[:-1]]
+        self._blocks: dict[int, tuple] = {}
+
+    def blocks(self, count: int) -> tuple:
+        """Up to `count` runs of whole destinations of about equal edge counts, kept per count:
+        (node slice, edge slice, dst and first edges counted from the run's start, `by_dst` rows)."""
+        if count == 1:  # the whole list: nothing to set up below SPLIT_WORK
+            return ((slice(0, self.n_nodes), slice(0, len(self)), self.dst, self.starts, self.by_dst),)
+        if count not in self._blocks:
+            # a run ends before the first node whose middle edge passes the next share of the edges
+            mid, share = self.starts + self.degree / 2, np.arange(1, count) * len(self) / count
+            cuts = sorted({0, self.n_nodes, *np.searchsorted(mid, share).tolist()})
+            firsts = [*self.starts[cuts[:-1]].tolist(), len(self)]
+            self._blocks[count] = tuple(
+                (slice(a, b), slice(c, d), to, self.starts[a:b] - c, ScatterPlan(to, b - a))
+                for a, b, c, d in zip(cuts, cuts[1:], firsts, firsts[1:]) for to in [self.dst[c:d] - a])
+        return self._blocks[count]
 
     # The scatter plans are built on first use and kept: inference only
     # ever sums by destination.
@@ -503,6 +520,11 @@ def _side_by_side(fn: Callable, count: int, *args) -> list:
     numpy on its own blocks and touches no tape or dtype state,
     so each block's arithmetic, and with it every bit of the result, is the
     same as in one call, whichever thread runs it.
+
+    A group allocates no large array: the caller allocates each array the
+    groups write, once per call, and they fill its blocks with `out=`. When
+    groups allocated their own (4 MB of scores, say), the pool thread faulted
+    about 2 200 times per paper training step; now it faults 0 times.
     """
     if count == 1:
         return [fn(*[a[0] if type(a) is tuple else a for a in args])]
@@ -589,52 +611,53 @@ def relative_attention(
     q *= scale
     count = _group_count(m, m * n * n if shifted else 0)
     scores = None
+    p, z = np.empty((m, n, n), q.dtype), np.empty((m, n, dz), q.dtype)  # p is kept for the backward
 
-    def forward(qh, kh, vh):
+    def forward(qh, kh, vh, ph, zh):
         nonlocal scores
-        p = qh @ kh.swapaxes(1, 2)
+        np.matmul(qh, kh.swapaxes(1, 2), out=ph)
         r = qh @ ak.data.T
         if shifted:
             r -= bound
-        band.add_expanded(p, r)
+        band.add_expanded(ph, r)
         if not shifted:
-            _check_finite(p, "relative_attention")
+            _check_finite(ph, "relative_attention")
             if weights is not None:
-                scores = p.copy()
-            p -= p.max(axis=-1, keepdims=True)  # the softmax runs in place
-        np.exp(p, out=p)
-        return p, band.fold(p), p @ vh  # the fold's runs partition each row
+                scores = ph.copy()
+            ph -= ph.max(axis=-1, keepdims=True)  # the softmax runs in place
+        np.exp(ph, out=ph)
+        np.matmul(ph, vh, out=zh)
+        return band.fold(ph)  # the fold's runs partition each row
 
-    ps, folds, zs = zip(*_side_by_side(forward, count, q, k, v))
-    folded = _joined(folds)
+    folded = _joined(_side_by_side(forward, count, q, k, v, p, z))
     inv_s = 1.0 / folded.sum(axis=-1, keepdims=True)  # (m, n, 1)
-    z = _joined(zs)
     z += folded @ av.data
     z *= inv_s
     if weights is not None:
-        weights.append((scores, ps[0] * inv_s))
+        weights.append((scores, p * inv_s))
 
     def backward(g):
         # de_ij = alpha_ij (gz_i . (v_j + av[b_ij]) - gz_i . z_i); 1/s_i
         # rides on gz_i, the one per-row factor
         gzs = g.reshape(n, m, dz).transpose(1, 0, 2) * inv_s
+        gs, grad = np.empty((m, n, n), q.dtype), np.empty((m, 3, n, dz), q.dtype)
 
-        def group(gz, vh, zh, kh, qh, p):
-            gs = gz @ vh.swapaxes(1, 2)
-            band.add_expanded(gs, gz @ av.data.T - np.einsum("hid,hid->hi", gz, zh)[..., None])
-            gs *= p
-            gfold = band.fold(gs)
-            if not qkv.requires_grad:
-                return gfold, None
-            gq = gs @ kh
-            gq += gfold @ ak.data
-            gq *= scale
-            return gfold, np.stack([gq, gs.swapaxes(1, 2) @ qh, p.swapaxes(1, 2) @ gz])
+        def group(gz, vh, zh, kh, qh, ph, gsh, gh):
+            np.matmul(gz, vh.swapaxes(1, 2), out=gsh)
+            band.add_expanded(gsh, gz @ av.data.T - np.einsum("hid,hid->hi", gz, zh)[..., None])
+            gsh *= ph
+            gfold = band.fold(gsh)
+            if qkv.requires_grad:
+                gq = np.matmul(gsh, kh, out=gh[:, 0])
+                gq += gfold @ ak.data
+                gq *= scale
+                np.matmul(gsh.swapaxes(1, 2), qh, out=gh[:, 1])
+                np.matmul(ph.swapaxes(1, 2), gz, out=gh[:, 2])
+            return gfold
 
-        gfolds, grads = zip(*_side_by_side(group, count, gzs, v, z, k, q, ps))
+        gfolds = _side_by_side(group, count, gzs, v, z, k, q, p, gs, grad)
         if qkv.requires_grad:
-            grad = _joined(grads, axis=1)
-            _accumulate(qkv, grad.transpose(2, 0, 1, 3).reshape(n, 3 * m * dz))
+            _accumulate(qkv, grad.transpose(2, 1, 0, 3).reshape(n, 3 * m * dz))
         if ak.requires_grad:
             _accumulate(ak, _joined(gfolds).reshape(-1, 2 * clip + 1).T @ q.reshape(-1, dz))
         if av.requires_grad:
@@ -660,6 +683,10 @@ def edge_attention(
     edge then gets p = 1 and exactly v[src] + av[bucket], where
     exp(e - U) would leave it one rounding off, moving with q. With
     `weights`, off-edge cells hold e = -inf and alpha = 0.
+
+    From E m d_z >= SPLIT_WORK, `edges.blocks` run side by side: each its
+    edges' scores and sums by destination, and in the backward its per-edge
+    gradients and q rows; the sums by source and bucket follow the join.
     """
     if not edges.degree.all():
         raise ContractViolation("edge_attention: a destination has no incoming edge")
@@ -667,40 +694,56 @@ def edge_attention(
     if n != edges.n_nodes:
         raise ShapeMismatchError(f"{n} rows for a graph of {edges.n_nodes} nodes")
     x = qkv.data.reshape(n, 3, m, dz)
-    dst, src = edges.dst, edges.src
     scale = 1.0 / math.sqrt(dz)
-    qd = (x[:, 0] * scale)[dst]                                  # (E, m, d_z)
-    kb = x[src, 1]
-    kb += ak.data[edges.bucket][:, None]
-    vb = x[src, 2]
-    vb += av.data[edges.bucket][:, None]
-    e = np.einsum("emd,emd->em", qd, kb)                         # (E, m)
-    _check_finite(e, "edge_attention")
-    p = e - np.maximum.reduceat(e, edges.starts)[dst]
-    np.exp(p, out=p)
-    inv_s = 1.0 / edges.by_dst(p)                                # (n, m)
-    z = edges.by_dst(p[..., None] * vb)
-    z *= inv_s[..., None]
+    xq = x[:, 0] * scale
+    blocks = edges.blocks(_group_count(n, len(edges) * m * dz))
+    qd, kb, vb, pv = (np.empty((len(edges), m, dz), x.dtype) for _ in range(4))  # pv holds p vb
+    e, p = np.empty((2, len(edges), m), x.dtype)
+    inv_s, z = np.empty((n, m), x.dtype), np.empty((n, m, dz), x.dtype)
+
+    def forward(block):  # dst_row: each edge's destination within the block
+        nodes, cut, dst_row, starts, plan = block
+        xq[nodes].take(dst_row, axis=0, out=qd[cut], mode="clip")  # in range; "raise" would copy out
+        for gathered, col, table in ((kb[cut], 1, ak), (vb[cut], 2, av)):
+            x[:, col].take(edges.src[cut], axis=0, out=gathered, mode="clip")
+            gathered += table.data[edges.bucket[cut]][:, None]
+        np.einsum("emd,emd->em", qd[cut], kb[cut], out=e[cut])
+        _check_finite(e[cut], "edge_attention")
+        pb = np.subtract(e[cut], np.maximum.reduceat(e[cut], starts)[dst_row], out=p[cut])
+        np.exp(pb, out=pb)
+        np.divide(1.0, plan(pb), out=inv_s[nodes])
+        np.multiply(pb[..., None], vb[cut], out=pv[cut])
+        np.multiply(plan(pv[cut]), inv_s[nodes, :, None], out=z[nodes])
+
+    _side_by_side(forward, len(blocks), blocks)
     if weights is not None:
         e_dense = np.full((m, n, n), -np.inf, dtype=e.dtype)
         alpha_dense = np.zeros((m, n, n), dtype=e.dtype)
-        e_dense[:, dst, src] = e.T
-        alpha_dense[:, dst, src] = (p * inv_s[dst]).T
+        e_dense[:, edges.dst, edges.src] = e.T
+        alpha_dense[:, edges.dst, edges.src] = (p * inv_s[edges.dst]).T
         weights.append((e_dense, alpha_dense))
 
     def backward(g):
         gzs = g.reshape(n, m, dz) * inv_s[..., None]
-        gd = gzs[dst]
-        gs = np.einsum("emd,emd->em", gd, vb)
-        gs -= np.einsum("imd,imd->im", gzs, z)[dst]
-        gs *= p
-        gkb = gs[..., None] * qd
-        gvb = gd
-        gvb *= p[..., None]  # in place: gd is not read again
+        gs, gkb, gvb = np.empty_like(p), np.empty_like(qd), np.empty_like(qd)
+        grad = np.empty((n, 3, m, dz), x.dtype)
+
+        def group(block):  # the block's per-edge gradients and its gq rows
+            nodes, cut, dst_row, starts, plan = block
+            gd = gzs[nodes].take(dst_row, axis=0, out=gvb[cut], mode="clip")
+            gsb = np.einsum("emd,emd->em", gd, vb[cut], out=gs[cut])
+            gsb -= np.einsum("imd,imd->im", gzs[nodes], z[nodes])[dst_row]
+            gsb *= p[cut]
+            np.multiply(gsb[..., None], qd[cut], out=gkb[cut])
+            gd *= p[cut][..., None]
+            if qkv.requires_grad:
+                kbb = kb[cut]
+                kbb *= gsb[..., None]  # in place: kb is not read again
+                np.multiply(plan(kbb), scale, out=grad[nodes, 0])
+
+        _side_by_side(group, len(blocks), blocks)
         if qkv.requires_grad:
-            gq = edges.by_dst(gs[..., None] * kb)
-            gq *= scale
-            grad = np.stack([gq, edges.by_src(gkb), edges.by_src(gvb)], axis=1)
+            grad[:, 1], grad[:, 2] = edges.by_src(gkb), edges.by_src(gvb)
             _accumulate(qkv, grad.reshape(n, 3 * m * dz))
         if ak.requires_grad:
             _accumulate(ak, edges.by_bucket(gkb.sum(axis=1)))
@@ -770,13 +813,14 @@ def feed_forward(
     keep, scale = _dropout_mask((n, d_ff), rate, rng)
     keep = (None,) * count if keep is None else keep  # no mask for any block: no dropout
     dtype = np.result_type(*(t.data for t in (pre, post, w1, b1, w2, b2, gain, bias)))
-    x, h, xhat, out = (np.empty((n, k), dtype) for k in (2 * d, d_ff, d, d))
+    x, h, xhat, out, a = (np.empty((n, k), dtype) for k in (2 * d, d_ff, d, d, d_ff))
+    phi = np.empty((n, d_ff))  # float64, for erf
 
-    def forward(p, q, keep, x, h, xhat, out):
+    def forward(p, q, keep, x, h, xhat, out, a, phi):
         x[:, :d], x[:, d:] = p, q
-        a = x @ w1.data
+        np.matmul(x, w1.data, out=a)
         a += b1.data
-        phi = np.divide(a, math.sqrt(2.0), dtype=np.float64)
+        np.divide(a, math.sqrt(2.0), out=phi, dtype=np.float64)
         _erf64(phi, out=phi)
         phi += 1.0
         phi *= 0.5
@@ -791,9 +835,9 @@ def feed_forward(
         _, inv = _normalized(r, r, xhat)
         np.multiply(xhat, gain.data, out=out)
         out += bias.data
-        return a, phi, inv
+        return phi, inv
 
-    a, phi, inv = zip(*_side_by_side(forward, count, pre.data, post.data, keep, x, h, xhat, out))
+    phi, inv = zip(*_side_by_side(forward, count, pre.data, post.data, keep, x, h, xhat, out, a, phi))
 
     def backward(g):
         da, ga, gx = (np.empty((n, k), dtype) for k in (d, d_ff, 2 * d))

@@ -28,7 +28,7 @@ from .config import bounded, check_fields
 from .docgraph import build_graph
 from .encoder import ModelParams, encode, split
 from .heads import joint_loss, score_nodes
-from .preprocess import TrainingInstance
+from .preprocess import TrainingInstance, whole_file
 from .tensor import ContractViolation, NonFiniteError, record_tape
 
 
@@ -115,14 +115,18 @@ def adam_step(model: ModelParams, state: OptimizerState, lr: float, grad_clip: f
     norm = math.sqrt(float(g @ g)) if grad_clip > 0.0 else 0.0
     if norm > grad_clip:
         g = g * (grad_clip / norm)
-    state.m *= BETA1
-    state.m += (1 - BETA1) * g
-    state.v *= BETA2
-    state.v += (1 - BETA2) * g * g
-    update = state.m / (1 - BETA1**state.step)
-    update *= lr
-    update /= np.sqrt(state.v / (1 - BETA2**state.step)) + EPS
-    model.flat -= update
+    c1, c2 = 1 - BETA1**state.step, 1 - BETA2**state.step
+
+    def update(g, m, v, flat, u, t):  # element-wise, so in blocks side by side from SPLIT_WORK
+        m *= BETA1
+        m += np.multiply(1 - BETA1, g, out=t)
+        v *= BETA2
+        v += np.multiply(np.multiply(1 - BETA2, g, out=t), g, out=t)
+        np.multiply(np.divide(m, c1, out=u), lr, out=u)
+        flat -= np.divide(u, np.add(np.sqrt(np.divide(v, c2, out=t), out=t), EPS, out=t), out=u)
+
+    T._side_by_side(update, T._group_count(g.size, g.size), g, state.m, state.v, model.flat,
+                    np.empty_like(g), np.empty_like(g))
 
 
 @dataclass
@@ -133,7 +137,7 @@ class TraceRow:
 
 
 def write_trace_csv(path, trace: list[TraceRow]):
-    with open(path, "w", encoding="utf-8") as fh:
+    with whole_file(path) as fh:
         fh.write("step,lr,loss\n")
         for row in trace:
             fh.write(f"{row.step},{row.lr!r},{row.loss!r}\n")

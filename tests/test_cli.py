@@ -88,10 +88,18 @@ def test_bad_config_value_raises_config_error():
         RunConfig.from_flat({"answerable_frac": 2.0})
 
 
+def test_window_too_small_for_the_stride_names_both_keys():
+    """A stride past max_len - 3, the most content a window can hold, is
+    refused naming both keys; the largest stride that fits is taken."""
+    with pytest.raises(ConfigError, match=r"stride 128 exceeds max_len 64\b"):
+        RunConfig.from_flat({"max_len": 64})
+    assert RunConfig.from_flat({"max_len": 64, "stride": 61}).preprocess.stride == 61
+
+
 def refused_on_the_command_line(flat, tmp_path, capsys):
     """`flat` is refused by `from_flat` with a ConfigError naming its first
-    key, and both `synth` and `train` exit 2 with the key on stderr,
-    before any work starts: no output file is written."""
+    key, and `synth`, `preprocess` and `train` exit 2 with the key on
+    stderr, before any work starts: no output file is written."""
     key = next(iter(flat))
     named = re.compile(rf"\b{key}\b")
     with pytest.raises(ConfigError, match=named):
@@ -99,13 +107,15 @@ def refused_on_the_command_line(flat, tmp_path, capsys):
     cfg = tmp_path / "cfg.json"
     cfg.write_text(json.dumps(flat))
     out, gold, ckpt = tmp_path / "raw.jsonl", tmp_path / "gold.jsonl", tmp_path / "model.ckpt"
+    inst = tmp_path / "inst.jsonl"
     missing = str(tmp_path / "missing")  # reached only if the config were taken
     for command in (["synth", "--out", str(out), "--gold", str(gold)],
+                    ["preprocess", "--vocab", missing, "--input", missing, "--output", str(inst)],
                     ["train", "--vocab", missing, "--instances", missing, "--out", str(ckpt)]):
         assert main(["--config", str(cfg), *command]) == 2, command[0]
         err = capsys.readouterr().err
         assert err.startswith("config error") and named.search(err), err
-    assert not any(path.exists() for path in (out, gold, ckpt))
+    assert not any(path.exists() for path in (out, gold, ckpt, inst))
 
 
 @pytest.mark.parametrize("flat", [
@@ -145,6 +155,8 @@ def refused_on_the_command_line(flat, tmp_path, capsys):
     {"sent_max": 1, "sent_min": 2},
     {"tok_min": 9, "tok_max": 8},
     {"answerable_frac": 0.8, "yesno_frac": 0.4},
+    {"max_len": 64},  # a window of 61 content tokens cannot advance by the stride 128
+    {"stride": 510},
 ], ids=lambda flat: "{}={}".format(*next(iter(flat.items()))))
 def test_out_of_range_config_value_exits_2(flat, tmp_path, capsys):
     """An out-of-range or mistyped value is refused when the config is
@@ -369,3 +381,56 @@ def test_resume_refuses_malformed_state_exits_1(tmp_path, capsys, extra, change_
     assert code == 1
     err = capsys.readouterr().err
     assert str(path) in err and named in err
+
+
+def tiny_run(tmp_path):
+    """The files of a tiny synth, preprocess, train and predict run, and
+    the preprocess and predict command lines that wrote them."""
+    cfg = tmp_path / "cfg.json"
+    cfg.write_text(json.dumps({"n_docs": 3, "total_steps": 1, "batch_size": 2, "d_h": 8, "m": 2,
+                               "n_layers": 1, "d_ff": 16, "keep_prob": 1.0}))
+    f = {name: str(tmp_path / name)
+         for name in ("raw.jsonl", "gold.jsonl", "vocab.txt", "inst.jsonl", "model.ckpt", "preds.jsonl")}
+    c = ["--config", str(cfg)]
+    commands = {
+        "preprocess": [*c, "preprocess", "--vocab", f["vocab.txt"], "--input", f["raw.jsonl"],
+                       "--output", f["inst.jsonl"]],
+        "predict": ["predict", "--checkpoint", f["model.ckpt"], "--vocab", f["vocab.txt"],
+                    "--instances", f["inst.jsonl"], "--out", f["preds.jsonl"]],
+    }
+    assert main([*c, "synth", "--out", f["raw.jsonl"], "--gold", f["gold.jsonl"], "--vocab", f["vocab.txt"]]) == 0
+    assert main(commands["preprocess"]) == 0
+    assert main([*c, "train", "--vocab", f["vocab.txt"], "--instances", f["inst.jsonl"], "--out", f["model.ckpt"]]) == 0
+    assert main(commands["predict"]) == 0
+    return commands, f
+
+
+@pytest.mark.parametrize("command, output", [("preprocess", "inst.jsonl"), ("predict", "preds.jsonl")])
+def test_a_write_that_fails_half_way_keeps_the_previous_file(command, output, tmp_path, capsys, monkeypatch):
+    """`preprocess` and `predict` write their output beside it and rename
+    it over the target only once whole: a write that fails at its second
+    record, after the first went to the temporary file, exits 1, leaves the previous
+    file byte for byte as it was and no temporary file beside it."""
+    from multigrain.heads import DocumentPrediction
+    from multigrain.preprocess import TrainingInstance
+
+    commands, files = tiny_run(tmp_path)
+    target = Path(files[output])
+    before = target.read_bytes()
+    assert before.count(b"\n") >= 2
+    record = TrainingInstance if command == "preprocess" else DocumentPrediction
+    to_json, written = record.to_json, []
+
+    def fails_second(self):
+        written.append(Path(f"{target}.tmp").exists())
+        if len(written) == 2:
+            raise OSError("disk full")
+        return to_json(self)
+
+    monkeypatch.setattr(record, "to_json", fails_second)
+    capsys.readouterr()
+    assert main(commands[command]) == 1
+    assert "disk full" in capsys.readouterr().err
+    assert written == [True, True]  # the records go to the temporary file
+    assert target.read_bytes() == before
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted(["cfg.json", *files])

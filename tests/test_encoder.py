@@ -12,6 +12,7 @@ import numpy as np
 import pytest
 
 from multigrain import encoder as E
+from multigrain import preprocess as P
 from multigrain import tensor as T
 from multigrain.checks import micro_config, micro_instance
 from multigrain.docgraph import NodeType, build_graph, integration_buckets
@@ -574,7 +575,8 @@ def test_failed_checkpoint_write_keeps_previous(tmp_path, setup, monkeypatch):
     before = path.read_bytes()
     size = len(before)
     changed = {k: t.data + 1.0 for k, t in model.tensors.items()}
-    monkeypatch.setattr(E, "open", lambda p, mode: FailingFile(open(p, mode), size // 2), raising=False)
+    # the checkpoint is written through `preprocess.whole_file`, which opens the file
+    monkeypatch.setattr(P, "open", lambda p, mode, **kw: FailingFile(open(p, mode, **kw), size // 2), raising=False)
     with pytest.raises(OSError, match="disk full"):
         save_checkpoint(path, cfg, changed)
     monkeypatch.undo()

@@ -430,6 +430,39 @@ def test_read_jsonl_names_the_file_and_line_of_a_cut_line(tmp_path):
         read_jsonl(path)
 
 
+@pytest.mark.parametrize("previous", [b'{"old":1}\n', None], ids=["over-a-file", "new-file"])
+def test_write_jsonl_that_fails_half_way_leaves_the_previous_file(tmp_path, previous):
+    """An iterator that raises half-way leaves the target byte for byte as
+    it was (or absent), and no temporary file; one that ends replaces it."""
+    path = tmp_path / "out.jsonl"
+    if previous is not None:
+        path.write_bytes(previous)
+
+    def objs(fail):
+        yield {"a": 1}
+        if fail:
+            raise RuntimeError("no second object")
+        yield {"b": 2}
+
+    with pytest.raises(RuntimeError, match="no second object"):
+        write_jsonl(path, objs(fail=True))
+    assert [p.name for p in tmp_path.iterdir()] == ([] if previous is None else ["out.jsonl"])
+    assert previous is None or path.read_bytes() == previous
+    write_jsonl(path, objs(fail=False))
+    assert [p.name for p in tmp_path.iterdir()] == ["out.jsonl"]
+    assert read_jsonl(path) == [{"a": 1}, {"b": 2}]
+
+
+def test_vocab_save_that_fails_leaves_the_previous_file(tmp_path):
+    """`Vocab.save` writes whole or not at all, as `write_jsonl` does."""
+    path = tmp_path / "vocab.txt"
+    Vocab.build(["a", "b"]).save(path)
+    before = path.read_bytes()
+    with pytest.raises(TypeError):
+        Vocab([*Vocab.build(["c"]).tokens, None]).save(path)  # a token that is not text
+    assert path.read_bytes() == before and [p.name for p in tmp_path.iterdir()] == ["vocab.txt"]
+
+
 def add_span(obj, a, b):
     obj["S"].append([a, b])
     obj["provenance"]["cand_doc_idx"].append(0)

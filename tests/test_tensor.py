@@ -815,10 +815,108 @@ def test_relative_attention_group_error_comes_out_after_the_join(fail_on, monkey
     assert finished == [fail_on == "caller"]
 
 
+def split_edge_inputs(seed, n=400, m=4, dz=16, n_buckets=7, scale=0.3):
+    """Inputs of an integration-like pass of 4 400 edges (E m d_z = 281 600,
+    over SPLIT_WORK): destinations alternate between 1 and 21 in-edges, so
+    wherever a block boundary falls, a destination with a single in-edge
+    sits on it."""
+    rng = np.random.default_rng(seed)
+    degree = np.tile([1, 21], n // 2)
+    dst = np.repeat(np.arange(n), degree)
+    src = np.concatenate([rng.choice(n, k, replace=False) for k in degree])
+    edges = T.EdgeList(dst, src, rng.integers(0, n_buckets, size=len(dst)), n, n_buckets)
+    assert len(edges) * m * dz >= T.SPLIT_WORK
+    qkv = rng.normal(size=(n, 3 * m * dz)) * scale
+    ak, av = (rng.normal(size=(n_buckets, dz)) * scale for _ in range(2))
+    return qkv, ak, av, m, edges
+
+
+@pytest.mark.parametrize("mode", ["standard", "extended"])
+@pytest.mark.parametrize("taped", [True, False])
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_edge_attention_destination_blocks_equal_one_block(mode, taped, cpus, monkeypatch):
+    """From E m d_z >= SPLIT_WORK the destinations run in min(n, CPUs)
+    contiguous blocks of about equal edge counts, side by side; the output
+    and the qkv, ak and av gradients equal, bit for bit, those of the same
+    call in one block, and a taped call records one node."""
+    qkv, ak, av, m, edges = split_edge_inputs(7)
+    g = np.random.default_rng(8).normal(size=(len(qkv), qkv.shape[1] // 3))
+    blocks = edges.blocks(cpus)
+    assert [b[0].start for b in blocks] == [0] + [b[0].stop for b in blocks[:-1]]
+    assert blocks[-1][0].stop == len(qkv) and blocks[-1][1].stop == len(edges)
+    for nodes, cut, *_ in blocks:
+        assert abs(cut.stop - cut.start - len(edges) / cpus) <= edges.degree.max()
+        assert nodes.start == 0 or 1 in edges.degree[[nodes.start - 1, nodes.start]]
+    submitted = []
+    executor = T._executor
+
+    def run(cpus):
+        monkeypatch.setattr(T, "_cpus", lambda: cpus)
+        monkeypatch.setattr(T, "_executor", lambda: submitted.append(cpus) or executor())
+        with T.precision(mode):
+            args = [T.Tensor(a, requires_grad=True) for a in (qkv, ak, av)]
+            if not taped:
+                return T.edge_attention(*args, m, edges).data, []
+            with T.record_tape() as tape:
+                out = T.edge_attention(*args, m, edges)
+                assert len(tape) == 1
+                grads = T.backward(tsum(T.mul(out, T.Tensor(g))), dict(enumerate(args)))
+            return out.data, [grads[i] for i in range(3)]
+
+    whole, whole_grads = run(1)
+    assert not submitted
+    split, split_grads = run(cpus)
+    assert len(submitted) == (2 if taped else 1) * (cpus - 1)
+    assert split.dtype == T._DTYPES[mode]
+    np.testing.assert_array_equal(split, whole)
+    for got, want in zip(split_grads, whole_grads, strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
+@pytest.mark.parametrize("fail_on", ["pool", "caller"])
+def test_edge_attention_block_error_comes_out_after_the_join(fail_on, monkeypatch):
+    """A non-finite score in either destination block raises NonFiniteError,
+    naming the op, and only once every block has finished: the other
+    block, on the pool slowed down, has ended by then."""
+    import threading
+    import time
+
+    qkv, ak, av, m, edges = split_edge_inputs(10)
+    blocks = edges.blocks(2)
+    node = 0 if fail_on == "caller" else blocks[1][0].stop - 1
+    src = edges.src[edges.starts[node]]
+    qkv[node, 0], qkv[src, m * ak.shape[1]] = 1e200, -1e200  # one score of head 0 is -inf
+    caller, finished, pool_began = threading.get_ident(), [], threading.Event()
+    check_finite, side_by_side = T._check_finite, T._side_by_side
+
+    def check(data, op):
+        if threading.get_ident() != caller:
+            pool_began.set()
+            time.sleep(0.3)
+        else:  # a block the pool has not begun would run here instead
+            assert pool_began.wait(60)
+        check_finite(data, op)
+
+    def blocks_that_record(fn, count, *args):
+        def block(*a):
+            fn(*a)
+            finished.append(threading.get_ident() != caller)
+        return side_by_side(block, count, *args)
+
+    monkeypatch.setattr(T, "_cpus", lambda: 2)
+    monkeypatch.setattr(T, "_check_finite", check)
+    monkeypatch.setattr(T, "_side_by_side", blocks_that_record)
+    with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="edge_attention"):
+        T.edge_attention(T.Tensor(qkv), T.Tensor(ak), T.Tensor(av), m, edges)
+    assert finished == [fail_on == "caller"]
+
+
 POOL_SCRIPT = """
 import hashlib, os, select, signal, sys, threading
 import numpy as np
 from multigrain import tensor as T
+from multigrain.encoder import EncoderConfig, ModelParams
+from multigrain.train import OptimizerState, adam_step
 
 def call(n):
     rng = np.random.default_rng(n)
@@ -831,10 +929,28 @@ def ffn(n, d, d_ff):
     shapes = ((n, d), (n, d), (2 * d, d_ff), (d_ff,), (d_ff, d), (d,), (d,), (d,))
     return T.feed_forward(*(T.Tensor(rng.normal(size=shape) * 0.1) for shape in shapes))
 
+def edges(n, m, dz):
+    rng = np.random.default_rng(n)
+    mask = rng.random((n, n)) < 0.07
+    np.fill_diagonal(mask, True)
+    dst, src = np.nonzero(mask)
+    rel = T.EdgeList(dst, src, rng.integers(0, 5, size=len(dst)), n, 5)
+    args = [T.Tensor(rng.normal(size=shape) * 0.3) for shape in ((n, 3 * m * dz), (5, dz), (5, dz))]
+    assert len(rel) * m * dz < T.SPLIT_WORK
+    return T.edge_attention(*args, m, rel)
+
+def adam(config):
+    model = ModelParams.init(config, seed=0)
+    assert model.flat.size < T.SPLIT_WORK
+    model.grad[...] = 1.0
+    adam_step(model, OptimizerState.init(model), 1e-3)
+
 T._cpus = lambda: 2
 assert threading.active_count() == 1, "a thread at import"
 call(100)  # 40 000 cells, under SPLIT_WORK
 ffn(76, 32, 128)  # a desk-size FFN: 9 728 elements, under SPLIT_WORK
+edges(76, 4, 8)  # a desk-size integration pass: about 400 edges
+adam(EncoderConfig(vocab_size=1000, d_h=32, m=4, n_layers=2, d_ff=128))  # desk's model
 assert threading.active_count() == 1, "a thread below SPLIT_WORK"
 digest = call(300)
 assert threading.active_count() == 2, threading.enumerate()
@@ -856,7 +972,8 @@ print("ok")
 
 def test_pool_belongs_to_the_process_that_made_it():
     """The pool starts with the first split call, not at import or below
-    SPLIT_WORK (an attention level or a desk-size FFN); a child forked
+    SPLIT_WORK (an attention level, or a desk-size FFN, integration pass
+    or Adam step); a child forked
     after a split call makes its own pool and gets the same bytes; a
     process with a pool exits promptly."""
     import os

@@ -7,11 +7,12 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from multigrain import encoder as E
+from multigrain import preprocess as P
+from multigrain import tensor as T
 from multigrain import train as train_module
 from multigrain.checks import micro_config, micro_instance
 from multigrain.docgraph import build_graph
-from multigrain.encoder import ModelParams
+from multigrain.encoder import EncoderConfig, ModelParams
 from multigrain.tensor import ContractViolation, Tape, Tensor, finite_diff_check
 from multigrain.train import (
     OptimizerState,
@@ -226,6 +227,28 @@ def test_optimizer_state_array_round_trip():
     np.testing.assert_array_equal(back.to_arrays()["opt.m.w"], state.to_arrays()["opt.m.w"])
 
 
+@pytest.mark.parametrize("grad_clip", [0.0, 0.5])
+def test_adam_blocks_equal_one_block(grad_clip, monkeypatch):
+    """From SPLIT_WORK values Adam's element-wise update runs in blocks side
+    by side: over three steps, with and without clipping, the parameters
+    and both moments equal those of one block bit for bit."""
+    submitted, runs = [], []
+    executor = T._executor
+    monkeypatch.setattr(T, "_executor", lambda: submitted.append(1) or executor())
+    for cpus in (1, 2):
+        monkeypatch.setattr(T, "_cpus", lambda: cpus)
+        model = ModelParams.init(EncoderConfig(vocab_size=64, d_h=64, n_layers=2), seed=0)
+        assert model.flat.size >= T.SPLIT_WORK
+        state, rng = OptimizerState.init(model), np.random.default_rng(1)
+        for _ in range(3):
+            model.grad[...] = rng.normal(size=model.grad.shape)
+            adam_step(model, state, 1e-3, grad_clip)
+        runs.append((model.flat, state.m, state.v))
+    assert len(submitted) == 3
+    for got, want in zip(runs[1], runs[0], strict=True):
+        np.testing.assert_array_equal(got, want)
+
+
 # ---------------------------------------------------------------- train loop
 
 
@@ -418,12 +441,12 @@ def test_failed_background_write_raises_and_keeps_previous(tmp_path, monkeypatch
         raised.append(OSError("disk full"))
         raise raised[-1]
 
-    def failing_open(path, mode):
+    def failing_open(path, mode, **kw):
         opened.append(path)
-        fh = open(path, mode)
+        fh = open(path, mode, **kw)
         return PatchedFile(fh, disk_full) if len(opened) == 2 else fh
 
-    monkeypatch.setattr(E, "open", failing_open, raising=False)
+    monkeypatch.setattr(P, "open", failing_open, raising=False)  # where `whole_file` opens
     tc = TrainConfig(batch_size=1, total_steps=3, peak_lr=1e-3, seed=2, checkpoint_every=1)
     model = ModelParams.init(micro_config(), seed=0, scale=0.1)
     with pytest.raises(OSError, match="disk full") as excinfo:
@@ -448,7 +471,7 @@ def test_step_error_waits_for_write_in_flight(tmp_path, monkeypatch):
             slowed.append(True)
             time.sleep(0.3)
 
-    monkeypatch.setattr(E, "open", lambda path, mode: PatchedFile(open(path, mode), slow_first_write),
+    monkeypatch.setattr(P, "open", lambda path, mode, **kw: PatchedFile(open(path, mode, **kw), slow_first_write),
                         raising=False)
     losses = []
 
