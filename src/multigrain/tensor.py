@@ -24,8 +24,8 @@ its block ends and then goes by reference counting. `backward` drops
 each node's closure once the replay has passed it, so a replayed tape
 holds only node outputs.
 
-Three ops split a large call across the CPUs the process may run on
-(`os.sched_getaffinity`; on one CPU nothing splits) once its work reaches
+Three ops split a large call across the CPUs the calling thread may run
+on (`os.sched_getaffinity`; on one CPU nothing splits) once its work reaches
 SPLIT_WORK: `relative_attention` runs min(m, CPUs) contiguous groups of
 heads side by side, forward and backward, from m n^2 score cells and only
 on its bound-shifted route; `feed_forward` runs as many row blocks from
@@ -36,9 +36,11 @@ the sums by source and bucket, so each part does the same arithmetic as
 in one call, and the results are bit-identical to it. The first part runs
 on the calling thread and the rest on a pool of CPUs - 1 threads, which
 the first split call of a process starts, unless the first is done before
-the pool begins them; only numpy runs there, no op is recorded or split
-again there, and whatever mixes parts runs after the join. Below
-SPLIT_WORK a call makes no more numpy calls than one that never splits.
+the pool begins them, each pinned to a CPU other than the calling thread's
+(whose own CPUs stay as they are); only numpy runs there, no op is
+recorded or split again there, and whatever mixes parts runs after the
+join. Below SPLIT_WORK a call makes no more numpy calls than one that
+never splits.
 
 Two precision modes exist: "standard" (float64) for training and
 "extended" (longdouble) used only by the finite-difference harness.
@@ -46,6 +48,7 @@ Two precision modes exist: "standard" (float64) for training and
 
 from __future__ import annotations
 
+import ctypes
 import math
 import os
 import threading
@@ -466,22 +469,23 @@ def band_plan(n: int, clip: int) -> BandPlan:
 # ---------------------------------------------------------------- side by side
 
 # The work, in cells of a level's (m, n, n) scores or in FFN rows x d_ff,
-# from which an op runs independent parts side by side. Handing a part to
-# the pool costs up to a few hundred microseconds on a 2-vCPU VM: there,
-# over three probes, two groups of a 4-head level (d_z = 16) took
-# 1.9-2.9x the time of one at n = 32 and 64, 0.86-1.28x at n = 128,
-# 0.85-1.13x at n = 256 and 0.59-0.94x at n = 512, and two FFN row blocks
-# (d_ff = 256) 0.58-0.74x at the paper's 556 or 576 rows but 0.91-1.17x at
-# 128 (forward alone, and forward plus backward).
+# from which an op runs independent parts side by side. On a 2-vCPU VM,
+# with the pool pinned, over three probes two groups of a 4-head level
+# (d_z = 16) took 2.7-4.2x the time of one at n = 32 and 64, 0.85-1.76x
+# at n = 128, 0.95-1.15x at n = 256 and 0.72-1.04x at n = 512, and two
+# FFN row blocks (d_ff = 256) 0.81-0.89x at the paper's 556 rows and
+# 0.86-1.13x at 128 (forward alone, and forward plus backward).
 SPLIT_WORK = 1 << 17
 
 _pool: tuple[int, ThreadPoolExecutor] | None = None  # (pid of the process that made it, pool)
 _pool_lock = threading.Lock()
-_on_pool = threading.local()  # .pool is True on the pool's threads
+_on_pool = threading.local()  # .pool is True on the pool's threads, .cpu the one CPU each is pinned to
+# The CPU the calling thread is on now, where the C library says (-1 where not)
+_current_cpu = getattr(ctypes.CDLL(None) if os.name == "posix" else None, "sched_getcpu", lambda: -1)
 
 
 def _cpus() -> int:
-    """The CPUs this process may run on (one where that is not known)."""
+    """The CPUs the calling thread's own affinity mask allows, not the process's (one where not known)."""
     return len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else 1
 
 
@@ -494,9 +498,9 @@ def _group_count(parts: int, work: int) -> int:
 
 
 def _executor() -> ThreadPoolExecutor:
-    """This process's pool, made on first use. A child forked from a
-    process with a pool inherits the pool but none of its threads, so it
-    makes its own."""
+    """This process's pool, made on first use; its threads run each group
+    pinned to one CPU (see `_pinned`). A child forked from a process with
+    a pool inherits the pool but none of its threads, so it makes its own."""
     global _pool
     with _pool_lock:
         if _pool is None or _pool[0] != os.getpid():
@@ -504,6 +508,15 @@ def _executor() -> ThreadPoolExecutor:
             _pool = (os.getpid(), ThreadPoolExecutor(workers, thread_name_prefix="tensor",
                                                      initializer=setattr, initargs=(_on_pool, "pool", True)))
         return _pool[1]
+
+
+def _pinned(cpu: int, fn: Callable, *args):
+    """fn(*args) on this pool thread, pinned first to `cpu` alone: unpinned,
+    it shared the CPU of the thread that woke it while the other idled."""
+    if getattr(_on_pool, "cpu", None) != cpu:
+        os.sched_setaffinity(0, {cpu})
+        _on_pool.cpu = cpu
+    return fn(*args)
 
 
 def _side_by_side(fn: Callable, count: int, *args) -> list:
@@ -529,16 +542,18 @@ def _side_by_side(fn: Callable, count: int, *args) -> list:
     if count == 1:
         return [fn(*[a[0] if type(a) is tuple else a for a in args])]
     calls = list(zip(*(a if type(a) is tuple else np.array_split(a, count) for a in args)))
-    futures = [_executor().submit(fn, *call) for call in calls[1:]]
+    cpus, here = sorted(os.sched_getaffinity(0)), _current_cpu()
+    at = cpus.index(here) + 1 if here in cpus else 0  # group i goes to the i-th CPU after this one
+    futures = [_executor().submit(_pinned, cpus[i % len(cpus)], fn, *c) for i, c in enumerate(calls[1:], at)]
     try:
         results = [fn(*calls[0])]
         results += [fn(*call) if f.cancel() else f for f, call in zip(futures, calls[1:])]
     finally:
-        # Poll rather than block: on a 2-vCPU VM, after joins that blocked
-        # (and so left this thread's CPU idle) the single-threaded work of
-        # a paper predict ran 10% slower, and a fixed numpy kernel 13%;
-        # after polled joins neither moved. sleep(0) lets the pool's
-        # threads take the GIL.
+        # Poll rather than block: on a 2-vCPU VM with the pool pinned, over
+        # 5 alternating paper benchmark pairs, blocking joins (which leave
+        # this thread's CPU idle) ran train 2.5% slower at reference speed
+        # and 6.0% slower in wall time, faster in 1 pair of 5. sleep(0)
+        # lets the pool's threads take the GIL.
         while not all(f.done() for f in futures):
             time.sleep(0)
     return [r.result() if isinstance(r, Future) else r for r in results]

@@ -945,6 +945,55 @@ def adam(config):
     model.grad[...] = 1.0
     adam_step(model, OptimizerState.init(model), 1e-3)
 
+def pool_cpus():  # the CPUs each of this process's pool threads may run on
+    return [sorted(os.sched_getaffinity(t.native_id)) for t in threading.enumerate() if t is not threading.main_thread()]
+
+def groups_pinned(count, caller_cpu):
+    # the CPUs groups 1 to count - 1 may run on, all groups running at
+    # once, when the calling thread is on caller_cpu
+    T._current_cpu = lambda: caller_cpu
+    barrier = threading.Barrier(count, timeout=30)
+    def group(block):
+        barrier.wait()
+        return sorted(os.sched_getaffinity(0))
+    try:
+        return T._side_by_side(group, count, np.arange(count))[1:]
+    finally:
+        T._current_cpu = current_cpu
+
+def pins(count):
+    # whether groups_pinned gives, with the caller on each CPU in turn,
+    # group i on the i-th CPU after the caller's, wrapping round
+    return [groups_pinned(count, c) == [[cpus[(at + i) % len(cpus)]] for i in range(1, count)]
+            for at, c in enumerate(cpus)]
+
+def in_child(work):  # what work() returns, run in a forked child
+    read, write = os.pipe()
+    pid = os.fork()
+    if pid == 0:
+        signal.alarm(60)
+        os.write(write, work().encode())
+        os._exit(0)
+    ready, _, _ = select.select([read], [], [], 60)
+    if not ready:
+        os.kill(pid, signal.SIGKILL)
+        sys.exit("the forked child's split call did not finish")
+    out = os.read(read, 4096).decode()
+    assert os.waitpid(pid, 0)[1] == 0
+    return out
+
+def child():
+    out = call(300)
+    pinned = [len(c) == 1 and c[0] in mask for c in pool_cpus()]
+    return f"{out} {pinned} {all(pins(2))}"
+
+def wider():  # more groups than CPUs, as where _cpus is patched above them
+    T._cpus = lambda: len(cpus) + 1
+    return f"{call(300)} {all(pins(len(cpus) + 1))}"
+
+mask = os.sched_getaffinity(0)
+cpus = sorted(mask)
+current_cpu = T._current_cpu
 T._cpus = lambda: 2
 assert threading.active_count() == 1, "a thread at import"
 call(100)  # 40 000 cells, under SPLIT_WORK
@@ -954,18 +1003,15 @@ adam(EncoderConfig(vocab_size=1000, d_h=32, m=4, n_layers=2, d_ff=128))  # desk'
 assert threading.active_count() == 1, "a thread below SPLIT_WORK"
 digest = call(300)
 assert threading.active_count() == 2, threading.enumerate()
-read, write = os.pipe()
-pid = os.fork()
-if pid == 0:
-    signal.alarm(60)
-    os.write(write, call(300).encode())
-    os._exit(0)
-ready, _, _ = select.select([read], [], [], 60)
-if not ready:
-    os.kill(pid, signal.SIGKILL)
-    sys.exit("the forked child's split call did not finish")
-assert os.read(read, 64).decode() == digest, "the child's bytes differ"
-assert os.waitpid(pid, 0)[1] == 0
+assert T._current_cpu() in mask
+[pinned] = pool_cpus()
+assert len(pinned) == 1 and pinned[0] in mask, (pinned, cpus)
+ffn(600, 32, 256)
+assert all(pins(2)), "a group ran on the caller's CPU"
+assert groups_pinned(2, None) == [[cpus[0]]], "a caller off the pool's CPUs"
+assert os.sched_getaffinity(0) == mask, "the calling thread was pinned"
+assert in_child(child) == f"{digest} [True] True", "the child's bytes or pins differ"
+assert in_child(wider) == f"{digest} True", "more groups than CPUs"
 print("ok")
 """
 
@@ -973,9 +1019,11 @@ print("ok")
 def test_pool_belongs_to_the_process_that_made_it():
     """The pool starts with the first split call, not at import or below
     SPLIT_WORK (an attention level, or a desk-size FFN, integration pass
-    or Adam step); a child forked
-    after a split call makes its own pool and gets the same bytes; a
-    process with a pool exits promptly."""
+    or Adam step); group i runs pinned to the i-th CPU after the calling
+    thread's, wrapping round where the groups outnumber the CPUs, and the
+    calling thread's own CPUs stay as they were; a child forked after a
+    split call makes its own pool, pinned the same way, and gets the same
+    bytes; a process with a pool exits promptly."""
     import os
     import subprocess
     import sys
