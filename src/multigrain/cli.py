@@ -13,7 +13,7 @@ import argparse
 import dataclasses
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 from . import checks
 from .encoder import EncoderConfig, ModelParams
@@ -100,20 +100,25 @@ def _cmd_preprocess(args) -> int:
     return 0
 
 
+def _checkpoint_for(vocab: Vocab, path: str) -> tuple[ModelParams, dict]:
+    model, extra = ModelParams.load(path)
+    if model.config.vocab_size != len(vocab):
+        raise ConfigError(f"--vocab has {len(vocab)} entries; {path} has vocab_size {model.config.vocab_size}")
+    return model, extra
+
+
 def _cmd_train(args) -> int:
     cfg = load_config(args.config, args.seed)
     vocab = Vocab.load(args.vocab)
     instances = read_instances(args.instances)
-    enc_cfg = dataclasses.replace(cfg.encoder, vocab_size=len(vocab))
     if args.resume:
-        model, extra = ModelParams.load(args.resume)
+        model, extra = _checkpoint_for(vocab, args.resume)
         try:
             opt = OptimizerState.from_arrays(model, extra)
         except ValueError as exc:
             raise ValueError(f"{args.resume}: {exc}") from exc
     else:
-        model = ModelParams.init(enc_cfg, seed=cfg.train.seed)
-        opt = None
+        model, opt = ModelParams.init(replace(cfg.encoder, vocab_size=len(vocab)), seed=cfg.train.seed), None
     model, trace, _ = train_loop(instances, model, cfg.train, args.out, opt)
     if args.trace:
         write_trace_csv(args.trace, trace)
@@ -123,8 +128,8 @@ def _cmd_train(args) -> int:
 
 
 def _cmd_predict(args) -> int:
-    model, _ = ModelParams.load(args.checkpoint)
     vocab = Vocab.load(args.vocab)
+    model, _ = _checkpoint_for(vocab, args.checkpoint)
     by_doc: dict[str, list] = {}
     for inst in read_instances(args.instances):
         by_doc.setdefault(inst.example_id, []).append(inst)

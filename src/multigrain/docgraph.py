@@ -6,7 +6,7 @@ position i. The [CLS] token doubles
 as sentence 0 and paragraph 0 (the null pseudo-candidate). Cross-level
 edges make the document node a hub, so any two nodes are within two hops,
 and the integration graph has O(n) edges. It is held as an `EdgeList`
-sorted by destination; a dense adjacency is derived from it on demand.
+sorted by destination; `integ_mask` builds a dense adjacency from it.
 """
 
 from __future__ import annotations
@@ -87,7 +87,7 @@ class HierGraph:
 
     @property
     def integ_mask(self) -> np.ndarray:
-        """Dense boolean adjacency of the integration graph (derived)."""
+        """Dense boolean adjacency of the integration graph, built on each read."""
         return self.integ_edges.adjacency()
 
     @staticmethod

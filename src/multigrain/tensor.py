@@ -27,8 +27,8 @@ holds only node outputs.
 Three ops split a large call across the CPUs the calling thread may run
 on (`os.sched_getaffinity`; on one CPU nothing splits) once its work reaches
 SPLIT_WORK: `relative_attention` runs min(m, CPUs) contiguous groups of
-heads side by side, forward and backward, from m n^2 score cells and only
-on its bound-shifted route; `feed_forward` runs as many row blocks from
+heads side by side, forward and backward, from m n^2 score cells on both
+of its softmax routes; `feed_forward` runs as many row blocks from
 rows x d_ff, and `edge_attention` as many blocks of whole destinations
 from E m d_z. Heads are independent until their outputs are concatenated,
 FFN rows until the weight gradients sum over them, and destinations until
@@ -451,13 +451,14 @@ class BandPlan:
             flat = np.repeat(block.reshape(lead + (-1,)), runs, axis=-1)
             out[..., i : i + step, :] += flat.reshape(block.shape[:-1] + (self.n,))
 
-    def fold(self, g: np.ndarray) -> np.ndarray:
-        """Adjoint of `add_expanded`: out[..., i, b] is the sum of
-        g[..., i, j] over the j with clip(j - i, -c, c) + c == b."""
+    def fold(self, g: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """Adjoint of `add_expanded`, into a C-contiguous `out` if given: out[..., i, b]
+        is the sum of g[..., i, j] over the j with clip(j - i, -c, c) + c == b."""
         lead = g.shape[:-2]
-        out = np.add.reduceat(g.reshape(lead + (-1,)), self.starts, axis=-1)
-        out *= self.nonempty  # reduceat hands back a cell for an empty run
-        return out.reshape(lead + (self.n, -1))
+        flat = None if out is None else out.reshape(lead + (-1,))  # a view: `out` is contiguous
+        flat = np.add.reduceat(g.reshape(lead + (-1,)), self.starts, axis=-1, out=flat)
+        flat *= self.nonempty  # reduceat hands back a cell for an empty run
+        return flat.reshape(lead + (self.n, -1))
 
 
 @lru_cache(maxsize=32)
@@ -522,11 +523,11 @@ def _pinned(cpu: int, fn: Callable, *args):
 def _side_by_side(fn: Callable, count: int, *args) -> list:
     """fn once per group, for `count` groups side by side: group i gets the
     i-th of `count` contiguous blocks (views along axis 0) of each array in
-    `args`, or the i-th item of each tuple, which holds a block per group
-    already (as an earlier call returned them). Group 0 runs on this thread
-    and the others on the pool at once, but a group the pool has not begun
-    when group 0 is done runs here too; with one group, fn runs here on the
-    whole arrays.
+    `args`, the i-th item of each tuple, which holds a block per group
+    already (as an earlier call returned them), and each None as it is.
+    Group 0 runs on this thread and the others on the pool at once, but a
+    group the pool has not begun when group 0 is done runs here too; with
+    one group, fn runs here on the whole arrays.
 
     Returns the results in group order, only after every group has
     finished, then raises the first error a group raised. `fn` runs
@@ -541,7 +542,8 @@ def _side_by_side(fn: Callable, count: int, *args) -> list:
     """
     if count == 1:
         return [fn(*[a[0] if type(a) is tuple else a for a in args])]
-    calls = list(zip(*(a if type(a) is tuple else np.array_split(a, count) for a in args)))
+    calls = list(zip(*(a if type(a) is tuple else [a] * count if a is None else np.array_split(a, count)
+                       for a in args)))
     cpus, here = sorted(os.sched_getaffinity(0)), _current_cpu()
     at = cpus.index(here) + 1 if here in cpus else 0  # group i goes to the i-th CPU after this one
     futures = [_executor().submit(_pinned, cpus[i % len(cpus)], fn, *c) for i, c in enumerate(calls[1:], at)]
@@ -557,11 +559,6 @@ def _side_by_side(fn: Callable, count: int, *args) -> list:
         while not all(f.done() for f in futures):
             time.sleep(0)
     return [r.result() if isinstance(r, Future) else r for r in results]
-
-
-def _joined(parts: Sequence[np.ndarray], axis: int = 0) -> np.ndarray:
-    """The parts concatenated along `axis`; a single part as it is."""
-    return parts[0] if len(parts) == 1 else np.concatenate(parts, axis=axis)
 
 
 def _head_width(qkv: Tensor, m: int, ak: Tensor, av: Tensor, n_buckets: int) -> tuple[int, int]:
@@ -603,17 +600,17 @@ def relative_attention(
     weights. U = sqrt(d_z) max|q| (max|k| + max|ak|) >= |e| (the sum of
     |q_d| |k_d + ak_d| over the d_z columns) comes from one reduction over
     q and k and one over ak, before the scores exist, and -U rides on the
-    band add. With U <= SHIFT_LIMIT no score can be non-finite, so there
-    is no max pass and no finiteness scan; otherwise (U too large, or not
-    finite) the scores are scanned and shifted by their row max.
-    If `weights` is a list, the call takes that second route and appends
-    the dense (m, n, n) scores e and weights alpha to it.
+    band add. U alone picks the route: with U <= SHIFT_LIMIT no score can
+    be non-finite, so there is no max pass and no finiteness scan;
+    otherwise (U too large, or not finite) the scores are scanned and
+    shifted by their row max. A `weights` list only receives the dense
+    (m, n, n) scores e, as (e - U) + U when shifted, and weights alpha.
 
-    On the first route, a call of m n^2 >= SPLIT_WORK score cells runs
+    On either route, a call of m n^2 >= SPLIT_WORK score cells runs
     contiguous groups of heads side by side (see `_side_by_side`): each
-    group's passes over its (n, n) scores, forward and backward. What
-    mixes heads (U, 1/s, the av term and the ak and av gradients) runs
-    after the join on the whole arrays.
+    group's passes over its (n, n) scores, scan included, forward and
+    backward. What mixes heads (U, 1/s, the av term and the ak and av
+    gradients) runs after the join on the whole arrays.
     """
     n, dz = _head_width(qkv, m, ak, av, 2 * clip + 1)
     band = band_plan(n, clip)
@@ -621,60 +618,58 @@ def relative_attention(
     q, k, v = qkvt
     q_max, k_max = np.abs(qkvt[:2]).max(axis=(1, 2, 3)).tolist()
     bound = math.sqrt(dz) * q_max * (k_max + np.abs(ak.data).max())
-    shifted = weights is None and bound <= SHIFT_LIMIT
+    shifted = bound <= SHIFT_LIMIT
+    shift = bound if shifted else 0.0
     scale = 1.0 / math.sqrt(dz)
     q *= scale
-    count = _group_count(m, m * n * n if shifted else 0)
-    scores = None
-    p, z = np.empty((m, n, n), q.dtype), np.empty((m, n, dz), q.dtype)  # p is kept for the backward
+    count = _group_count(m, m * n * n)
+    p, z, folded = (np.empty((m, n, w), q.dtype) for w in (n, dz, 2 * clip + 1))  # p: for the backward
+    e = None if weights is None else np.empty_like(p)
 
-    def forward(qh, kh, vh, ph, zh):
-        nonlocal scores
+    def forward(qh, kh, vh, ph, zh, fh, eh):
         np.matmul(qh, kh.swapaxes(1, 2), out=ph)
         r = qh @ ak.data.T
-        if shifted:
-            r -= bound
+        r -= shift
         band.add_expanded(ph, r)
+        if eh is not None:
+            np.add(ph, shift, out=eh)
         if not shifted:
             _check_finite(ph, "relative_attention")
-            if weights is not None:
-                scores = ph.copy()
             ph -= ph.max(axis=-1, keepdims=True)  # the softmax runs in place
         np.exp(ph, out=ph)
         np.matmul(ph, vh, out=zh)
-        return band.fold(ph)  # the fold's runs partition each row
+        band.fold(ph, fh)  # the fold's runs partition each row
 
-    folded = _joined(_side_by_side(forward, count, q, k, v, p, z))
+    _side_by_side(forward, count, q, k, v, p, z, folded, e)
     inv_s = 1.0 / folded.sum(axis=-1, keepdims=True)  # (m, n, 1)
     z += folded @ av.data
     z *= inv_s
     if weights is not None:
-        weights.append((scores, p * inv_s))
+        weights.append((e, p * inv_s))
 
     def backward(g):
         # de_ij = alpha_ij (gz_i . (v_j + av[b_ij]) - gz_i . z_i); 1/s_i
         # rides on gz_i, the one per-row factor
         gzs = g.reshape(n, m, dz).transpose(1, 0, 2) * inv_s
-        gs, grad = np.empty((m, n, n), q.dtype), np.empty((m, 3, n, dz), q.dtype)
+        gs, grad, gfold = np.empty_like(p), np.empty((m, 3, n, dz), q.dtype), np.empty_like(folded)
 
-        def group(gz, vh, zh, kh, qh, ph, gsh, gh):
+        def group(gz, vh, zh, kh, qh, ph, gsh, gh, gfh):
             np.matmul(gz, vh.swapaxes(1, 2), out=gsh)
             band.add_expanded(gsh, gz @ av.data.T - np.einsum("hid,hid->hi", gz, zh)[..., None])
             gsh *= ph
-            gfold = band.fold(gsh)
+            band.fold(gsh, gfh)
             if qkv.requires_grad:
                 gq = np.matmul(gsh, kh, out=gh[:, 0])
-                gq += gfold @ ak.data
+                gq += gfh @ ak.data
                 gq *= scale
                 np.matmul(gsh.swapaxes(1, 2), qh, out=gh[:, 1])
                 np.matmul(ph.swapaxes(1, 2), gz, out=gh[:, 2])
-            return gfold
 
-        gfolds = _side_by_side(group, count, gzs, v, z, k, q, p, gs, grad)
+        _side_by_side(group, count, gzs, v, z, k, q, p, gs, grad, gfold)
         if qkv.requires_grad:
             _accumulate(qkv, grad.transpose(2, 1, 0, 3).reshape(n, 3 * m * dz))
         if ak.requires_grad:
-            _accumulate(ak, _joined(gfolds).reshape(-1, 2 * clip + 1).T @ q.reshape(-1, dz))
+            _accumulate(ak, gfold.reshape(-1, 2 * clip + 1).T @ q.reshape(-1, dz))
         if av.requires_grad:
             _accumulate(av, folded.reshape(-1, 2 * clip + 1).T @ gzs.reshape(-1, dz))
 
@@ -826,7 +821,6 @@ def feed_forward(
             raise ShapeMismatchError(f"feed_forward {name} is {t.shape}, expected {shape}")
     count = _group_count(n, n * d_ff)
     keep, scale = _dropout_mask((n, d_ff), rate, rng)
-    keep = (None,) * count if keep is None else keep  # no mask for any block: no dropout
     dtype = np.result_type(*(t.data for t in (pre, post, w1, b1, w2, b2, gain, bias)))
     x, h, xhat, out, a = (np.empty((n, k), dtype) for k in (2 * d, d_ff, d, d, d_ff))
     phi = np.empty((n, d_ff))  # float64, for erf

@@ -349,6 +349,30 @@ def test_resume_from_params_only_checkpoint_exits_1(tmp_path, capsys):
     assert files["model.ckpt"] in err and "'opt.step' is missing" in err
 
 
+@pytest.mark.parametrize("command", ["predict", "train"])
+def test_a_vocabulary_of_another_size_exits_2(tmp_path, capsys, command):
+    """`predict` and `train --resume` refuse a --vocab, smaller or larger,
+    whose size is not the checkpoint's vocab_size: exit 2, with both sizes
+    in the message, and nothing written."""
+    from multigrain.preprocess import Vocab
+
+    files = micro_files(tmp_path)
+    size = len(Vocab.load(files["vocab.txt"]))
+    out = tmp_path / "out"
+    for words in (9, 15):
+        other = Vocab.build(f"w{i}" for i in range(words))
+        other.save(tmp_path / "other.txt")
+        paths = ["--vocab", str(tmp_path / "other.txt"), "--instances", files["inst.jsonl"], "--out", str(out)]
+        if command == "predict":
+            code = main(["predict", "--checkpoint", files["model.ckpt"], *paths])
+        else:
+            code = main(["train", *paths, "--resume", files["model.ckpt"]])
+        assert code == 2
+        err = capsys.readouterr().err
+        assert f"{len(other)} entries" in err and f"vocab_size {size}" in err
+        assert not out.exists()
+
+
 def duplicate_first_name(header):
     header["params"][1]["name"] = header["params"][0]["name"]
     return header

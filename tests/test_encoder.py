@@ -637,3 +637,34 @@ def test_checkpoint_refuses_flipped_or_truncated_payload(tmp_path, setup):
     path.write_bytes(bytes(raw[:-8]))
     with pytest.raises(ValueError, match="payload"):
         load_checkpoint(path)
+
+
+def test_a_trace_leaves_the_encode_it_records_alone(monkeypatch):
+    """On a 512-token instance with the default `EncoderConfig`, a traced
+    encode equals the untraced one bit for bit, and with two CPUs the
+    traced token level runs its heads in two groups, as the untraced one
+    does: the trace list picks neither the softmax route nor the split."""
+    from multigrain.synthgen import CorpusSpec, build_vocab, generate_corpus
+
+    spec = CorpusSpec(n_docs=1, par_min=15, par_max=16, sent_min=4, sent_max=4, tok_min=8, tok_max=12)
+    vocab = build_vocab(spec)
+    inst = P.preprocess_examples(generate_corpus(spec)[0], vocab, P.PreprocessConfig(keep_prob=1.0))[0]
+    assert len(inst.tokens) == 512
+    model = ModelParams.init(EncoderConfig(vocab_size=len(vocab)), seed=0)
+    graph = build_graph(inst, model.config.cross_clip)
+    token_groups, side_by_side = [], T._side_by_side
+
+    def spy(fn, count, *args):
+        if fn.__qualname__ == "relative_attention.<locals>.forward" and args[0].shape[1] == len(inst.tokens):
+            token_groups.append(count)
+        return side_by_side(fn, count, *args)
+
+    monkeypatch.setattr(T, "_cpus", lambda: 2)
+    monkeypatch.setattr(T, "_side_by_side", spy)
+    plain = encode(inst, graph, model).data
+    assert token_groups == [2] * model.config.n_layers
+    token_groups.clear()
+    trace = []
+    traced = encode(inst, graph, model, trace=trace).data
+    assert token_groups == [2] * model.config.n_layers
+    assert trace and traced.tobytes() == plain.tobytes()

@@ -510,6 +510,9 @@ def _check_band_plan(n, clip, seed):
     np.add.at(scatter, (slice(None), np.broadcast_to(idx[:, None], buckets.shape), buckets), g)
     folded = band.fold(g)
     np.testing.assert_allclose(folded, scatter, rtol=0, atol=1e-12)
+    into = np.full_like(r, np.nan)  # a fold into `out` writes every cell, empty runs' included
+    band.fold(g, into)
+    np.testing.assert_array_equal(into, folded)
     lhs = (expanded * g).sum()
     assert abs(lhs - (r * folded).sum()) <= 1e-12 * max(1.0, abs(lhs))
 
@@ -761,22 +764,54 @@ def test_relative_attention_head_groups_equal_one_group(mode, taped, cpus, monke
         np.testing.assert_array_equal(got, want)
 
 
-def test_relative_attention_exact_route_is_not_split(monkeypatch):
-    """Above SPLIT_WORK, a call whose bound U exceeds SHIFT_LIMIT stays one
-    group: one finiteness scan of its scores besides the output's, and a
-    score of -inf raises, naming the op."""
+def test_relative_attention_exact_route_splits(monkeypatch):
+    """Above SPLIT_WORK, a call whose bound U exceeds SHIFT_LIMIT splits
+    its heads as the shifted route does: the output and the qkv, ak and av
+    gradients equal one group's byte for byte, each group scans its own
+    scores once besides the output's scan, and a score of -inf raises,
+    naming the op, only once every group has finished."""
+    import threading
+    import time
+
     qkv, ak, av, m, clip = split_attention_inputs(9, scale=3.0)
-    checks = []
-    check_finite = T._check_finite
-    monkeypatch.setattr(T, "_cpus", lambda: 2)
-    monkeypatch.setattr(T, "_executor", lambda: pytest.fail("the exact route was split"))
+    g = np.random.default_rng(8).normal(size=(len(qkv), qkv.shape[1] // 3))
+    checks, check_finite = [], T._check_finite
     monkeypatch.setattr(T, "_check_finite", lambda data, op: checks.append(op) or check_finite(data, op))
-    T.relative_attention(T.Tensor(qkv), T.Tensor(ak), T.Tensor(av), m, clip)
-    assert checks == ["relative_attention"] * 2
+
+    def run(cpus):
+        monkeypatch.setattr(T, "_cpus", lambda: cpus)
+        args = [T.Tensor(a, requires_grad=True) for a in (qkv, ak, av)]
+        with T.record_tape():
+            checks.clear()
+            out = T.relative_attention(*args, m, clip)
+            scans = list(checks)
+            grads = T.backward(tsum(T.mul(out, T.Tensor(g))), dict(enumerate(args)))
+        return [out.data, *(grads[i] for i in range(3))], scans
+
+    whole, whole_scans = run(1)
+    split, split_scans = run(2)
+    assert whole_scans == ["relative_attention"] * 2
+    assert split_scans == ["relative_attention"] * 3
+    for got, want in zip(split, whole, strict=True):
+        assert got.dtype == want.dtype and got.tobytes() == want.tobytes()
+
     dz = ak.shape[1]
-    qkv[0, 0], qkv[0, m * dz] = 1e200, -1e200  # e_00 = q_0 k_0 = -inf in head 0
+    qkv[0, 0], qkv[0, m * dz] = 1e200, -1e200  # e_00 = q_0 k_0 = -inf in head 0, the caller's group
+    caller, finished, pool_began = threading.get_ident(), [], threading.Event()
+
+    def check(data, op):
+        if threading.get_ident() != caller:
+            pool_began.set()
+            time.sleep(0.3)
+        else:  # a group the pool has not begun would run here instead
+            assert pool_began.wait(60)
+        check_finite(data, op)
+        finished.append(threading.get_ident() != caller)
+
+    monkeypatch.setattr(T, "_check_finite", check)
     with np.errstate(over="ignore"), pytest.raises(T.NonFiniteError, match="relative_attention"):
         T.relative_attention(T.Tensor(qkv), T.Tensor(ak), T.Tensor(av), m, clip)
+    assert finished == [True]
 
 
 @pytest.mark.parametrize("fail_on", ["pool", "caller"])
@@ -796,7 +831,7 @@ def test_relative_attention_group_error_comes_out_after_the_join(fail_on, monkey
         def add_expanded(self, out, r):
             plan.add_expanded(out, r)
 
-        def fold(self, g):
+        def fold(self, g, out):
             on_pool = threading.get_ident() != caller
             if on_pool:
                 pool_began.set()
@@ -806,7 +841,7 @@ def test_relative_attention_group_error_comes_out_after_the_join(fail_on, monkey
             if on_pool == (fail_on == "pool"):
                 raise RuntimeError(f"fold failed on the {fail_on}")
             finished.append(on_pool)
-            return plan.fold(g)
+            return plan.fold(g, out)
 
     monkeypatch.setattr(T, "_cpus", lambda: 2)
     monkeypatch.setattr(T, "band_plan", lambda n, c: SlowPlan())
